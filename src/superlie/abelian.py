@@ -8,6 +8,7 @@ set of elements pairing to zero with everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .scalars import Rat
 
@@ -16,15 +17,8 @@ class DimensionError(ValueError):
     """Rank/shape mismatch between group elements and a form."""
 
 
-def gzero(rank: int) -> tuple[int, ...]:
-    return (0,) * rank
-
-
 def gadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
-
-def gsub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def gneg(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -74,6 +68,15 @@ class SymmetricGroupForm:
                 if bj:
                     total = total + ai * bj * row[j]
         return total
+
+    def integer_gram(self) -> tuple[tuple[int, ...], ...]:
+        """D * gram as int rows, D the lcm of the entries' denominators.
+
+        D (a, b) is then the integer dot product of a with (D * gram) b.
+        """
+        d = lcm(*(int(x.denominator) for row in self.gram for x in row))
+        return tuple(tuple(int(x.numerator) * (d // int(x.denominator)) for x in row)
+                     for row in self.gram)
 
     def in_radical(self, a: tuple[int, ...]) -> bool:
         """True iff (a, b) = 0 for every b, i.e. a . gram = 0."""

@@ -239,6 +239,19 @@ class AffinizedAlgebra:
         self.datum = datum
         self.torus = torus
         self.rank = torus.rank
+        self._theta: dict = {}
+
+    def theta(self, a, b):
+        """torus.theta(a, b), memoized on this algebra per degree pair.
+
+        A table-mode torus raises WindowExceededError outside its window;
+        the miss propagates and is not cached.
+        """
+        key = (a, b)
+        value = self._theta.get(key)
+        if value is None:
+            value = self._theta[key] = self.torus.theta(a, b)
+        return value
 
     def parity_of(self, x: GradedLoopElement):
         seen = {self.base.parity[b] for (b, _) in x.loop}
@@ -254,11 +267,10 @@ class AffinizedAlgebra:
         zero = (0,) * self.rank
         for (b1, d1), c1 in x.loop.items():
             for (b2, d2), c2 in y.loop.items():
-                th = self.torus.theta(d1, d2)
-                coeff = c1 * c2 * th
+                coeff = c1 * c2 * self.theta(d1, d2)
+                deg = gadd(d1, d2)
                 br = self.base.bracket_basis(b1, b2)
                 if br:
-                    deg = gadd(d1, d2)
                     for k, cv in br.items():
                         key = (k, deg)
                         s = out_loop.get(key, 0) + coeff * cv
@@ -266,7 +278,7 @@ class AffinizedAlgebra:
                             out_loop[key] = s
                         else:
                             out_loop.pop(key, None)
-                if gadd(d1, d2) == zero:
+                if deg == zero:
                     fval = self.base.gram[b1][b2]
                     if fval:
                         for i, di in enumerate(d1):
@@ -304,7 +316,7 @@ class AffinizedAlgebra:
                     continue
                 fval = self.base.gram[b1][b2]
                 if fval:
-                    total = total + c1 * c2 * self.torus.theta(d1, d2) * fval
+                    total = total + c1 * c2 * self.theta(d1, d2) * fval
         for i, c in x.v.items():
             s = y.d.get(i)
             if s:
@@ -516,7 +528,7 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
         row = {}
         negd = gneg(d1)
         if negd in set(degrees):
-            th = alg.torus.theta(d1, negd)
+            th = alg.theta(d1, negd)
             for b2 in range(base.dim):
                 fval = base.gram[b1][b2]
                 if fval:
@@ -577,7 +589,7 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
                 continue
             b1, b2 = par_pair
             pairing = base.form({b1: Rat(1)}, {b2: Rat(1)})
-            th = alg.torus.theta(deg, gneg(deg))
+            th = alg.theta(deg, gneg(deg))
             x = loop_term(b1, deg)
             y = loop_term(b2, gneg(deg), sdiv(1, pairing * th))
             got = alg.bracket(x, y)

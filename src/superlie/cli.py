@@ -43,9 +43,9 @@ def _load_module(path: str):
         name = path[len("builtin:"):] if path.startswith("builtin:") else path
         try:
             return fixtures.module_fixture(name)
+        except ModuleError as exc:
+            raise documents.DocumentError(str(exc)) from exc
         except (KeyError, ValueError) as exc:
-            if os.path.exists(path):
-                raise documents.DocumentError(str(exc)) from exc
             raise documents.DocumentError(
                 f"no such file and not a builtin module spec: {path}") from exc
     return documents.module_from_dict(documents.load(path))
@@ -191,9 +191,18 @@ def cmd_twist(args) -> int:
     taus = affz.window_box(args.rank, args.window)
     report = matrixsuper.verify_twisted(tw, idx, taus, args.zwindow,
                                         samples=args.samples, seed=args.seed)
-    sys.stdout.write(f"type: {idx.type_label()}\n")
+    if args.format == "text":
+        sys.stdout.write(f"type: {idx.type_label()}\n")
     report.elapsed = time.monotonic() - started
     return _emit(report, args.format)
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affinize", help="loop-affinize a verified algebra")
     p.add_argument("--base", default="builtin:osp12")
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--rank", type=nonnegative_int, default=1)
+    p.add_argument("--window", type=nonnegative_int, default=3)
+    p.add_argument("--samples", type=nonnegative_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q", default=None, help="off-diagonal cocycle value")
     common(p)
@@ -236,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--I", dest="i_dot", type=int, default=1)
     p.add_argument("--J", dest="j_dot", type=int, default=1)
     p.add_argument("--with-zero", action="store_true")
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--window", type=int, default=2, help="torus degree radius")
-    p.add_argument("--zwindow", type=int, default=4, help="Z-grading radius")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--rank", type=nonnegative_int, default=1)
+    p.add_argument("--window", type=nonnegative_int, default=2, help="torus degree radius")
+    p.add_argument("--zwindow", type=nonnegative_int, default=4, help="Z-grading radius")
+    p.add_argument("--samples", type=nonnegative_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q", default=None)
     p.add_argument("--star-signs", type=int, nargs="*", default=None)

@@ -60,25 +60,53 @@ def algebra_to_dict(L: LieSuperalgebra) -> dict:
     }
 
 
+def _indices(values, n: int, what: str) -> tuple[int, ...]:
+    """values as basis indices, each in range(n)."""
+    out = tuple(int(x) for x in values)
+    for x in out:
+        if not 0 <= x < n:
+            raise DocumentError(f"{what} index {x} out of range for a basis of {n}")
+    return out
+
+
 def algebra_from_dict(doc: dict) -> LieSuperalgebra:
     try:
         if doc.get("format") != ALGEBRA_FORMAT:
             raise DocumentError(f"unknown format {doc.get('format')!r}")
         basis = tuple(str(x) for x in doc["basis"])
+        n = len(basis)
         parity = tuple(int(x) for x in doc["parity"])
-        if len(parity) != len(basis) or any(p not in (0, 1) for p in parity):
+        if len(parity) != n or any(p not in (0, 1) for p in parity):
             raise DocumentError("parity must list 0/1 per basis element")
+        for entry in doc["structure"]:
+            if len(entry) != 4:
+                raise DocumentError(f"structure entry {entry!r} is not [i, j, k, scalar]")
+            _indices(entry[:3], n, "structure")
+        for entry in doc.get("gram") or ():
+            if len(entry) != 3:
+                raise DocumentError(f"gram entry {entry!r} is not [i, j, scalar]")
+            _indices(entry[:2], n, "gram")
+        cartan = None
+        if doc.get("cartan") is not None:
+            cartan = _indices(doc["cartan"], n, "cartan")
+        if doc.get("weights") is not None:
+            rows = doc["weights"]
+            if len(rows) != n:
+                raise DocumentError(f"weights has {len(rows)} rows for a basis of {n}")
+            for b, row in enumerate(rows):
+                if cartan is not None and len(row) != len(cartan):
+                    raise DocumentError(f"weights row {b} has {len(row)} entries, "
+                                        f"expected {len(cartan)}")
+
         structure: dict = {}
         for i, j, k, s in doc["structure"]:
             structure.setdefault((int(i), int(j)), {})[int(k)] = scalar_from_string(s)
         gram = None
         if doc.get("gram") is not None:
-            n = len(basis)
             dense = [[Rat(0)] * n for _ in range(n)]
             for i, j, s in doc["gram"]:
                 dense[int(i)][int(j)] = scalar_from_string(s)
             gram = tuple(tuple(row) for row in dense)
-        cartan = tuple(int(x) for x in doc["cartan"]) if doc.get("cartan") is not None else None
         weights = None
         if doc.get("weights") is not None:
             weights = {b: tuple(scalar_from_string(s) for s in row)

@@ -290,28 +290,6 @@ def _scalar_inv(x):
     return x.inverse() if hasattr(x, "inverse") else Rat(1) / x
 
 
-def dense_inverse(m: np.ndarray) -> np.ndarray | None:
-    """Exact inverse by Gauss-Jordan on [m | I], or None if singular."""
-    n = m.shape[0]
-    rows = [np.concatenate([m[i].copy(), obj_zeros(n)]) for i in range(n)]
-    for i in range(n):
-        rows[i][n + i] = Rat(1)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        rows[col] = rows[col] * _scalar_inv(rows[col][col])
-        for i in range(n):
-            if i != col and rows[i][col]:
-                rows[i] = rows[i] - rows[i][col] * rows[col]
-    return np.stack([r[n:] for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # finite-dimensional modules
 

@@ -13,6 +13,8 @@ would have to live there is reported as skipped rather than decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 from typing import Callable
 
 from . import linalg
@@ -54,6 +56,11 @@ class RootSupersystem:
     def is_known(self, g) -> bool:
         return True if self.known is None else bool(self.known(g))
 
+    @cached_property
+    def lines(self) -> "LineIndex":
+        """The roots grouped by the integer lines through them, built on use."""
+        return LineIndex(self.roots)
+
     def pairing(self, a, b):
         return self.form.eval(a, b)
 
@@ -71,11 +78,13 @@ def classify(roots, form: SymmetricGroupForm, known: Callable | None = None) -> 
     for r in rs:
         if len(r) != form.rank:
             raise ValueError(f"root {r} does not match form rank {form.rank}")
+    gram = form.integer_gram()
     radical, real, nonsingular = set(), set(), set()
     for r in rs:
-        if form.in_radical(r):
+        image = _apply(gram, r)
+        if not any(image):
             radical.add(r)
-        elif form.eval(r, r):
+        elif _dot(image, r):
             real.add(r)
         else:
             nonsingular.add(r)
@@ -89,6 +98,73 @@ def classify(roots, form: SymmetricGroupForm, known: Callable | None = None) -> 
         span_basis=tuple(tuple(row) for row in span),
         known=known,
     )
+
+
+def _apply(gram, a) -> tuple:
+    return tuple(sum(g * x for g, x in zip(row, a)) for row in gram)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+class PairingTable:
+    """Integer pairings of one system, built once and shared by the axioms.
+
+    With D the lcm of the Gram denominators, pair(a, b) = D (a, b) is the
+    dot product of D.gram.a (cached per root) with b.  For each real root a,
+    norm[a] = pair(a, a) and twice[a] lists 2 pair(a, b) over system.roots,
+    so 2(a,b)/(a,a) = twice / norm is read without rational arithmetic.
+    """
+
+    def __init__(self, system: RootSupersystem):
+        gram = system.form.integer_gram()
+        self.image = {r: _apply(gram, r) for r in system.roots}
+        self.norm = {a: self.pair(a, a) for a in system.real_roots}
+        self.twice = {a: [2 * self.pair(a, b) for b in system.roots]
+                      for a in system.real_roots}
+
+    def pair(self, a, b) -> int:
+        return _dot(self.image[a], b)
+
+
+class LineIndex:
+    """Roots grouped by the integer lines x + Z p they lie on.
+
+    p is the primitive vector of a direction, positive at its pivot (first
+    nonzero) coordinate.  The first lookup along p makes one pass over the
+    roots, keying each by the point of its line whose pivot coordinate lies
+    in [0, p[pivot]) and recording its step from that point; later lookups
+    cost the number of roots on the line.
+    """
+
+    def __init__(self, roots):
+        self.roots = roots
+        self._by_direction: dict = {}  # p -> {line key: [steps]}
+        self._by_root: dict = {}       # alpha -> (p, m, pivot, lines), alpha = m p
+
+    def steps(self, alpha, x) -> tuple[list[int], int]:
+        """(ds, m): the roots on the line x + Q alpha are x + (d/m) alpha, d in ds."""
+        entry = self._by_root.get(alpha)
+        if entry is None:
+            pivot = next(i for i, a in enumerate(alpha) if a)
+            m = gcd(*alpha) if alpha[pivot] > 0 else -gcd(*alpha)
+            p = tuple(a // m for a in alpha)
+            lines = self._by_direction.get(p)
+            if lines is None:
+                lines = self._by_direction[p] = {}
+                for r in self.roots:
+                    key, t = self._split(p, pivot, r)
+                    lines.setdefault(key, []).append(t)
+            entry = self._by_root[alpha] = (p, m, pivot, lines)
+        p, m, pivot, lines = entry
+        key, t0 = self._split(p, pivot, x)
+        return [t - t0 for t in lines.get(key, ())], m
+
+    @staticmethod
+    def _split(p, pivot, x):
+        t = x[pivot] // p[pivot]
+        return tuple(xi - t * pi for xi, pi in zip(x, p)), t
 
 
 def reflect(system: RootSupersystem, alpha, beta):
@@ -112,23 +188,15 @@ class StringScan:
 
 
 def _member_ks(system: RootSupersystem, alpha, beta) -> list[int]:
-    """All integer k with beta + k alpha in R, by direct enumeration."""
-    pivot = next(i for i, x in enumerate(alpha) if x)
-    ks = []
-    for g in system.roots:
-        num = g[pivot] - beta[pivot]
-        if num % alpha[pivot]:
-            continue
-        k = num // alpha[pivot]
-        if all(x == b + k * a for x, a, b in zip(g, alpha, beta)):
-            ks.append(k)
-    return sorted(ks)
+    """All integer k with beta + k alpha in R, read from the line index."""
+    ds, m = system.lines.steps(alpha, beta)
+    return sorted(d // m for d in ds if not d % m)
 
 
 def _string_scan(system: RootSupersystem, alpha, beta, cap: int) -> StringScan:
+    ks = _member_ks(system, alpha, beta)
     if system.known is None:
         # finite fully-known set: enumerate members exactly, gaps included
-        ks = _member_ks(system, alpha, beta)
         gap_at = None
         for a, b in zip(ks, ks[1:]):
             if b != a + 1:
@@ -136,7 +204,7 @@ def _string_scan(system: RootSupersystem, alpha, beta, cap: int) -> StringScan:
                 break
         return StringScan(members=tuple(ks), p=-ks[0], q=ks[-1],
                           gap_at=gap_at, capped=False)
-    rootset = set(system.roots)
+    found = set(ks)
     members = [0]
     ends: dict[int, int | None] = {}
     capped = False
@@ -144,12 +212,11 @@ def _string_scan(system: RootSupersystem, alpha, beta, cap: int) -> StringScan:
         k = direction
         end = None
         while abs(k) <= cap:
-            g = gadd(beta, gscale(k, alpha))
-            if g in rootset:
+            if k in found:
                 members.append(k)
                 k += direction
                 continue
-            if system.is_known(g):
+            if system.is_known(tuple(b + k * a for a, b in zip(alpha, beta))):
                 end = k - direction
             break
         else:
@@ -199,14 +266,10 @@ def root_string(system: RootSupersystem, alpha, beta):
 def ratio_check(system: RootSupersystem, alpha, strict: bool = True):
     """All rational k with k*alpha in R; verifies k in {0, ±1, ±2, ±1/2}."""
     alpha = tuple(alpha)
-    if not system.form.eval(alpha, alpha):
+    if alpha not in system.real_roots and not system.form.eval(alpha, alpha):
         raise NonRealRootError(f"root {alpha} is isotropic")
-    pivot = next(i for i, x in enumerate(alpha) if x)
-    ks = set()
-    for g in system.roots:
-        k = Rat(g[pivot], alpha[pivot])
-        if all(Rat(x) == k * a for x, a in zip(g, alpha)):
-            ks.add(k)
+    ds, m = system.lines.steps(alpha, (0,) * len(alpha))
+    ks = {Rat(d, m) for d in ds}
     allowed = {Rat(0), Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)}
     if strict and not ks <= allowed:
         bad = sorted(ks - allowed)
@@ -245,12 +308,13 @@ def check_axioms(system: RootSupersystem) -> Report:
         rep.skip("S2: instances outside the known region", {"count": skipped})
 
     reals = sorted(system.real_roots)
+    table = PairingTable(system)
     bad = None
     for a in reals:
-        for b in system.roots:
-            n = system.cartan_int(a, b)
-            if n.denominator != 1:
-                bad = {"alpha": list(a), "beta": list(b), "value": str(n)}
+        na = table.norm[a]
+        for b, t in zip(system.roots, table.twice[a]):
+            if t % na:
+                bad = {"alpha": list(a), "beta": list(b), "value": str(Rat(t, na))}
                 break
         if bad:
             break
@@ -260,7 +324,8 @@ def check_axioms(system: RootSupersystem) -> Report:
     bad = None
     skipped = 0
     for a in reals:
-        for b in system.roots:
+        na = table.norm[a]
+        for b, t in zip(system.roots, table.twice[a]):
             scan = _string_scan(system, a, b, cap)
             if scan.capped:
                 bad = {"alpha": list(a), "beta": list(b), "reason": "cap exceeded",
@@ -272,10 +337,9 @@ def check_axioms(system: RootSupersystem) -> Report:
             if scan.p is None or scan.q is None:
                 skipped += 1
                 continue
-            n = system.cartan_int(a, b)
-            if n != scan.p - scan.q:
+            if t != (scan.p - scan.q) * na:
                 bad = {"alpha": list(a), "beta": list(b),
-                       "p": scan.p, "q": scan.q, "cartan": str(n)}
+                       "p": scan.p, "q": scan.q, "cartan": str(Rat(t, na))}
                 break
         if bad:
             break
@@ -289,7 +353,7 @@ def check_axioms(system: RootSupersystem) -> Report:
     skipped = 0
     for a in imaginary:
         for b in system.roots:
-            if not system.form.eval(a, b):
+            if not table.pair(a, b):
                 continue
             plus, minus = gadd(b, a), gadd(b, gneg(a))
             if plus in rootset or minus in rootset:
@@ -316,11 +380,12 @@ def check_axioms(system: RootSupersystem) -> Report:
     bad = None
     skipped = 0
     for a in reals:
-        for b in system.roots:
-            try:
-                r = reflect(system, a, b)
-            except NonIntegralReflectionError:
+        na = table.norm[a]
+        for b, t in zip(system.roots, table.twice[a]):
+            if t % na:
                 continue  # already reported under S3
+            n = t // na
+            r = tuple(y - n * x for x, y in zip(a, b))
             if r in rootset:
                 continue
             if system.is_known(r):

@@ -70,3 +70,14 @@ def test_radical_iff_orthogonal_to_basis(a):
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     expect = all(form_eval(f, a, e) == 0 for e in basis)
     assert radical_member(f, a) == expect
+
+
+@given(st.lists(entries, min_size=2, max_size=2),
+       st.lists(entries, min_size=2, max_size=2))
+def test_integer_gram_is_the_least_integral_multiple(a, b):
+    f = SymmetricGroupForm(gram=((Rat(2, 3), Rat(-1, 2)), (Rat(-1, 2), Rat(5, 4))))
+    gram = f.integer_gram()
+    assert gram == ((8, -6), (-6, 15))  # D = 12
+    assert all(type(x) is int for row in gram for x in row)
+    scaled = sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, gram))
+    assert scaled == 12 * form_eval(f, tuple(a), tuple(b))

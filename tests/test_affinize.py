@@ -67,6 +67,19 @@ def test_table_window_exceeded():
         t.theta((1,), (0,))
 
 
+def test_theta_memo_does_not_cache_window_misses():
+    L = osp12_standard()
+    t = CocycleTorus(rank=1, table={((0,), (0,)): Rat(1)})
+    alg = AffinizedAlgebra(L, weight_decomposition(L), t)
+    assert alg.theta((0,), (0,)) == 1
+    for _ in range(2):
+        with pytest.raises(WindowExceededError):
+            alg.theta((1,), (0,))
+    with pytest.raises(WindowExceededError):
+        alg.bracket(loop_term(idx("H"), (1,)), loop_term(idx("H"), (0,)))
+    assert list(alg._theta) == [((0,), (0,))]
+
+
 def test_derivation_action():
     alg = osp_affinization()
     x = loop_term(idx("F+"), (5,))

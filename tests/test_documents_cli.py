@@ -166,3 +166,71 @@ def test_cli_heisenberg_fails_form_invariance(capsys):
     assert main(["verify", "builtin:heisenberg"]) == 1
     out = capsys.readouterr().out
     assert "invariance" in out
+
+
+def test_cli_twist_json_parses(capsys):
+    args = ["twist", "--with-zero", "--rank", "1", "--window", "0", "--zwindow", "1",
+            "--samples", "10", "--seed", "0", "--format", "json"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    labels = [c["witness"] for c in doc["checks"] if c["name"] == "type label"]
+    assert labels == [{"label": "BC(1,1)"}]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("affinize", "--window"), ("affinize", "--rank"), ("affinize", "--samples"),
+    ("twist", "--window"), ("twist", "--zwindow"), ("twist", "--rank"),
+    ("twist", "--samples"),
+])
+def test_cli_negative_counts_are_input_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a nonnegative integer, got -1" in err
+    assert "Traceback" not in err
+
+
+def test_cli_decompose_reports_module_error(capsys):
+    assert main(["decompose", "builtin:V3"]) == 2
+    err = capsys.readouterr().err
+    assert "highest weight must be an even nonnegative integer" in err
+    assert "no such file" not in err
+    assert main(["decompose", "builtin:W3"]) == 2
+    assert "no such file and not a builtin module spec" in capsys.readouterr().err
+
+
+def _one_element_doc(**overrides):
+    doc = {"format": documents.ALGEBRA_FORMAT, "field": "Q", "basis": ["a"],
+           "parity": [0], "structure": [], "gram": [[0, 0, "1"]], "cartan": [0],
+           "weights": [["0"]]}
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"structure": [[0, 0, 5, "1"]]}, "structure index 5 out of range"),
+    ({"structure": [[-1, 0, 0, "1"]]}, "structure index -1 out of range"),
+    ({"structure": [[0, 0, "1"]]}, "is not [i, j, k, scalar]"),
+    ({"gram": [[0, 2, "1"]]}, "gram index 2 out of range"),
+    ({"cartan": [1]}, "cartan index 1 out of range"),
+    ({"weights": []}, "weights has 0 rows for a basis of 1"),
+    ({"weights": [["0", "1"]]}, "weights row 0 has 2 entries, expected 1"),
+])
+def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
+                                                   message):
+    doc = _one_element_doc(**overrides)
+    with pytest.raises(documents.DocumentError, match=message.replace("[", r"\[")):
+        documents.algebra_from_dict(doc)
+    path = tmp_path / "bad.json"
+    documents.save(str(path), doc)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_cli_verify_one_element_document_is_valid(tmp_path, capsys):
+    path = tmp_path / "ok.json"
+    documents.save(str(path), _one_element_doc())
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()

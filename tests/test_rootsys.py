@@ -1,11 +1,18 @@
+import itertools
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superlie import check_axioms, classify, from_root_datum, ratio_check, reflect, root_string
-from superlie import osp12_standard, weight_decomposition
-from superlie.abelian import SymmetricGroupForm
+from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard, trivial_torus,
+                      weight_decomposition, window_box)
+from superlie.abelian import SymmetricGroupForm, gadd, gneg, gscale
+from superlie.affinize import window_root_system
 from superlie.matrixsuper import plain_index_set, sl_superalgebra
-from superlie.rootsys import (BrokenStringError, NonRealRootError,
-                              RatioViolationError, _member_ks)
+from superlie.reports import Report
+from superlie.rootsys import (BrokenStringError, NonIntegralReflectionError,
+                              NonRealRootError, RatioViolationError, _member_ks)
 from superlie.scalars import Rat
 
 
@@ -229,3 +236,316 @@ def test_windowed_s2_skip_on_asymmetric_window():
     # the negatives of degree-1 roots are outside the window: skipped
     skip = [c for c in rep.checks if c.status == "skip" and c.name.startswith("S2")]
     assert skip and skip[0].witness["count"] > 0
+
+
+# ---------------------------------------------------------------------------
+# cross-check: the pairing-table check_axioms against the pairwise rational
+# implementation it replaced, kept here as a test-only reference
+
+
+def _reference_member_ks(system, alpha, beta):
+    pivot = next(i for i, x in enumerate(alpha) if x)
+    ks = []
+    for g in system.roots:
+        num = g[pivot] - beta[pivot]
+        if num % alpha[pivot]:
+            continue
+        k = num // alpha[pivot]
+        if all(x == b + k * a for x, a, b in zip(g, alpha, beta)):
+            ks.append(k)
+    return sorted(ks)
+
+
+def _reference_string_scan(system, alpha, beta, cap):
+    if system.known is None:
+        ks = _reference_member_ks(system, alpha, beta)
+        gaps = [a + 1 for a, b in zip(ks, ks[1:]) if b != a + 1]
+        return ks, -ks[0], ks[-1], gaps[0] if gaps else None, False
+    rootset = set(system.roots)
+    members = [0]
+    ends = {}
+    capped = False
+    for direction in (1, -1):
+        k = direction
+        end = None
+        while abs(k) <= cap:
+            g = gadd(beta, gscale(k, alpha))
+            if g in rootset:
+                members.append(k)
+                k += direction
+                continue
+            if system.is_known(g):
+                end = k - direction
+            break
+        else:
+            capped = True
+        ends[direction] = end
+    members.sort()
+    gaps = [a + 1 for a, b in zip(members, members[1:]) if b != a + 1]
+    p = -ends[-1] if ends[-1] is not None else None
+    return members, p, ends[1], gaps[0] if gaps else None, capped
+
+
+def _reference_ratio_violation(system, alpha):
+    pivot = next(i for i, x in enumerate(alpha) if x)
+    ks = set()
+    for g in system.roots:
+        k = Rat(g[pivot], alpha[pivot])
+        if all(Rat(x) == k * a for x, a in zip(g, alpha)):
+            ks.add(k)
+    allowed = {Rat(0), Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)}
+    bad = sorted(ks - allowed)
+    return f"ratios {[str(k) for k in bad]} for root {alpha}" if bad else None
+
+
+def _reference_check_axioms(system):
+    """check_axioms as it was: every pairing from form.eval / cartan_int."""
+    rep = Report(title="root supersystem axioms")
+    rootset = set(system.roots)
+    zero = (0,) * system.rank
+    rep.check("S1: zero is a root", zero in rootset,
+              {"roots": [list(r) for r in system.roots[:8]]})
+    rep.note("S1: ambient group is the Z-span of the roots",
+             {"lattice_basis": [list(r) for r in system.span_basis]})
+
+    bad, skipped = None, 0
+    for r in system.roots:
+        neg = gneg(r)
+        if neg in rootset:
+            continue
+        if system.is_known(neg):
+            bad = {"root": list(r)}
+            break
+        skipped += 1
+    rep.check("S2: symmetry R = -R", bad is None, bad)
+    if skipped:
+        rep.skip("S2: instances outside the known region", {"count": skipped})
+
+    reals = sorted(system.real_roots)
+    bad = next(({"alpha": list(a), "beta": list(b), "value": str(n)}
+                for a in reals for b in system.roots
+                for n in [system.cartan_int(a, b)] if n.denominator != 1), None)
+    rep.check("S3: integrality of 2(a,b)/(a,a)", bad is None, bad)
+
+    cap = 4 * max(1, len(system.roots))
+    bad, skipped = None, 0
+    for a in reals:
+        for b in system.roots:
+            _, p, q, gap_at, capped = _reference_string_scan(system, a, b, cap)
+            if capped:
+                bad = {"alpha": list(a), "beta": list(b), "reason": "cap exceeded",
+                       "cap": cap}
+            elif gap_at is not None:
+                bad = {"alpha": list(a), "beta": list(b), "gap_at": gap_at}
+            elif p is None or q is None:
+                skipped += 1
+                continue
+            else:
+                n = system.cartan_int(a, b)
+                if n != p - q:
+                    bad = {"alpha": list(a), "beta": list(b), "p": p, "q": q,
+                           "cartan": str(n)}
+            if bad:
+                break
+        if bad:
+            break
+    rep.check("S4: root strings are bounded intervals with p-q = 2(b,a)/(a,a)",
+              bad is None, bad)
+    if skipped:
+        rep.skip("S4: strings leaving the known region", {"count": skipped})
+
+    imaginary = sorted(system.nonsingular_roots | ({zero} if zero in rootset else set()))
+    bad, skipped = None, 0
+    for a in imaginary:
+        for b in system.roots:
+            if not system.form.eval(a, b):
+                continue
+            plus, minus = gadd(b, a), gadd(b, gneg(a))
+            if plus in rootset or minus in rootset:
+                continue
+            if system.is_known(plus) and system.is_known(minus):
+                bad = {"alpha": list(a), "beta": list(b)}
+                break
+            skipped += 1
+        if bad:
+            break
+    rep.check("S5: isotropic connectivity", bad is None, bad)
+    if skipped:
+        rep.skip("S5: instances outside the known region", {"count": skipped})
+
+    bad = next(({"alpha": list(a), "detail": detail} for a in reals
+                for detail in [_reference_ratio_violation(system, a)] if detail), None)
+    rep.check("ratio restriction at real roots", bad is None, bad)
+
+    bad, skipped = None, 0
+    for a in reals:
+        for b in system.roots:
+            try:
+                r = reflect(system, a, b)
+            except NonIntegralReflectionError:
+                continue
+            if r in rootset:
+                continue
+            if system.is_known(r):
+                bad = {"alpha": list(a), "beta": list(b), "image": list(r)}
+                break
+            skipped += 1
+        if bad:
+            break
+    rep.check("reflections preserve the root set", bad is None, bad)
+    if skipped:
+        rep.skip("reflections landing outside the known region", {"count": skipped})
+    return rep
+
+
+def _assert_same_report(system):
+    want = _reference_check_axioms(system).as_dict()
+    assert check_axioms(system).as_dict() == want
+    return want
+
+
+def sign_torus(rank):
+    return CocycleTorus(rank=rank, qmatrix=tuple(
+        tuple(Rat(-1) for _ in range(rank)) for _ in range(rank)))
+
+
+@lru_cache(maxsize=None)
+def base_with_datum(name):
+    L = osp12_standard() if name == "osp12" else sl_superalgebra(plain_index_set(1, 2))
+    return L, weight_decomposition(L)
+
+
+def affinized(name, kind, rank):
+    L, datum = base_with_datum(name)
+    torus = trivial_torus(rank) if kind == "trivial" else sign_torus(rank)
+    return AffinizedAlgebra(L, datum, torus)
+
+
+@lru_cache(maxsize=None)
+def bc11_window_system():
+    from superlie.matrixsuper import (SharpOperator, SuperIndexSet,
+                                      matrix_affinization, twisted_affinize,
+                                      twisted_weight_spaces,
+                                      twisted_window_root_system)
+    idx = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
+    aff = matrix_affinization(idx, trivial_torus(1), field="Qi")
+    tw = twisted_affinize(aff, SharpOperator(idx, aff))
+    taus, zs = window_box(1, 1), range(-2, 3)
+    spaces = twisted_weight_spaces(tw, taus, zs)
+    return twisted_window_root_system(tw, spaces, taus, zs)
+
+
+def fixture_systems():
+    windowed_form = SymmetricGroupForm(gram=((2, 0), (0, 0)))
+    return [
+        osp_system(), sl12_system(),
+        classify([(0,), (1,), (-1,)], SymmetricGroupForm(gram=((2,),))),
+        classify([(0,), (1,), (-1,), (3,), (-3,)], SymmetricGroupForm(gram=((2,),))),
+        classify([(0,), (1,)], SymmetricGroupForm(gram=((2,),))),
+        classify([(0, 0)], SymmetricGroupForm(gram=((1, 0), (0, 1)))),
+        from_root_datum(weight_decomposition(osp12_standard())),
+        from_root_datum(weight_decomposition(sl_superalgebra(plain_index_set(1, 2)))),
+        classify([(a, m) for a in (-2, -1, 0, 1, 2) for m in (-1, 0, 1)],
+                 windowed_form, known=lambda g: abs(g[1]) <= 1),
+        classify([(a, m) for a in (-1, 0, 1) for m in (0, 1)],
+                 windowed_form, known=lambda g: g[1] in (0, 1)),
+    ]
+
+
+def test_check_axioms_matches_reference_on_fixtures():
+    for system in fixture_systems():
+        _assert_same_report(system)
+
+
+@pytest.mark.parametrize("name", ["osp12", "sl12"])
+@pytest.mark.parametrize("kind", ["trivial", "sign"])
+@pytest.mark.parametrize("rank,radius", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_check_axioms_matches_reference_on_affinized_windows(name, kind, rank, radius):
+    degrees = window_box(rank, radius)
+    system = window_root_system(affinized(name, kind, rank), degrees)
+    assert _assert_same_report(system)["passed"]
+
+
+def test_check_axioms_matches_reference_on_bc11_window():
+    assert _assert_same_report(bc11_window_system())["passed"]
+
+
+def small_systems():
+    out = fixture_systems()
+    for name in ("osp12", "sl12"):
+        for kind in ("trivial", "sign"):
+            out.append(window_root_system(affinized(name, kind, 1), window_box(1, 1)))
+    out.append(bc11_window_system())
+    return out
+
+
+SMALL_SYSTEMS = small_systems()
+
+
+def _scaled(form, factor):
+    return SymmetricGroupForm(gram=tuple(tuple(x * factor for x in row)
+                                         for row in form.gram))
+
+
+@lru_cache(maxsize=None)
+def integrality_breakers(which):
+    """Known non-roots v (3a, or a + b, for real a, b) with some 2(x,y)/(x,x)
+    non-integral once v joins the roots."""
+    system = SMALL_SYSTEMS[which]
+    reals = sorted(system.real_roots)
+    form = system.form
+    candidates = {gscale(3, a) for a in reals}
+    candidates |= {gadd(a, b) for a, b in itertools.combinations(reals, 2)}
+    out = []
+    for v in sorted(candidates - set(system.roots)):
+        if not system.is_known(v):
+            continue
+        nv = form.eval(v, v)
+        if (any((2 * form.eval(a, v) / form.eval(a, a)).denominator != 1 for a in reals)
+                or nv and any((2 * form.eval(v, b) / nv).denominator != 1
+                              for b in system.roots)):
+            out.append(v)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(SMALL_SYSTEMS) - 1),
+       mutation=st.sampled_from(["drop", "add", "scale", "break"]),
+       pick=st.integers(0, 10 ** 6),
+       factor=st.sampled_from([Rat(1, 3), Rat(2, 5)]),
+       offset=st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+def test_check_axioms_matches_reference_on_mutations(which, mutation, pick, factor,
+                                                      offset):
+    system = SMALL_SYSTEMS[which]
+    roots, form = list(system.roots), system.form
+    if mutation == "drop":
+        roots.pop(pick % len(roots))
+    elif mutation == "add":
+        base = roots[pick % len(roots)]
+        roots.append(tuple(x + d for x, d in zip(base, offset)))
+    elif mutation == "scale":
+        form = _scaled(form, factor)
+    else:
+        candidates = integrality_breakers(which)
+        if not candidates:
+            return  # no real roots
+        roots.append(candidates[pick % len(candidates)])
+        form = _scaled(form, factor)
+    mutated = classify(roots, form, known=system.known)
+    report = _assert_same_report(mutated)
+    if mutation == "break":
+        s3 = next(c for c in report["checks"] if c["name"].startswith("S3"))
+        assert s3["status"] == "fail" and "/" in s3["witness"]["value"]
+
+
+@pytest.mark.parametrize("kind", ["trivial", "sign"])
+@pytest.mark.parametrize("rank,radius", [(1, 3), (2, 2)])
+def test_affinized_theta_memo_matches_torus(kind, rank, radius):
+    alg = affinized("sl12", kind, rank)
+    degrees = window_box(rank, radius)
+    for a in degrees:
+        for b in degrees:
+            assert alg.theta(a, b) == alg.torus.theta(a, b)
+    # a second pass reads the memo and still agrees
+    assert all(alg.theta(a, b) == alg.torus.theta(a, b)
+               for a in degrees for b in degrees)
