@@ -9,6 +9,7 @@ input could not be read or parsed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -49,6 +50,15 @@ def _load_module(path: str):
             raise documents.DocumentError(
                 f"no such file and not a builtin module spec: {path}") from exc
     return documents.module_from_dict(documents.load(path))
+
+
+def _fail(message: str, fmt: str) -> int:
+    """Print a failed precondition (as {"error": ...} under JSON); exit 1."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps({"error": message}) + "\n")
+    else:
+        sys.stdout.write(f"error: {message}\n")
+    return EXIT_FAIL
 
 
 def _emit(report: Report, fmt: str) -> int:
@@ -94,15 +104,14 @@ def cmd_decompose(args) -> int:
     try:
         summands = decompose(m)
     except ModuleError as exc:
-        sys.stdout.write(f"error: {exc}\n")
-        return EXIT_FAIL
+        return _fail(str(exc), args.format)
     lams = [lam for lam, _ in summands]
     if args.format == "json":
         doc = {"lambda": lams,
                "summands": [{"lambda": lam,
-                             "basis": [[str(x) for x in v] for v in chain]}
+                             "basis": [[str(v.get(i, 0)) for i in range(m.dim)]
+                                       for v in chain]}
                             for lam, chain in summands]}
-        import json
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(f"lambda: {lams}\n")
@@ -115,13 +124,11 @@ def cmd_roots(args) -> int:
     started = time.monotonic()
     L = _load_algebra(args.path)
     if not verify_superalgebra(L).passed or L.gram is None:
-        sys.stdout.write("error: not a verified algebra with a form\n")
-        return EXIT_FAIL
+        return _fail("not a verified algebra with a form", args.format)
     try:
         datum = weight_decomposition(L)
     except (NotAWeightBasisError, ValueError) as exc:
-        sys.stdout.write(f"error: {exc}\n")
-        return EXIT_FAIL
+        return _fail(str(exc), args.format)
     system = rootsys.from_root_datum(datum)
     report = Report(title=f"roots {args.path}")
     report.note("roots", {"count": len(system.roots),
@@ -147,8 +154,7 @@ def cmd_affinize(args) -> int:
     datum = weight_decomposition(L)
     if not (verify_superalgebra(L).passed and verify_form(L).passed
             and verify_eals(L, datum).passed):
-        sys.stdout.write("error: base algebra is not verified\n")
-        return EXIT_FAIL
+        return _fail("base algebra is not verified", args.format)
     if args.q is None:
         torus = affz.trivial_torus(args.rank)
     else:
@@ -172,9 +178,6 @@ def cmd_affinize(args) -> int:
 
 def cmd_twist(args) -> int:
     started = time.monotonic()
-    if args.field != "Qi":
-        sys.stdout.write("error: the twisted construction needs --field Qi\n")
-        return EXIT_INPUT
     idx = SuperIndexSet(i_dot=args.i_dot, j_dot=args.j_dot,
                         with_zero_i=args.with_zero, barred=True)
     if args.q is None:
@@ -184,8 +187,7 @@ def cmd_twist(args) -> int:
     try:
         aff = matrixsuper.matrix_affinization(idx, torus, field="Qi")
     except matrixsuper.DegenerateFormError as exc:
-        sys.stdout.write(f"error: {exc}\n")
-        return EXIT_FAIL
+        return _fail(str(exc), args.format)
     sh = matrixsuper.SharpOperator(idx, aff, star_signs=args.star_signs)
     tw = matrixsuper.twisted_affinize(aff, sh)
     taus = affz.window_box(args.rank, args.window)
@@ -214,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--field", choices=("Q", "Qi"), default=None)
 
     p = sub.add_parser("verify", help="run the full algebra pipeline")
     p.add_argument("path", help="JSON document or builtin:<name>")
@@ -260,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "field", None) is None:
-        args.field = "Qi" if args.command == "twist" else "Q"
     try:
         return args.func(args)
     except documents.DocumentError as exc:

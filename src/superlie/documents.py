@@ -14,7 +14,7 @@ superlie-algebra/1:
 
 superlie-module/1:
     parity: [0|1, ...]
-    act_e / act_f / act_h: [[scalar, ...], ...]  # dense rows
+    act_e / act_f / act_h: [[scalar, ...], ...]  # dense square rows, rational
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ def _indices(values, n: int, what: str) -> tuple[int, ...]:
 
 def algebra_from_dict(doc: dict) -> LieSuperalgebra:
     try:
+        if not isinstance(doc, dict):
+            raise DocumentError("document is not a JSON object")
         if doc.get("format") != ALGEBRA_FORMAT:
             raise DocumentError(f"unknown format {doc.get('format')!r}")
         basis = tuple(str(x) for x in doc["basis"])
@@ -136,12 +138,16 @@ def module_to_dict(m: Osp12Module) -> dict:
 
 def module_from_dict(doc: dict) -> Osp12Module:
     try:
+        if not isinstance(doc, dict):
+            raise DocumentError("document is not a JSON object")
         if doc.get("format") != MODULE_FORMAT:
             raise DocumentError(f"unknown format {doc.get('format')!r}")
-        parity = tuple(int(x) for x in doc["parity"])
+        parity = tuple(doc["parity"])
         mats = {}
         for key in ("act_e", "act_f", "act_h"):
             mats[key] = [[scalar_from_string(s) for s in row] for row in doc[key]]
+        # the constructor rejects non-0/1 parities, ragged or non-square
+        # matrices and non-rational entries (ModuleError is a ValueError)
         return Osp12Module(parity, mats["act_e"], mats["act_f"], mats["act_h"])
     except DocumentError:
         raise

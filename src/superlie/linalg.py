@@ -172,53 +172,78 @@ def span_rank(vectors) -> int:
     return ech.rank
 
 
-def solve(rows: list[dict], ncols: int, rhs: dict):
-    """Exact solution x of M x = rhs for M given by sparse rows, else None.
-
-    Deterministic pivoting: columns are introduced in index order and each
-    takes the lowest available row index as pivot.
-    """
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            if c:
-                cols[j][i] = c
-    ech = Echelon(track=True)
-    for j in range(ncols):
-        ech.add(cols[j], tag=j)
-    combo = ech.coords(rhs)
-    if combo is None:
-        return None
-    return {j: c for j, c in combo.items() if c}
-
-
-def nullspace(rows: list[dict], ncols: int) -> list[dict]:
-    """Basis of {x : M x = 0}, deterministic, echelon over the free columns."""
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            if c:
-                cols[j][i] = c
-    ech = Echelon(track=True)
-    out = []
-    for j in range(ncols):
-        if not ech.add(cols[j], tag=j):
-            combo = ech._last_combo
-            null = {j: Rat(1)}
-            for t, c in combo.items():
-                if c:
-                    null[t] = -c
-            out.append(null)
-    return out
-
-
 def columns_of(rows: list[dict], ncols: int) -> list[dict]:
+    """The transpose: sparse columns of a matrix given by sparse rows (or back)."""
     cols: list[dict] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, c in row.items():
             if c:
                 cols[j][i] = c
     return cols
+
+
+def block_rows(cols, idxs) -> list[dict]:
+    """Sparse rows of the idxs x idxs block of a matrix given by columns.
+
+    Entries are indexed by position in ``idxs``; entries outside the block
+    are dropped.
+    """
+    back = {b: t for t, b in enumerate(idxs)}
+    rows: list[dict] = [{} for _ in back]
+    for t, b in enumerate(idxs):
+        for k, c in cols[b].items():
+            if k in back:
+                rows[back[k]][t] = c
+    return rows
+
+
+def minus_identity(rows: list[dict], c) -> list[dict]:
+    """Sparse rows of M - c*I for a square M given by sparse rows."""
+    out = []
+    for i, row in enumerate(rows):
+        row = dict(row)
+        s = row.get(i, 0) - c
+        if s:
+            row[i] = s
+        else:
+            row.pop(i, None)
+        out.append(row)
+    return out
+
+
+def solve(rows: list[dict], ncols: int, rhs: dict):
+    """Exact solution x of M x = rhs for M given by sparse rows, else None.
+
+    Deterministic pivoting: columns are introduced in index order and each
+    takes the lowest available row index as pivot.
+    """
+    ech = Echelon(track=True)
+    for j, col in enumerate(columns_of(rows, ncols)):
+        ech.add(col, tag=j)
+    combo = ech.coords(rhs)
+    if combo is None:
+        return None
+    return {j: c for j, c in combo.items() if c}
+
+
+def nullspace(rows: list[dict], ncols: int) -> list[tuple[int, dict]]:
+    """Kernel basis of M (sparse rows) as (free column, vector) pairs.
+
+    Columns enter the echelon in index order; a column in the span of the
+    earlier ones is free.  Its kernel vector has entry 1 at that column and
+    0 at every other free column, so coordinates over this basis can be
+    read off at the free columns.
+    """
+    ech = Echelon(track=True)
+    out = []
+    for j, col in enumerate(columns_of(rows, ncols)):
+        if not ech.add(col, tag=j):
+            null = {j: Rat(1)}
+            for t, c in ech._last_combo.items():
+                if c:
+                    null[t] = -c
+            out.append((j, null))
+    return out
 
 
 def dense_to_rows(mat: list[list]) -> list[dict]:

@@ -25,14 +25,11 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
                        d_term, loop_term, v_term)
 from .algebra import LieSuperalgebra, weight_decomposition
-from .osp12 import dense_kernel_tagged
 from .reports import Report
 from .scalars import IUNIT, Rat
 
@@ -404,13 +401,10 @@ def _zeta_power(i: int):
     return IUNIT ** (i % 4)
 
 
-def _obj_from_cols(columns: list[dict], dim: int) -> np.ndarray:
-    m = np.empty((dim, dim), dtype=object)
-    m[:, :] = Rat(0)
-    for b, col in enumerate(columns):
-        for k, v in col.items():
-            m[k, b] = v
-    return m
+def _eigenvectors(rows: list[dict], sign, z) -> list[dict]:
+    """Kernel basis of sign*M - z*I for a square M given by sparse rows."""
+    shifted = linalg.minus_identity([linalg.vscale(sign, r) for r in rows], z)
+    return [v for _, v in linalg.nullspace(shifted, len(rows))]
 
 
 def sharp_eigenspaces(aff: AffinizedAlgebra, sh: SharpOperator, degrees) -> dict:
@@ -425,22 +419,15 @@ def sharp_eigenspaces(aff: AffinizedAlgebra, sh: SharpOperator, degrees) -> dict
         raise FieldError("eigenspace split needs the field Q(i)")
     degrees = [tuple(d) for d in degrees]
     dim = aff.base.dim
-    mat = _obj_from_cols(sh.columns, dim)
+    rows = linalg.block_rows(sh.columns, range(dim))
     zero_deg = (0,) * aff.rank
-    eye = np.empty((dim, dim), dtype=object)
-    eye[:, :] = Rat(0)
-    for t in range(dim):
-        eye[t, t] = Rat(1)
     out: dict = {}
     for deg in degrees:
         s = sh.degree_sign(deg)
         total = 0
         for i in range(4):
-            shifted = (mat * s) - (eye * _zeta_power(i))
-            vecs = []
-            for _, v in dense_kernel_tagged(shifted):
-                loop = {(b, deg): v[b] for b in range(dim) if v[b]}
-                vecs.append(GradedLoopElement(loop=loop))
+            vecs = [GradedLoopElement(loop={(b, deg): v[b] for b in sorted(v)})
+                    for v in _eigenvectors(rows, s, _zeta_power(i))]
             total += len(vecs)
             key = (i, deg)
             out[key] = vecs
@@ -457,35 +444,29 @@ def sharp_eigenspaces(aff: AffinizedAlgebra, sh: SharpOperator, degrees) -> dict
 # the averaged weights (pi projection)
 
 
-def sigma_cartan_matrix(aff: AffinizedAlgebra, sh: SharpOperator) -> np.ndarray:
-    """Matrix of # restricted to the Cartan, in Cartan coordinates."""
+def sigma_cartan_matrix(aff: AffinizedAlgebra, sh: SharpOperator) -> tuple:
+    """Matrix of # restricted to the Cartan, in Cartan coordinates (rows)."""
     cartan = aff.base.cartan
-    back = {h: l for l, h in enumerate(cartan)}
-    m = len(cartan)
-    s = np.empty((m, m), dtype=object)
-    s[:, :] = Rat(0)
-    for l, h in enumerate(cartan):
-        col = sh.columns[h]
-        for k, v in col.items():
-            if k not in back:
-                raise AssertionError("# does not preserve the Cartan")
-            s[back[k], l] = v
-    return s
+    inside = set(cartan)
+    if any(not sh.columns[h].keys() <= inside for h in cartan):
+        raise AssertionError("# does not preserve the Cartan")
+    rows = linalg.block_rows(sh.columns, cartan)
+    return tuple(tuple(r.get(l, Rat(0)) for l in range(len(cartan))) for r in rows)
 
 
-def pi_project(sigma: np.ndarray, root) -> tuple:
+def pi_project(sigma: tuple, root) -> tuple:
     """Average of a weight over the # orbit: (a + a∘s + a∘s² + a∘s³) / 4."""
     m = len(root)
     vals = [tuple(root)]
     cur = tuple(root)
     for _ in range(3):
-        cur = tuple(sum(sigma[k, l] * cur[k] for k in range(m)) for l in range(m))
+        cur = tuple(sum(sigma[k][l] * cur[k] for k in range(m)) for l in range(m))
         vals.append(cur)
     quarter = Rat(1, 4)
     return tuple(quarter * sum(v[l] for v in vals) for l in range(m))
 
 
-def pi_root_classes(aff: AffinizedAlgebra, sigma: np.ndarray) -> dict:
+def pi_root_classes(aff: AffinizedAlgebra, sigma: tuple) -> dict:
     """{pi value: sorted base roots mapping there}."""
     classes: dict = {}
     for root in aff.datum.roots:
@@ -534,38 +515,29 @@ def displayed_pi_families(idx: SuperIndexSet, aff: AffinizedAlgebra) -> set:
     return fams
 
 
-def fixed_cartan_basis(aff: AffinizedAlgebra, sigma: np.ndarray) -> list[np.ndarray]:
+def fixed_cartan_basis(aff: AffinizedAlgebra, sigma: tuple) -> list[dict]:
     """Basis of the #-fixed part of the Cartan, in Cartan coordinates."""
-    m = sigma.shape[0]
-    eye = np.empty((m, m), dtype=object)
-    eye[:, :] = Rat(0)
-    for t in range(m):
-        eye[t, t] = Rat(1)
-    return [v for _, v in dense_kernel_tagged(sigma - eye)]
+    rows = [{l: c for l, c in enumerate(r) if c} for r in sigma]
+    return _eigenvectors(rows, 1, Rat(1))
 
 
 class PiForm:
     """The transferred form on averaged weights, via the fixed Cartan."""
 
-    def __init__(self, aff: AffinizedAlgebra, sigma: np.ndarray):
+    def __init__(self, aff: AffinizedAlgebra, sigma: tuple):
         self.aff = aff
         self.fixed = fixed_cartan_basis(aff, sigma)
         cartan = aff.base.cartan
         g = aff.base.gram
         k = len(self.fixed)
-        m = len(cartan)
         gram_rows = []
         for a in range(k):
             row = {}
             for b in range(k):
                 val = Rat(0)
-                for p in range(m):
-                    if not self.fixed[a][p]:
-                        continue
-                    for q in range(m):
-                        if self.fixed[b][q]:
-                            val = val + self.fixed[a][p] * self.fixed[b][q] \
-                                * g[cartan[p]][cartan[q]]
+                for p, x in self.fixed[a].items():
+                    for q, y in self.fixed[b].items():
+                        val = val + x * y * g[cartan[p]][cartan[q]]
                 if val:
                     row[b] = val
             gram_rows.append(row)
@@ -576,9 +548,8 @@ class PiForm:
         out = {}
         for a in range(self.k):
             val = Rat(0)
-            for l, c in enumerate(self.fixed[a]):
-                if c:
-                    val = val + c * p[l]
+            for l, c in self.fixed[a].items():
+                val = val + c * p[l]
             if val:
                 out[a] = val
         return out
@@ -795,28 +766,17 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     for b in range(dim):
         slices.setdefault((pi_of_basis[b], aff.base.parity[b]), []).append(b)
 
-    mat = _obj_from_cols(sh.columns, dim)
     spaces: dict = {}
     for (p, par), idxs in sorted(slices.items(), key=lambda kv: str(kv[0])):
-        sub = np.empty((len(idxs), len(idxs)), dtype=object)
-        back = {b: t for t, b in enumerate(idxs)}
-        sub[:, :] = Rat(0)
-        for t, b in enumerate(idxs):
-            for k, v in sh.columns[b].items():
-                if k not in back:
-                    raise AssertionError("# mixes averaged-weight slices")
-                sub[back[k], t] = v
+        inside = set(idxs)
+        if any(not sh.columns[b].keys() <= inside for b in idxs):
+            raise AssertionError("# mixes averaged-weight slices")
+        sub = linalg.block_rows(sh.columns, idxs)
         for tau in tau_degrees:
             s = sh.degree_sign(tau)
             for i0 in range(4):
-                shifted = (sub * s).copy()
-                z = _zeta_power(i0)
-                for t in range(len(idxs)):
-                    shifted[t, t] = shifted[t, t] - z
-                vecs = []
-                for _, v in dense_kernel_tagged(shifted):
-                    loop = {(idxs[t], tau): v[t] for t in range(len(idxs)) if v[t]}
-                    vecs.append(GradedLoopElement(loop=loop))
+                vecs = [GradedLoopElement(loop={(idxs[t], tau): v[t] for t in sorted(v)})
+                        for v in _eigenvectors(sub, s, _zeta_power(i0))]
                 if not vecs:
                     continue
                 for i in z_window:
@@ -1068,7 +1028,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     cartan = aff.base.cartan
     gens = []
     for vec in fixed:
-        loop = {(cartan[l], zero_deg): vec[l] for l in range(len(cartan)) if vec[l]}
+        loop = {(cartan[l], zero_deg): vec[l] for l in sorted(vec)}
         gens.append(("h", vec, tw_loop(0, GradedLoopElement(loop=loop))))
     for k in range(aff.rank):
         gens.append(("v", k, tw_loop(0, v_term(k))))
@@ -1079,7 +1039,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     for (p, tau, i), basis in sorted(spaces.items(), key=lambda kv: str(kv[0])):
         for kind, data, gen in gens:
             if kind == "h":
-                val = sum(data[l] * p[l] for l in range(len(p)))
+                val = sum(c * p[l] for l, c in data.items())
             elif kind == "dk":
                 val = Rat(tau[data])
             elif kind == "d":

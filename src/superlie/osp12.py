@@ -13,8 +13,8 @@ representation property (every other basis-pair identity is an associative
 consequence; see the test suite, which checks all fifteen pairs against
 the structure constants on every fixture).
 
-Dense exact matrices are numpy object arrays of rationals; kernels and
-rank certificates use an exact reduced-echelon routine on such arrays.
+Module actions are sparse integer (or rational) columns; kernels, ranks and
+span certificates all run on the sparse exact echelon engine of ``linalg``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .algebra import LieSuperalgebra
-from .scalars import Rat
+from .scalars import Rat, is_rat
 
 OSP_LABELS = ("E+", "E-", "H", "F+", "F-")
 OSP_PARITY = (0, 0, 0, 1, 1)
@@ -180,153 +178,82 @@ def verify_triple(L: LieSuperalgebra, x: dict, y: dict, h: dict) -> Sl2SuperTrip
 
 
 # ---------------------------------------------------------------------------
-# dense exact helpers (numpy object arrays)
+# finite-dimensional modules
+
+# bench/tracing.py counts elimination calls through these two names; both
+# are the one sparse engine of linalg
+DenseEchelon = linalg.Echelon
+dense_kernel_tagged = linalg.nullspace
 
 
-def obj_matrix(rows) -> np.ndarray:
-    m = np.empty((len(rows), len(rows[0])), dtype=object)
+class Columns(tuple):
+    """A square matrix as a tuple of sparse column dicts.
+
+    ``m[j]`` is column j, as :func:`linalg.mat_vec` expects; ``m[i, j]``
+    reads one entry, 0 where absent.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            i, j = key
+            return tuple.__getitem__(self, j).get(i, 0)
+        return tuple.__getitem__(self, key)
+
+
+def _columns(mat, n: int, name: str) -> Columns:
+    """An action matrix given as Columns or as n rows of n rational entries."""
+    if isinstance(mat, Columns):
+        if len(mat) != n:
+            raise ModuleError(f"{name} has {len(mat)} columns, expected {n}")
+        return mat
+    rows = [list(row) for row in mat]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ModuleError(f"{name} is not a {n}x{n} matrix")
+    cols: list[dict] = [{} for _ in range(n)]
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            m[i, j] = Rat(x) if isinstance(x, int) else x
-    return m
-
-
-def obj_zeros(n: int) -> np.ndarray:
-    v = np.empty(n, dtype=object)
-    v[:] = Rat(0)
-    return v
-
-
-def obj_eye(n: int) -> np.ndarray:
-    m = np.empty((n, n), dtype=object)
-    m[:, :] = Rat(0)
-    for i in range(n):
-        m[i, i] = Rat(1)
-    return m
-
-
-def first_nonzero(v) -> int | None:
-    for i, x in enumerate(v):
-        if x:
-            return i
-    return None
-
-
-class DenseEchelon:
-    """Reduced row echelon over exact scalars on numpy object vectors."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[tuple[int, np.ndarray]] = []  # (pivot, row), pivot entry 1
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        v = v.copy()
-        for piv, row in self.rows:
-            c = v[piv]
-            if c:
-                v = v - c * row
-        return v
-
-    def add(self, v: np.ndarray) -> bool:
-        r = self.reduce(v)
-        piv = first_nonzero(r)
-        if piv is None:
-            return False
-        r = r * _scalar_inv(r[piv])
-        for i, (p, row) in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[i] = (p, row - c * r)
-        self.rows.append((piv, r))
-        return True
-
-    def contains(self, v: np.ndarray) -> bool:
-        return first_nonzero(self.reduce(v)) is None
-
-
-def dense_kernel_tagged(m: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Exact kernel basis of an object-array matrix, as (free column, vector).
-
-    Each kernel vector has entry 1 at its own free column and entry 0 at
-    every other free column, so coordinates over this basis can be read off
-    at the free columns.
-    """
-    nrows, ncols = m.shape
-    ech: list[tuple[int, np.ndarray, np.ndarray]] = []  # (pivot, col, combo)
-    out = []
-    for j in range(ncols):
-        v = m[:, j].copy()
-        combo = obj_zeros(ncols)
-        combo[j] = Rat(1)
-        for piv, col, ccombo in ech:
-            c = v[piv]
-            if c:
-                v = v - c * col
-                combo = combo - c * ccombo
-        piv = first_nonzero(v)
-        if piv is None:
-            out.append((j, combo))
-            continue
-        inv = _scalar_inv(v[piv])
-        v = v * inv
-        combo = combo * inv
-        for i, (p, col, ccombo) in enumerate(ech):
-            c = col[piv]
-            if c:
-                ech[i] = (p, col - c * v, ccombo - c * combo)
-        ech.append((piv, v, combo))
-    return out
-
-
-def dense_kernel(m: np.ndarray) -> list[np.ndarray]:
-    return [v for _, v in dense_kernel_tagged(m)]
-
-
-def _scalar_inv(x):
-    return x.inverse() if hasattr(x, "inverse") else Rat(1) / x
-
-
-# ---------------------------------------------------------------------------
-# finite-dimensional modules
+            if not is_rat(x):
+                raise ModuleError(f"{name} entry ({i},{j}) is not rational: {x}")
+            x = Rat(x)
+            if x:
+                cols[j][i] = int(x) if x.denominator == 1 else x
+    return Columns(cols)
 
 
 class Osp12Module:
-    """A finite module given by the actions of e, f, h (exact dense matrices).
+    """A finite module given by the actions of e, f, h (exact sparse columns).
 
     The even generators act through the derived operators 2e^2 and 2f^2.
     ``parity[i]`` grades the i-th basis vector; e and f shift parity, h
-    preserves it.
+    preserves it.  Actions may be given as nested rows of rationals.
     """
 
     def __init__(self, parity, act_e, act_f, act_h):
         self.parity = tuple(parity)
+        if any(not isinstance(p, int) or p not in (0, 1) for p in self.parity):
+            raise ModuleError(f"parity must list 0 or 1 per basis vector, got {list(self.parity)}")
         self.dim = len(self.parity)
-        self.act_e = act_e if isinstance(act_e, np.ndarray) else obj_matrix(act_e)
-        self.act_f = act_f if isinstance(act_f, np.ndarray) else obj_matrix(act_f)
-        self.act_h = act_h if isinstance(act_h, np.ndarray) else obj_matrix(act_h)
-        for name, m in (("e", self.act_e), ("f", self.act_f), ("h", self.act_h)):
-            if m.shape != (self.dim, self.dim):
-                raise ModuleError(f"act_{name} has shape {m.shape}, expected square of {self.dim}")
+        self.act_e = _columns(act_e, self.dim, "act_e")
+        self.act_f = _columns(act_f, self.dim, "act_f")
+        self.act_h = _columns(act_h, self.dim, "act_h")
         self._act_ee = None
         self._act_ff = None
 
     @property
-    def act_ee(self) -> np.ndarray:
+    def act_ee(self) -> Columns:
         if self._act_ee is None:
-            self._act_ee = 2 * (self.act_e @ self.act_e)
+            self._act_ee = _twice_square(self.act_e)
         return self._act_ee
 
     @property
-    def act_ff(self) -> np.ndarray:
+    def act_ff(self) -> Columns:
         if self._act_ff is None:
-            self._act_ff = 2 * (self.act_f @ self.act_f)
+            self._act_ff = _twice_square(self.act_f)
         return self._act_ff
 
-    def action(self, label: str) -> np.ndarray:
+    def action(self, label: str) -> Columns:
         return {"E+": self.act_ee, "E-": self.act_ff, "H": self.act_h,
                 "F+": self.act_e, "F-": self.act_f}[label]
 
@@ -334,25 +261,28 @@ class Osp12Module:
         return [i for i in range(self.dim) if self.parity[i] == p]
 
 
+def _twice_square(a: Columns) -> Columns:
+    return Columns(linalg.vscale(2, linalg.mat_vec(a, col)) for col in a)
+
+
 def check_representation(m: Osp12Module) -> str | None:
     """None if the representation property holds; else a failure description."""
     for name, mat, shift in (("e", m.act_e, 1), ("f", m.act_f, 1), ("h", m.act_h, 0)):
-        for i in range(m.dim):
-            for j in range(m.dim):
-                if mat[i, j] and m.parity[i] != (m.parity[j] + shift) % 2:
-                    return f"act_{name} breaks the parity grading at ({i},{j})"
-    he = m.act_h @ m.act_e
-    eh = m.act_e @ m.act_h
-    if not ((he - eh) == 2 * m.act_e).all():
-        return "he - eh != 2e"
-    hf = m.act_h @ m.act_f
-    fh = m.act_f @ m.act_h
-    if not ((hf - fh) == -2 * m.act_f).all():
-        return "hf - fh != -2f"
-    ef = m.act_e @ m.act_f
-    fe = m.act_f @ m.act_e
-    if not ((ef + fe) == m.act_h).all():
-        return "ef + fe != h"
+        bad = [(i, j) for j, col in enumerate(mat) for i in col
+               if m.parity[i] != (m.parity[j] + shift) % 2]
+        if bad:
+            i, j = min(bad)
+            return f"act_{name} breaks the parity grading at ({i},{j})"
+    e, f, h = m.act_e, m.act_f, m.act_h
+    # a b + sign * b a == c * rhs, checked column by column
+    for msg, a, b, sign, c, rhs in (("he - eh != 2e", h, e, -1, 2, e),
+                                    ("hf - fh != -2f", h, f, -1, -2, f),
+                                    ("ef + fe != h", e, f, 1, 1, h)):
+        for j in range(m.dim):
+            lhs = linalg.mat_vec(a, b[j])
+            linalg.vaxpy_inplace(lhs, sign, linalg.mat_vec(b, a[j]))
+            if lhs != linalg.vscale(c, rhs[j]):
+                return msg
     return None
 
 
@@ -372,41 +302,33 @@ def irreducible_module(lam: int, top_parity: int = 0) -> Osp12Module:
     if lam < 0 or lam % 2:
         raise ModuleError(f"highest weight must be an even nonnegative integer, got {lam}")
     n = lam + 1
-    act_f = np.empty((n, n), dtype=object); act_f[:, :] = Rat(0)
-    act_e = np.empty((n, n), dtype=object); act_e[:, :] = Rat(0)
-    act_h = np.empty((n, n), dtype=object); act_h[:, :] = Rat(0)
-    for i in range(n):
-        act_h[i, i] = Rat(lam - 2 * i)
-        if i + 1 < n:
-            act_f[i + 1, i] = Rat(1)
-        if i > 0:
-            act_e[i - 1, i] = Rat(-i) if i % 2 == 0 else Rat(lam - (i - 1))
+    act_f = Columns({i + 1: 1} if i + 1 < n else {} for i in range(n))
+    act_e = Columns({i - 1: -i if i % 2 == 0 else lam - (i - 1)} if i else {}
+                    for i in range(n))
+    act_h = Columns({i: lam - 2 * i} if lam != 2 * i else {} for i in range(n))
     parity = tuple((top_parity + i) % 2 for i in range(n))
     return Osp12Module(parity, act_e, act_f, act_h)
 
 
 def direct_sum(modules: list[Osp12Module]) -> Osp12Module:
-    dim = sum(m.dim for m in modules)
     parity = []
-    act = {k: np.empty((dim, dim), dtype=object) for k in ("e", "f", "h")}
-    for k in act:
-        act[k][:, :] = Rat(0)
-    off = 0
+    acts: dict = {"e": [], "f": [], "h": []}
     for m in modules:
+        off = len(parity)
         parity.extend(m.parity)
-        act["e"][off:off + m.dim, off:off + m.dim] = m.act_e
-        act["f"][off:off + m.dim, off:off + m.dim] = m.act_f
-        act["h"][off:off + m.dim, off:off + m.dim] = m.act_h
-        off += m.dim
-    return Osp12Module(tuple(parity), act["e"], act["f"], act["h"])
+        for key, mat in (("e", m.act_e), ("f", m.act_f), ("h", m.act_h)):
+            acts[key].extend({k + off: c for k, c in col.items()} for col in mat)
+    return Osp12Module(tuple(parity), *(Columns(acts[k]) for k in ("e", "f", "h")))
 
 
 def scramble(m: Osp12Module, seed: int) -> Osp12Module:
     """Conjugate by a seeded random parity-preserving unimodular basis change.
 
-    The change of basis is a product of shears and swaps inside each parity
-    block, so it is integral with an integral inverse and the conjugated
-    action matrices stay exact integers.
+    The change of basis S = E_k...E_1 is a product of shears and swaps
+    inside each parity block, so it is integral with an integral inverse
+    and the conjugated action matrices stay exact integers.  Each E is
+    applied as a row operation and its inverse as a column operation:
+    S A S^-1 = E_k...E_1 A E_1^-1...E_k^-1.
     """
     rng = random.Random(seed)
     n = m.dim
@@ -422,26 +344,30 @@ def scramble(m: Osp12Module, seed: int) -> Osp12Module:
             ops.append(("swap", i, j))
         else:
             ops.append(("shear", i, j, rng.choice((-2, -1, 1, 2))))
-    s = obj_eye(n)
+    mats = [[dict(col) for col in a] for a in (m.act_e, m.act_f, m.act_h)]
     for op in ops:
-        if op[0] == "swap":
-            _, i, j = op
-            s[[i, j]] = s[[j, i]]
-        else:
-            _, i, j, c = op
-            s[i] = s[i] + c * s[j]
-    sinv = obj_eye(n)
-    for op in reversed(ops):
-        if op[0] == "swap":
-            _, i, j = op
-            sinv[[i, j]] = sinv[[j, i]]
-        else:
-            _, i, j, c = op
-            sinv[i] = sinv[i] - c * sinv[j]
-    return Osp12Module(m.parity,
-                       s @ m.act_e @ sinv,
-                       s @ m.act_f @ sinv,
-                       s @ m.act_h @ sinv)
+        for cols in mats:
+            if op[0] == "swap":
+                _, i, j = op
+                cols[i], cols[j] = cols[j], cols[i]
+                for col in cols:
+                    a, b = col.pop(i, None), col.pop(j, None)
+                    if a is not None:
+                        col[j] = a
+                    if b is not None:
+                        col[i] = b
+            else:
+                _, i, j, c = op
+                for col in cols:  # row i += c * row j
+                    x = col.get(j)
+                    if x:
+                        s = col.get(i, 0) + c * x
+                        if s:
+                            col[i] = s
+                        else:
+                            del col[i]
+                linalg.vaxpy_inplace(cols[j], -c, cols[i])  # column j -= c * column i
+    return Osp12Module(m.parity, *map(Columns, mats))
 
 
 def h_spectrum(m: Osp12Module) -> list:
@@ -451,6 +377,7 @@ def h_spectrum(m: Osp12Module) -> list:
     the multiset is symmetric under negation; raises ModuleError otherwise.
     """
     require_representation(m)
+    rows = linalg.block_rows(m.act_h, range(m.dim))
     found: dict[int, int] = {}
     total = 0
     candidates = [0]
@@ -459,8 +386,7 @@ def h_spectrum(m: Osp12Module) -> list:
     for mu in candidates:
         if total == m.dim:
             break
-        shifted = m.act_h - mu * obj_eye(m.dim)
-        dim_mu = len(dense_kernel(shifted))
+        dim_mu = len(linalg.nullspace(linalg.minus_identity(rows, mu), m.dim))
         if dim_mu:
             found[mu] = dim_mu
             total += dim_mu
@@ -477,19 +403,19 @@ def h_spectrum(m: Osp12Module) -> list:
     return out
 
 
-def _chain(m: Osp12Module, start: np.ndarray, cap: int) -> list[np.ndarray]:
+def _chain(m: Osp12Module, start: dict, cap: int) -> list[dict]:
     """start, f.start, f^2.start, ... until zero; error past the cap."""
     out = []
     v = start
-    while first_nonzero(v) is not None:
+    while v:
         out.append(v)
         if len(out) > cap:
             raise ModuleError("lowering chain did not terminate within the dimension cap")
-        v = m.act_f @ v
+        v = linalg.mat_vec(m.act_f, v)
     return out
 
 
-def generated_g0_submodule(m: Osp12Module, u: np.ndarray, lam_u) -> list[np.ndarray]:
+def generated_g0_submodule(m: Osp12Module, u: dict, lam_u) -> list[dict]:
     """Span of the even-part submodule generated by f.u, as an explicit list.
 
     Requires h.u = lam_u u, (2e^2).u = 0, homogeneous u, and lam_u != -2.
@@ -498,36 +424,34 @@ def generated_g0_submodule(m: Osp12Module, u: np.ndarray, lam_u) -> list[np.ndar
     closure of {f.u} under the even action operators.
     """
     lam_u = Rat(lam_u)
-    if lam_u == Rat(-2):
+    if lam_u == -2:
         raise ModuleError("lam_u = -2 is outside the construction's hypothesis")
-    if first_nonzero(u) is None:
+    u = {i: c for i, c in u.items() if c}
+    if not u:
         raise ModuleError("u must be nonzero")
-    parities = {m.parity[i] for i in range(m.dim) if u[i]}
-    if len(parities) != 1:
+    if len({m.parity[i] for i in u}) != 1:
         raise ModuleError("u must be homogeneous")
-    if first_nonzero(m.act_h @ u - lam_u * u) is not None:
+    if linalg.vsub(linalg.mat_vec(m.act_h, u), linalg.vscale(lam_u, u)):
         raise ModuleError("u is not an h-eigenvector of the stated eigenvalue")
-    if first_nonzero(m.act_ee @ u) is not None:
+    if linalg.mat_vec(m.act_ee, u):
         raise ModuleError("u is not annihilated by the even raising operator")
 
     cap = 2 * m.dim + 2
-    eu = m.act_e @ u
-    z = m.act_f @ eu - (lam_u + 2) * u
+    eu = linalg.mat_vec(m.act_e, u)
+    z = linalg.vsub(linalg.mat_vec(m.act_f, eu), linalg.vscale(lam_u + 2, u))
     vectors = []
-    if first_nonzero(eu) is not None:
-        chain = _chain(m, eu, cap)
-        vectors.extend(chain[0::2])
-    if first_nonzero(z) is not None:
-        chain = _chain(m, z, cap)
-        vectors.extend(chain[1::2])
+    if eu:
+        vectors.extend(_chain(m, eu, cap)[0::2])
+    if z:
+        vectors.extend(_chain(m, z, cap)[1::2])
 
-    span = DenseEchelon(m.dim)
+    span = linalg.Echelon()
     for v in vectors:
         span.add(v)
 
-    closure = DenseEchelon(m.dim)
+    closure = linalg.Echelon()
     frontier = []
-    fu = m.act_f @ u
+    fu = linalg.mat_vec(m.act_f, u)
     if closure.add(fu):
         frontier.append(fu)
     ops = (m.act_ee, m.act_ff, m.act_h)
@@ -535,7 +459,7 @@ def generated_g0_submodule(m: Osp12Module, u: np.ndarray, lam_u) -> list[np.ndar
         new = []
         for v in frontier:
             for op in ops:
-                w = op @ v
+                w = linalg.mat_vec(op, v)
                 if closure.add(w):
                     new.append(w)
         frontier = new
@@ -544,7 +468,7 @@ def generated_g0_submodule(m: Osp12Module, u: np.ndarray, lam_u) -> list[np.ndar
     return vectors
 
 
-def _half_h_tops(m: Osp12Module) -> list[tuple[int, np.ndarray]]:
+def _half_h_tops(m: Osp12Module) -> list[tuple[int, dict]]:
     """Highest vectors of the even part under the even subalgebra.
 
     Returns (lam_j, w_j) pairs, lam_j the (h/2)-eigenvalue, eigenvalues in
@@ -554,91 +478,78 @@ def _half_h_tops(m: Osp12Module) -> list[tuple[int, np.ndarray]]:
     even = m.parity_indices(0)
     if not even:
         return []
-    sub = np.ix_(even, even)
-    raising = m.act_ee[sub]
-    tagged = dense_kernel_tagged(raising)
-    kernel = [v for _, v in tagged]
-    k = len(kernel)
+    tagged = linalg.nullspace(linalg.block_rows(m.act_ee, even), len(even))
+    k = len(tagged)
     if k == 0:
         return []
+    kernel = [{even[t]: c for t, c in v.items()} for _, v in tagged]
     # coordinates over the kernel basis are read off at its free columns
-    free_cols = [j for j, _ in tagged]
-    h_even = m.act_h[sub]
-    amat = np.empty((k, k), dtype=object)
-    amat[:, :] = Rat(0)
+    free = [even[j] for j, _ in tagged]
+    amat: list[dict] = [{} for _ in range(k)]  # h on the kernel, by rows
     for i, vec in enumerate(kernel):
-        hv = h_even @ vec
-        coords = [hv[c] for c in free_cols]
-        resid = hv - sum(c * kernel[t] for t, c in enumerate(coords) if c)
-        if first_nonzero(resid) is not None:
+        hv = linalg.mat_vec(m.act_h, vec)
+        coords = [hv.get(c, 0) for c in free]
+        resid = dict(hv)
+        for t, c in enumerate(coords):
+            linalg.vaxpy_inplace(resid, -c, kernel[t])
+        if resid:
             raise ModuleError("h does not preserve the highest-vector kernel")
         for t, c in enumerate(coords):
-            amat[t, i] = c
-    found: list[tuple[int, list[np.ndarray]]] = []
+            if c:
+                amat[t][i] = c
+    found: list[tuple[int, list[dict]]] = []
     total = 0
     for lam in range(0, m.dim + 1):
         if total == k:
             break
-        shifted = amat - 2 * lam * obj_eye(k)
-        eig = dense_kernel(shifted)
+        eig = linalg.nullspace(linalg.minus_identity(amat, 2 * lam), k)
         if eig:
-            found.append((lam, eig))
+            found.append((lam, [c for _, c in eig]))
             total += len(eig)
     if total != k:
         raise ModuleError("even highest vectors do not split into integral eigenspaces")
     tops = []
-    for lam, eigvecs in sorted(found, key=lambda t: -t[0]):
+    for lam, eigvecs in reversed(found):
         for c in eigvecs:
-            w_even = sum(c[i] * kernel[i] for i in range(k) if c[i])
-            w = obj_zeros(m.dim)
-            for pos, idx in enumerate(even):
-                w[idx] = w_even[pos]
+            w: dict = {}
+            for i, x in c.items():
+                linalg.vaxpy_inplace(w, x, kernel[i])
             tops.append((lam, w))
     return tops
 
 
-def _trivial_odd_lines(m: Osp12Module) -> list[np.ndarray]:
+def _trivial_odd_lines(m: Osp12Module) -> list[dict]:
     """Basis of the odd vectors killed by h and both even action operators."""
     odd = m.parity_indices(1)
     if not odd:
         return []
-    sub = np.ix_(odd, odd)
-    stacked = np.concatenate([m.act_h[sub], m.act_ee[sub], m.act_ff[sub]], axis=0)
-    kernel = dense_kernel(stacked)
-    out = []
-    for v in kernel:
-        w = obj_zeros(m.dim)
-        for pos, idx in enumerate(odd):
-            w[idx] = v[pos]
-        out.append(w)
-    return out
+    stacked = [row for op in (m.act_h, m.act_ee, m.act_ff)
+               for row in linalg.block_rows(op, odd)]
+    return [{odd[t]: c for t, c in v.items()}
+            for _, v in linalg.nullspace(stacked, len(odd))]
 
 
-def _certify_summand(m: Osp12Module, lam: int, chain: list[np.ndarray]) -> None:
+def _certify_summand(m: Osp12Module, lam: int, chain: list[dict]) -> None:
     """Verify the chain realizes the irreducible module of highest weight lam."""
     if lam % 2 or lam < 0:
         raise ModuleError(f"summand label {lam} is not an even nonnegative integer")
     if len(chain) != lam + 1:
         raise ModuleError(f"summand of label {lam} has {len(chain)} chain vectors")
     for i, v in enumerate(chain):
-        hv = m.act_h @ v
-        if first_nonzero(hv - (lam - 2 * i) * v) is not None:
+        if linalg.vsub(linalg.mat_vec(m.act_h, v), linalg.vscale(lam - 2 * i, v)):
             raise ModuleError(f"chain vector {i} is not an h-eigenvector of {lam - 2 * i}")
-        fv = m.act_f @ v
-        expect = chain[i + 1] if i + 1 < len(chain) else obj_zeros(m.dim)
-        if first_nonzero(fv - expect) is not None:
+        expect = chain[i + 1] if i + 1 < len(chain) else {}
+        if linalg.vsub(linalg.mat_vec(m.act_f, v), expect):
             raise ModuleError(f"f does not shift chain vector {i}")
-        ev = m.act_e @ v
-        coeff = Rat(-i) if i % 2 == 0 else Rat(lam - (i - 1))
-        expect = coeff * chain[i - 1] if i > 0 else obj_zeros(m.dim)
-        if first_nonzero(ev - expect) is not None:
+        coeff = -i if i % 2 == 0 else lam - (i - 1)
+        expect = linalg.vscale(coeff, chain[i - 1]) if i > 0 else {}
+        if linalg.vsub(linalg.mat_vec(m.act_e, v), expect):
             raise ModuleError(f"e does not act with the expected coefficient at {i}")
-        pars = {m.parity[t] for t in range(m.dim) if v[t]}
-        if len(pars) != 1:
+        if len({m.parity[t] for t in v}) != 1:
             raise ModuleError(f"chain vector {i} is not homogeneous")
 
 
-def decompose(m: Osp12Module, certify: bool = True) -> list[tuple[int, list[np.ndarray]]]:
+def decompose(m: Osp12Module, certify: bool = True) -> list[tuple[int, list[dict]]]:
     """Split a module into irreducible summands, certified exactly.
 
     Candidate summands come from the even part's highest vectors w (two
@@ -646,25 +557,26 @@ def decompose(m: Osp12Module, certify: bool = True) -> list[tuple[int, list[np.n
     from the trivial lines f.(e.v) - 2v attached to the odd kernel vectors
     v.  A greedy pass keeps the candidates that grow an exact rank
     certificate; the result is verified to be a direct sum of irreducible
-    chains covering the whole space.
+    chains covering the whole space.  Chain vectors are sparse dicts.
     """
     require_representation(m)
-    candidates: list[tuple[int, list[np.ndarray]]] = []
+    candidates: list[tuple[int, list[dict]]] = []
     cap = 2 * m.dim + 2
     for lam, w in _half_h_tops(m):
-        y = m.act_e @ w
-        if first_nonzero(y) is not None:
+        y = linalg.mat_vec(m.act_e, w)
+        if y:
             candidates.append((2 * lam + 2, _chain(m, y, cap)))
-        z = m.act_f @ y - Rat(2 * lam + 2) * w
-        if first_nonzero(z) is not None:
+        z = linalg.vsub(linalg.mat_vec(m.act_f, y), linalg.vscale(2 * lam + 2, w))
+        if z:
             candidates.append((2 * lam, _chain(m, z, cap)))
     for v in _trivial_odd_lines(m):
-        x = m.act_f @ (m.act_e @ v) - 2 * v
-        if first_nonzero(x) is not None:
+        x = linalg.vsub(linalg.mat_vec(m.act_f, linalg.mat_vec(m.act_e, v)),
+                        linalg.vscale(2, v))
+        if x:
             candidates.append((0, [x]))
 
-    ech = DenseEchelon(m.dim)
-    chosen: list[tuple[int, list[np.ndarray]]] = []
+    ech = linalg.Echelon()
+    chosen: list[tuple[int, list[dict]]] = []
     for lam, chain in candidates:
         if len(chain) != lam + 1:
             raise ModuleError(

@@ -215,6 +215,8 @@ def _parse_im_coeff(text: str):
 
 def scalar_from_string(text: str):
     """Parse "p/q", "p/q+r/s*i", "-i", "3*i", ... back into a scalar."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact scalar: {text!r}")
     t = text.strip()
     if _REAL_RE.match(t):
         return _parse_rat(t)

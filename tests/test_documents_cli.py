@@ -29,9 +29,9 @@ def test_module_document_round_trip(tmp_path):
     doc = documents.module_to_dict(m)
     back = documents.module_from_dict(doc)
     assert back.parity == m.parity
-    assert (back.act_e == m.act_e).all()
-    assert (back.act_f == m.act_f).all()
-    assert (back.act_h == m.act_h).all()
+    assert back.act_e == m.act_e
+    assert back.act_f == m.act_f
+    assert back.act_h == m.act_h
     assert check_representation(back) is None
 
 
@@ -216,6 +216,7 @@ def _one_element_doc(**overrides):
     ({"cartan": [1]}, "cartan index 1 out of range"),
     ({"weights": []}, "weights has 0 rows for a basis of 1"),
     ({"weights": [["0", "1"]]}, "weights row 0 has 2 entries, expected 1"),
+    ({"gram": [[0, 0, 1]]}, "not an exact scalar: 1"),
 ])
 def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
                                                    message):
@@ -234,3 +235,51 @@ def test_cli_verify_one_element_document_is_valid(tmp_path, capsys):
     documents.save(str(path), _one_element_doc())
     assert main(["verify", str(path)]) == 0
     capsys.readouterr()
+
+
+def _module_doc(parity, act_e, act_f=None, act_h=None):
+    zero = [["0"] * len(parity) for _ in parity]
+    return {"format": documents.MODULE_FORMAT, "parity": parity, "act_e": act_e,
+            "act_f": act_f or zero, "act_h": act_h or zero}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_module_doc([0, 7], [["0", "0"], ["0", "0"]]), "parity must list 0 or 1"),
+    (_module_doc([0.5, 1], [["0", "0"], ["0", "0"]]), "parity must list 0 or 1"),
+    (_module_doc([0, 1], [["0", "1"], ["0"]]), "act_e is not a 2x2 matrix"),
+    (_module_doc([0, 1], [["0", "1/2+1*i"], ["0", "0"]]), "act_e entry (0,1) is not rational"),
+    (_module_doc([0, 1], [[0, 1], [0, 0]]), "not an exact scalar: 0"),
+    ([0, 1], "document is not a JSON object"),
+])
+def test_cli_decompose_rejects_malformed_module(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_decompose_json_error_is_json(tmp_path, capsys):
+    # a correctly graded module on which h acts by 0: not a representation
+    path = tmp_path / "notrep.json"
+    path.write_text(json.dumps(_module_doc([0, 1], [["0", "1"], ["0", "0"]])))
+    assert main(["decompose", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "he - eh != 2e"}
+    assert main(["decompose", str(path)]) == 1
+    assert capsys.readouterr().out == "error: he - eh != 2e\n"
+
+
+def test_cli_field_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "builtin:osp12", "--field", "Qi"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field Qi" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_out():
+    import subprocess
+    import sys
+    code = "import sys, superlie.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

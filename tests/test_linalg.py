@@ -48,9 +48,12 @@ def test_nullspace_annihilates():
                 for _ in range(n)]
         rows = [{j: c for j, c in r.items() if c} for r in rows]
         basis = linalg.nullspace(rows, m)
-        for v in basis:
+        free = [j for j, _ in basis]
+        for j, v in basis:
             for row in rows:
                 assert not linalg.vdot(row, v)
+            # 1 at its own free column, 0 at every other free column
+            assert [v.get(f, 0) for f in free] == [int(f == j) for f in free]
         cols = linalg.columns_of(rows, m)
         rank = linalg.span_rank(cols)
         assert rank + len(basis) == m
