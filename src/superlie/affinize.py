@@ -26,7 +26,7 @@ from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .algebra import LieSuperalgebra, RootDatum, axiom1_witnesses, t_alpha_vector
 from .reports import Report
-from .scalars import Rat, sdiv, spow
+from .scalars import Rat, sdiv, spow, super_sign
 
 
 class WindowExceededError(ValueError):
@@ -91,6 +91,24 @@ def window_box(rank: int, radius: int) -> list[tuple[int, ...]]:
     return sorted(itertools.product(range(-radius, radius + 1), repeat=rank))
 
 
+def _symmetric(torus: CocycleTorus, a, b) -> bool:
+    return torus.theta(a, b) == torus.theta(b, a)
+
+
+def _cocycle_identity(torus: CocycleTorus, a, b, c) -> bool:
+    """theta(a,b) theta(a+b,c) = theta(b,c) theta(a,b+c)."""
+    return (torus.theta(a, b) * torus.theta(gadd(a, b), c)
+            == torus.theta(b, c) * torus.theta(a, gadd(b, c)))
+
+
+def _holds_where_defined(test, torus: CocycleTorus, *degrees) -> bool:
+    """test(torus, *degrees), or True where a table torus leaves theta undefined."""
+    try:
+        return test(torus, *degrees)
+    except WindowExceededError:
+        return True
+
+
 def verify_cocycle(torus: CocycleTorus, degrees, samples: int = 200,
                    seed: int = 0) -> Report:
     """Normalization, symmetry, and the cocycle identity on a window.
@@ -111,63 +129,29 @@ def verify_cocycle(torus: CocycleTorus, degrees, samples: int = 200,
         rep.skip("theta(0,0) = 1", {"reason": "outside declared table"})
 
     if torus.qmatrix is not None:
-        bad = None
-        for i in range(torus.rank):
-            for j in range(torus.rank):
-                if torus.qmatrix[i][j] != torus.qmatrix[j][i]:
-                    bad = {"at": [i, j]}
-                    break
-            if bad:
-                break
-        rep.check("q matrix is symmetric", bad is None, bad)
-        if not samples:
-            rep.skip("cocycle identity (sampled)", {"reason": "sampling disabled"})
-            return rep
+        q = torus.qmatrix
+        rep.first_failure("q matrix is symmetric", (
+            {"at": [i, j]} for i, j in itertools.product(range(torus.rank), repeat=2)
+            if q[i][j] != q[j][i]))
         rng = random.Random(seed)
-        bad = None
-        for _ in range(samples):
-            a, b, c = (rng.choice(degrees) for _ in range(3))
-            if torus.theta(a, b) != torus.theta(b, a):
-                bad = {"pair": [list(a), list(b)]}
-                break
-            lhs = torus.theta(a, b) * torus.theta(gadd(a, b), c)
-            rhs = torus.theta(b, c) * torus.theta(a, gadd(b, c))
-            if lhs != rhs:
-                bad = {"triple": [list(a), list(b), list(c)]}
-                break
-        rep.check("cocycle identity (sampled)", bad is None, bad)
+
+        def sampled_failures():
+            for _ in range(samples):
+                a, b, c = (rng.choice(degrees) for _ in range(3))
+                if not _symmetric(torus, a, b):
+                    yield {"pair": [a, b]}
+                elif not _cocycle_identity(torus, a, b, c):
+                    yield {"triple": [a, b, c]}
+        first_sampled_failure(rep, "cocycle identity (sampled)", samples,
+                              sampled_failures())
         return rep
 
-    bad = None
-    for a in degrees:
-        for b in degrees:
-            try:
-                if torus.theta(a, b) != torus.theta(b, a):
-                    bad = {"pair": [list(a), list(b)]}
-                    break
-            except WindowExceededError:
-                continue
-        if bad:
-            break
-    rep.check("symmetry on the window", bad is None, bad)
-
-    bad = None
-    for a in degrees:
-        for b in degrees:
-            for c in degrees:
-                try:
-                    lhs = torus.theta(a, b) * torus.theta(gadd(a, b), c)
-                    rhs = torus.theta(b, c) * torus.theta(a, gadd(b, c))
-                except WindowExceededError:
-                    continue
-                if lhs != rhs:
-                    bad = {"triple": [list(a), list(b), list(c)]}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("cocycle identity on the window", bad is None, bad)
+    rep.first_failure("symmetry on the window", (
+        {"pair": [a, b]} for a, b in itertools.product(degrees, repeat=2)
+        if not _holds_where_defined(_symmetric, torus, a, b)))
+    rep.first_failure("cocycle identity on the window", (
+        {"triple": [a, b, c]} for a, b, c in itertools.product(degrees, repeat=3)
+        if not _holds_where_defined(_cocycle_identity, torus, a, b, c)))
     return rep
 
 
@@ -429,6 +413,70 @@ def window_root_system(alg: AffinizedAlgebra, degrees) -> rootsys.RootSupersyste
     return rootsys.classify(roots, form, known=known)
 
 
+# ---------------------------------------------------------------------------
+# sampled identities, shared by the affinized and the twisted algebras
+#
+# ``alg`` has bracket, form and parity_of; its elements have plus, scaled and
+# truthiness.  ``draw()`` returns the next random element.  Each generator
+# yields the failing samples in order and draws a sample only when asked
+# for the next failure, so a check stops drawing at its first failure.
+
+
+def antisymmetry_failures(alg, draw, samples: int):
+    """Sampled (x, y) with [x, y] + (-1)^{|x||y|} [y, x] != 0."""
+    for _ in range(samples):
+        x, y = draw(), draw()
+        sign = super_sign(alg.parity_of(x), alg.parity_of(y))
+        if alg.bracket(x, y).plus(alg.bracket(y, x).scaled(sign)):
+            yield x, y
+
+
+def jacobi_failures(alg, draw, samples: int):
+    """Sampled (x, y, z) breaking the cyclic graded Jacobi identity."""
+    for _ in range(samples):
+        x, y, z = draw(), draw(), draw()
+        px, py, pz = alg.parity_of(x), alg.parity_of(y), alg.parity_of(z)
+        total = (alg.bracket(alg.bracket(x, y), z).scaled(super_sign(px, pz))
+                 .plus(alg.bracket(alg.bracket(z, x), y).scaled(super_sign(pz, py)))
+                 .plus(alg.bracket(alg.bracket(y, z), x).scaled(super_sign(py, px))))
+        if total:
+            yield x, y, z
+
+
+def form_failures(alg, draw, samples: int):
+    """Sampled (reason, elements) breaking the form's supersymmetry, evenness
+    or invariance; the elements are (x, y), or (x, y, z) for invariance."""
+    for _ in range(samples):
+        x, y, z = draw(), draw(), draw()
+        px, py = alg.parity_of(x), alg.parity_of(y)
+        if alg.form(x, y) != super_sign(px, py) * alg.form(y, x):
+            yield "supersymmetry", (x, y)
+        elif px != py and alg.form(x, y):
+            yield "evenness", (x, y)
+        elif alg.form(alg.bracket(x, y), z) != alg.form(x, alg.bracket(y, z)):
+            yield "invariance", (x, y, z)
+
+
+def first_sampled_failure(rep: Report, name: str, samples: int, failures) -> None:
+    """rep.first_failure(name, failures), or a skip when sampling is disabled."""
+    if samples:
+        rep.first_failure(name, failures)
+    else:
+        rep.skip(name, {"reason": "sampling disabled"})
+
+
+def ad_nilpotent_on(bracket, x, targets, cap: int) -> bool:
+    """For every y in targets, ad_x^k y = 0 for some 1 <= k <= cap."""
+    for y in targets:
+        for _ in range(cap):
+            y = bracket(x, y)
+            if not y:
+                break
+        if y:
+            return False
+    return True
+
+
 def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
                      seed: int = 0) -> Report:
     """Windowed verification of the affinized triple.
@@ -446,78 +494,27 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     zero_deg = (0,) * alg.rank
     zero_root = alg.datum.zero
 
-    bad = None
-    for b1 in range(base.dim):
-        for b2 in range(base.dim):
-            for deg1 in degrees[:3] + degrees[-3:]:
-                for deg2 in degrees[:3] + degrees[-3:]:
-                    out = alg.bracket(loop_term(b1, deg1), loop_term(b2, deg2))
-                    target = gadd(deg1, deg2)
-                    if any(deg != target for (_, deg) in out.loop):
-                        bad = {"pair": [b1, b2], "degrees": [list(deg1), list(deg2)]}
-                        break
-                    if out.v and target != zero_deg:
-                        bad = {"pair": [b1, b2], "reason": "central part off degree 0"}
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("bracket adds degrees", bad is None, bad)
+    def grading_failures():
+        ends = degrees[:3] + degrees[-3:]
+        for b1, b2, deg1, deg2 in itertools.product(range(base.dim), range(base.dim),
+                                                    ends, ends):
+            out = alg.bracket(loop_term(b1, deg1), loop_term(b2, deg2))
+            target = gadd(deg1, deg2)
+            if any(deg != target for (_, deg) in out.loop):
+                yield {"pair": [b1, b2], "degrees": [deg1, deg2]}
+            elif out.v and target != zero_deg:
+                yield {"pair": [b1, b2], "reason": "central part off degree 0"}
+    rep.first_failure("bracket adds degrees", grading_failures())
 
-    if not samples:
-        rep.skip("anti-supercommutativity (sampled)", {"reason": "sampling disabled"})
-        rep.skip("graded Jacobi identity (sampled)", {"reason": "sampling disabled"})
-        rep.skip("form supersymmetry/evenness/invariance (sampled)",
-                 {"reason": "sampling disabled"})
-    else:
-        bad = None
-        for _ in range(samples):
-            x = _sample_element(alg, rng, degrees)
-            y = _sample_element(alg, rng, degrees)
-            px, py = alg.parity_of(x), alg.parity_of(y)
-            sign = Rat(-1) if (px and py) else Rat(1)
-            if alg.bracket(x, y).plus(alg.bracket(y, x).scaled(sign)):
-                bad = {"x": str(x), "y": str(y)}
-                break
-        rep.check("anti-supercommutativity (sampled)", bad is None, bad)
-
-        bad = None
-        for _ in range(samples):
-            x = _sample_element(alg, rng, degrees)
-            y = _sample_element(alg, rng, degrees)
-            z = _sample_element(alg, rng, degrees)
-            px, py, pz = alg.parity_of(x), alg.parity_of(y), alg.parity_of(z)
-            s1 = Rat(-1) if (px and pz) else Rat(1)
-            s2 = Rat(-1) if (pz and py) else Rat(1)
-            s3 = Rat(-1) if (py and px) else Rat(1)
-            total = (alg.bracket(alg.bracket(x, y), z).scaled(s1)
-                     .plus(alg.bracket(alg.bracket(z, x), y).scaled(s2))
-                     .plus(alg.bracket(alg.bracket(y, z), x).scaled(s3)))
-            if total:
-                bad = {"x": str(x), "y": str(y), "z": str(z)}
-                break
-        rep.check("graded Jacobi identity (sampled)", bad is None, bad)
-
-        bad = None
-        for _ in range(samples):
-            x = _sample_element(alg, rng, degrees)
-            y = _sample_element(alg, rng, degrees)
-            z = _sample_element(alg, rng, degrees)
-            px, py = alg.parity_of(x), alg.parity_of(y)
-            sign = Rat(-1) if (px and py) else Rat(1)
-            if alg.form(x, y) != sign * alg.form(y, x):
-                bad = {"reason": "supersymmetry", "x": str(x), "y": str(y)}
-                break
-            if px != py and alg.form(x, y):
-                bad = {"reason": "evenness", "x": str(x), "y": str(y)}
-                break
-            if alg.form(alg.bracket(x, y), z) != alg.form(x, alg.bracket(y, z)):
-                bad = {"reason": "invariance", "x": str(x), "y": str(y), "z": str(z)}
-                break
-        rep.check("form supersymmetry/evenness/invariance (sampled)", bad is None, bad)
+    def draw():
+        return _sample_element(alg, rng, degrees)
+    first_sampled_failure(rep, "anti-supercommutativity (sampled)", samples, (
+        dict(zip("xy", pair)) for pair in antisymmetry_failures(alg, draw, samples)))
+    first_sampled_failure(rep, "graded Jacobi identity (sampled)", samples, (
+        dict(zip("xyz", triple)) for triple in jacobi_failures(alg, draw, samples)))
+    first_sampled_failure(rep, "form supersymmetry/evenness/invariance (sampled)", samples, (
+        {"reason": reason, **dict(zip("xyz", elements))}
+        for reason, elements in form_failures(alg, draw, samples)))
 
     # window-block nondegeneracy: index the window basis and build the Gram
     basis_elems = [(b, deg) for deg in degrees for b in range(base.dim)]
@@ -538,105 +535,80 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
         rows.append({nb + alg.rank + i: Rat(1)})
     for i in range(alg.rank):
         rows.append({nb + i: Rat(1)})
-    rep.check("window-block nondegeneracy",
-              linalg.span_rank(rows) == nb + 2 * alg.rank,
-              {"rank": linalg.span_rank(rows), "size": nb + 2 * alg.rank})
+    rank = linalg.span_rank(rows)
+    rep.check("window-block nondegeneracy", rank == nb + 2 * alg.rank,
+              {"rank": rank, "size": nb + 2 * alg.rank})
 
     base_witnesses = axiom1_witnesses(base, alg.datum)
-    bad = None
+
+    def lands_in_cartan(br):
+        return br and alg.in_cartan(br)
+
+    def window_witness(root, deg):
+        """First (parity, b1, b2) with 0 != [b1 t^deg, b2 t^-deg] in the Cartan."""
+        ys = alg.datum.spaces.get(tuple(-v for v in root), ())
+        return next(((par, b1, b2) for par in (0, 1)
+                     for b1 in alg.datum.spaces[root] if base.parity[b1] == par
+                     for b2 in ys if base.parity[b2] == par
+                     if lands_in_cartan(alg.bracket(loop_term(b1, deg),
+                                                    loop_term(b2, gneg(deg))))), None)
+
     witness_records = {}
-    for deg in degrees:
-        for root in alg.datum.roots:
+
+    def missing_witnesses():
+        for deg, root in itertools.product(degrees, alg.datum.roots):
             if root == zero_root and deg == zero_deg:
                 continue
-            found = None
-            for par in (0, 1):
-                xs = [b for b in alg.datum.spaces[root] if base.parity[b] == par]
-                ys = [b for b in alg.datum.spaces.get(tuple(-v for v in root), ())
-                      if base.parity[b] == par]
-                for b1 in xs:
-                    for b2 in ys:
-                        br = alg.bracket(loop_term(b1, deg), loop_term(b2, gneg(deg)))
-                        if br and alg.in_cartan(br):
-                            found = (par, b1, b2)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+            found = window_witness(root, deg)
             if found is None:
-                bad = {"root": [str(x) for x in root], "degree": list(deg)}
-                break
-            witness_records[(root, deg)] = found
-        if bad:
-            break
-    rep.check("axiom 1: witnesses at every nonzero window root", bad is None, bad)
+                yield {"root": root, "degree": deg}
+            else:
+                witness_records[(root, deg)] = found
+    rep.first_failure("axiom 1: witnesses at every nonzero window root",
+                      missing_witnesses())
     sample = sorted(witness_records.items(), key=lambda kv: str(kv[0]))[:3]
     rep.note("axiom 1 witness pairs", {
         "count": len(witness_records),
-        "sample": [{"root": [str(x) for x in root], "degree": list(deg),
-                    "parity": par,
+        "sample": [{"root": root, "degree": deg, "parity": par,
                     "pair": [base.basis_labels[b1], base.basis_labels[b2]]}
                    for (root, deg), (par, b1, b2) in sample]})
 
-    bad = None
-    for deg in degrees:
-        for root in alg.datum.roots:
-            if root == zero_root:
-                continue
+    def t_alpha_failures():
+        for deg, root in itertools.product(degrees, alg.datum.roots):
             par_pair = base_witnesses.get((root, 0)) or base_witnesses.get((root, 1))
-            if par_pair is None:
+            if root == zero_root or par_pair is None:
                 continue
             b1, b2 = par_pair
             pairing = base.form({b1: Rat(1)}, {b2: Rat(1)})
             th = alg.theta(deg, gneg(deg))
-            x = loop_term(b1, deg)
-            y = loop_term(b2, gneg(deg), sdiv(1, pairing * th))
-            got = alg.bracket(x, y)
+            got = alg.bracket(loop_term(b1, deg),
+                              loop_term(b2, gneg(deg), sdiv(1, pairing * th)))
             want = GradedLoopElement(
                 loop={(h, zero_deg): c
                       for h, c in t_alpha_vector(alg.datum, root).items()},
                 v={i: Rat(di) for i, di in enumerate(deg) if di},
                 d={})
             if got != want:
-                bad = {"root": [str(v) for v in root], "degree": list(deg),
-                       "got": str(got), "want": str(want)}
-                break
-        if bad:
-            break
-    rep.check("axiom 1 witnesses match t_alpha + degree", bad is None, bad)
+                yield {"root": root, "degree": deg, "got": str(got), "want": str(want)}
+    rep.first_failure("axiom 1 witnesses match t_alpha + degree", t_alpha_failures())
 
     # ad-nilpotency of real-root vectors against the whole window basis
     cap = base.dim + 2
     targets = [loop_term(b, deg) for deg in degrees for b in range(base.dim)]
     targets += [v_term(i) for i in range(alg.rank)]
     targets += [d_term(i) for i in range(alg.rank)]
-    bad = None
-    for root in alg.datum.roots:
-        if not alg.datum.is_real(root):
-            continue
-        for deg in degrees:
-            if root == zero_root and deg == zero_deg:
+
+    def non_nilpotent():
+        for root in alg.datum.roots:
+            if not alg.datum.is_real(root):
                 continue
-            for b in alg.datum.spaces[root]:
-                x = loop_term(b, deg)
-                for y in targets:
-                    w = y
-                    for _ in range(cap):
-                        w = alg.bracket(x, w)
-                        if not w:
-                            break
-                    if w:
-                        bad = {"root": [str(v) for v in root], "degree": list(deg),
-                               "basis": b}
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("axiom 2: windowed ad-nilpotency at real roots", bad is None, bad)
+            for deg in degrees:
+                if root == zero_root and deg == zero_deg:
+                    continue
+                for b in alg.datum.spaces[root]:
+                    if not ad_nilpotent_on(alg.bracket, loop_term(b, deg), targets, cap):
+                        yield {"root": root, "degree": deg, "basis": b}
+    rep.first_failure("axiom 2: windowed ad-nilpotency at real roots", non_nilpotent())
 
     spaces = affinized_roots(alg, degrees)
     expected = {(root, deg) for root in alg.datum.roots for deg in degrees}
@@ -644,17 +616,15 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
               set(spaces) == expected,
               {"missing": [str(k) for k in sorted(expected - set(spaces), key=str)[:4]],
                "extra": [str(k) for k in sorted(set(spaces) - expected, key=str)[:4]]})
-    bad = None
-    for (root, deg), basis in spaces.items():
-        if (root, deg) == (zero_root, zero_deg):
-            if len(basis) != len(base.cartan) + 2 * alg.rank:
-                bad = {"at": "(0,0)", "dim": len(basis)}
-                break
-        elif len(basis) != len(alg.datum.spaces[root]):
-            bad = {"root": [str(v) for v in root], "degree": list(deg),
-                   "dim": len(basis)}
-            break
-    rep.check("weight space dimensions match the base", bad is None, bad)
+
+    def dimension_failures():
+        for (root, deg), basis in spaces.items():
+            if (root, deg) == (zero_root, zero_deg):
+                if len(basis) != len(base.cartan) + 2 * alg.rank:
+                    yield {"at": "(0,0)", "dim": len(basis)}
+            elif len(basis) != len(alg.datum.spaces[root]):
+                yield {"root": root, "degree": deg, "dim": len(basis)}
+    rep.first_failure("weight space dimensions match the base", dimension_failures())
 
     ears = rootsys.check_axioms(window_root_system(alg, degrees))
     ok = ears.passed

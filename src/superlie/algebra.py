@@ -15,12 +15,13 @@ cyclic form
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
 from .linalg import vaxpy_inplace
 from .reports import Report
-from .scalars import Rat, as_scalar, scalar_key, scalar_to_string
+from .scalars import Rat, as_scalar, scalar_key, scalar_to_string, super_sign
 
 
 class NotAWeightBasisError(ValueError):
@@ -120,63 +121,36 @@ class RootDatum:
 
 def _jacobi_residual(L: LieSuperalgebra, i: int, j: int, k: int) -> dict:
     pi, pj, pk = L.parity[i], L.parity[j], L.parity[k]
-
-    def sgn(a, b):
-        return -1 if (a and b) else 1
-
     res: dict = {}
-    vaxpy_inplace(res, Rat(sgn(pi, pk)), L.bracket(L.bracket_basis(i, j), {k: Rat(1)}))
-    vaxpy_inplace(res, Rat(sgn(pk, pj)), L.bracket(L.bracket_basis(k, i), {j: Rat(1)}))
-    vaxpy_inplace(res, Rat(sgn(pj, pi)), L.bracket(L.bracket_basis(j, k), {i: Rat(1)}))
+    vaxpy_inplace(res, super_sign(pi, pk), L.bracket(L.bracket_basis(i, j), {k: Rat(1)}))
+    vaxpy_inplace(res, super_sign(pk, pj), L.bracket(L.bracket_basis(k, i), {j: Rat(1)}))
+    vaxpy_inplace(res, super_sign(pj, pi), L.bracket(L.bracket_basis(j, k), {i: Rat(1)}))
     return res
 
 
 def verify_superalgebra(L: LieSuperalgebra) -> Report:
     """Grading, anti-supercommutativity, and the graded Jacobi identity."""
     rep = Report(title="superalgebra axioms")
-    d = L.dim
+    labels, parity = L.basis_labels, L.parity
+    rep.first_failure("bracket grading", (
+        {"pair": (labels[i], labels[j]), "component": labels[k]}
+        for (i, j), c in L.structure.items() for k, x in c.items()
+        if x and parity[k] != (parity[i] + parity[j]) % 2))
 
-    bad = None
-    for (i, j), c in L.structure.items():
-        want = (L.parity[i] + L.parity[j]) % 2
-        for k, x in c.items():
-            if x and L.parity[k] != want:
-                bad = {"pair": (L.basis_labels[i], L.basis_labels[j]),
-                       "component": L.basis_labels[k]}
-                break
-        if bad:
-            break
-    rep.check("bracket grading", bad is None, bad)
-
-    bad = None
-    for i in range(d):
-        for j in range(i, d):
-            sign = -1 if (L.parity[i] and L.parity[j]) else 1
+    def antisymmetry_failures():
+        for i, j in itertools.combinations_with_replacement(range(L.dim), 2):
             lhs = L.bracket_basis(i, j)
-            rhs = linalg.vscale(Rat(-sign), L.bracket_basis(j, i))
+            rhs = linalg.vscale(-super_sign(parity[i], parity[j]), L.bracket_basis(j, i))
             if lhs != rhs:
-                bad = {"pair": (L.basis_labels[i], L.basis_labels[j]),
+                yield {"pair": (labels[i], labels[j]),
                        "residual": L.label_vector(linalg.vsub(lhs, rhs))}
-                break
-        if bad:
-            break
-    rep.check("anti-supercommutativity", bad is None, bad)
+    rep.first_failure("anti-supercommutativity", antisymmetry_failures())
 
-    bad = None
-    for i in range(d):
-        for j in range(i, d):
-            for k in range(j, d):
-                res = _jacobi_residual(L, i, j, k)
-                if res:
-                    bad = {"triple": (L.basis_labels[i], L.basis_labels[j],
-                                      L.basis_labels[k]),
-                           "residual": L.label_vector(res)}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("graded Jacobi identity", bad is None, bad)
+    residuals = ((t, _jacobi_residual(L, *t))
+                 for t in itertools.combinations_with_replacement(range(L.dim), 3))
+    rep.first_failure("graded Jacobi identity", (
+        {"triple": [labels[t] for t in triple], "residual": L.label_vector(res)}
+        for triple, res in residuals if res))
     return rep
 
 
@@ -185,46 +159,22 @@ def verify_form(L: LieSuperalgebra) -> Report:
     if L.gram is None:
         raise ValueError("algebra has no bilinear form to verify")
     rep = Report(title="bilinear form")
-    d = L.dim
-    g = L.gram
+    labels, parity, g = L.basis_labels, L.parity, L.gram
+    pairs = list(itertools.product(range(L.dim), repeat=2))
+    rep.first_failure("supersymmetry", (
+        {"pair": (labels[i], labels[j])} for i, j in pairs
+        if g[i][j] != super_sign(parity[i], parity[j]) * g[j][i]))
+    rep.first_failure("evenness", (
+        {"pair": (labels[i], labels[j])} for i, j in pairs
+        if parity[i] != parity[j] and g[i][j]))
 
-    bad = None
-    for i in range(d):
-        for j in range(d):
-            sign = -1 if (L.parity[i] and L.parity[j]) else 1
-            if g[i][j] != sign * g[j][i]:
-                bad = {"pair": (L.basis_labels[i], L.basis_labels[j])}
-                break
-        if bad:
-            break
-    rep.check("supersymmetry", bad is None, bad)
-
-    bad = None
-    for i in range(d):
-        for j in range(d):
-            if L.parity[i] != L.parity[j] and g[i][j]:
-                bad = {"pair": (L.basis_labels[i], L.basis_labels[j])}
-                break
-        if bad:
-            break
-    rep.check("evenness", bad is None, bad)
-
-    bad = None
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = L.form(L.bracket_basis(i, j), {k: Rat(1)})
-                rhs = L.form({i: Rat(1)}, L.bracket_basis(j, k))
-                if lhs != rhs:
-                    bad = {"triple": (L.basis_labels[i], L.basis_labels[j],
-                                      L.basis_labels[k]),
-                           "lhs": lhs, "rhs": rhs}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("invariance", bad is None, bad)
+    def invariance_failures():
+        for i, j, k in itertools.product(range(L.dim), repeat=3):
+            lhs = L.form(L.bracket_basis(i, j), {k: Rat(1)})
+            rhs = L.form({i: Rat(1)}, L.bracket_basis(j, k))
+            if lhs != rhs:
+                yield {"triple": (labels[i], labels[j], labels[k]), "lhs": lhs, "rhs": rhs}
+    rep.first_failure("invariance", invariance_failures())
 
     rep.check("nondegeneracy", linalg.gram_nondegenerate([list(r) for r in g]), None)
 
@@ -234,18 +184,10 @@ def verify_form(L: LieSuperalgebra) -> Report:
                   linalg.gram_nondegenerate(block), None)
 
     if L.weights is not None and L.cartan is not None:
-        bad = None
-        for i in range(d):
-            for j in range(d):
-                wi, wj = L.weights[i], L.weights[j]
-                if any(a + b for a, b in zip(wi, wj)) and g[i][j]:
-                    bad = {"pair": (L.basis_labels[i], L.basis_labels[j]),
-                           "weights": (list(map(str, wi)), list(map(str, wj)))}
-                    break
-            if bad:
-                break
-        rep.check("weight spaces pair only across opposite weights",
-                  bad is None, bad)
+        w = L.weights
+        rep.first_failure("weight spaces pair only across opposite weights", (
+            {"pair": (labels[i], labels[j]), "weights": (w[i], w[j])} for i, j in pairs
+            if any(a + b for a, b in zip(w[i], w[j])) and g[i][j]))
     return rep
 
 
@@ -322,26 +264,19 @@ def axiom1_witnesses(L: LieSuperalgebra, datum: RootDatum) -> dict:
     a nonempty weight space; missing keys mean no witness exists.
     """
     cartan_set = set(datum.cartan)
+
+    def in_cartan(br):
+        return br and set(br) <= cartan_set
+
     out = {}
-    zero = datum.zero
     for root in datum.roots:
-        if root == zero:
-            continue
         neg = tuple(-x for x in root)
-        if neg not in datum.spaces:
+        if root == datum.zero or neg not in datum.spaces:
             continue
         for par in (0, 1):
-            xs = [i for i in datum.spaces[root] if L.parity[i] == par]
-            ys = [j for j in datum.spaces[neg] if L.parity[j] == par]
-            found = None
-            for i in xs:
-                for j in ys:
-                    br = L.bracket_basis(i, j)
-                    if br and set(br) <= cartan_set:
-                        found = (i, j)
-                        break
-                if found:
-                    break
+            found = next(((i, j) for i in datum.spaces[root] if L.parity[i] == par
+                          for j in datum.spaces[neg] if L.parity[j] == par
+                          if in_cartan(L.bracket_basis(i, j))), None)
             if found is not None:
                 out[(root, par)] = found
     return out
@@ -376,48 +311,27 @@ def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
         nilpotent (exponent bounded by dim L).
     """
     rep = Report(title="extended affine axioms")
-    zero = datum.zero
     witnesses = axiom1_witnesses(L, datum)
+    rep.first_failure("axiom 1: sl2-pair witnesses at every nonzero root", (
+        {"root": root, "parity": par}
+        for root in datum.roots if root != datum.zero for par in (0, 1)
+        if any(L.parity[i] == par for i in datum.spaces[root])
+        and (root, par) not in witnesses))
 
-    bad = None
-    for root in datum.roots:
-        if root == zero:
-            continue
-        for par in (0, 1):
-            space = [i for i in datum.spaces[root] if L.parity[i] == par]
-            if not space:
-                continue
-            if (root, par) not in witnesses:
-                bad = {"root": [str(x) for x in root], "parity": par}
-                break
-        if bad:
-            break
-    rep.check("axiom 1: sl2-pair witnesses at every nonzero root", bad is None, bad)
+    def witness_failures():
+        for (root, par), (i, j) in sorted(witnesses.items(), key=lambda kv: str(kv[0])):
+            br = L.bracket_basis(i, j)
+            pairing = L.form({i: Rat(1)}, {j: Rat(1)})
+            want = linalg.vscale(pairing, t_alpha_vector(datum, root))
+            if br != want:
+                yield {"root": root, "pair": (L.basis_labels[i], L.basis_labels[j]),
+                       "bracket": L.label_vector(br), "expected": L.label_vector(want)}
+    rep.first_failure("witness brackets equal (x,y) t_alpha", witness_failures())
 
-    bad = None
-    for (root, par), (i, j) in sorted(witnesses.items(), key=lambda kv: str(kv[0])):
-        br = L.bracket_basis(i, j)
-        pairing = L.form({i: Rat(1)}, {j: Rat(1)})
-        want = linalg.vscale(pairing, t_alpha_vector(datum, root))
-        if br != want:
-            bad = {"root": [str(x) for x in root],
-                   "pair": (L.basis_labels[i], L.basis_labels[j]),
-                   "bracket": L.label_vector(br),
-                   "expected": L.label_vector(want)}
-            break
-    rep.check("witness brackets equal (x,y) t_alpha", bad is None, bad)
-
-    bad = None
-    for root in datum.roots:
-        if not datum.is_real(root):
-            continue
-        for i in datum.spaces[root]:
-            if not is_ad_nilpotent(L, {i: Rat(1)}):
-                bad = {"root": [str(x) for x in root], "vector": L.basis_labels[i]}
-                break
-        if bad:
-            break
-    rep.check("axiom 2: ad-nilpotency at real roots", bad is None, bad)
+    rep.first_failure("axiom 2: ad-nilpotency at real roots", (
+        {"root": root, "vector": L.basis_labels[i]}
+        for root in datum.roots if datum.is_real(root)
+        for i in datum.spaces[root] if not is_ad_nilpotent(L, {i: Rat(1)})))
 
     rep.note("axiom 1 witnesses", {
         str([str(x) for x in root]) + f" parity {par}":
@@ -462,78 +376,42 @@ def structural_root_checks(L: LieSuperalgebra, datum: RootDatum) -> Report:
     rep = Report(title="structural root facts")
     zero = datum.zero
     roots = set(datum.roots)
-    real = {r for r in datum.roots if datum.is_real(r)}
+    real = sorted((r for r in datum.roots if datum.is_real(r)), key=str)
     r0 = datum.even_roots
     r1 = datum.odd_roots
 
     def dbl(r):
         return tuple(x + x for x in r)
 
-    bad = None
-    for a in sorted(r1 & real, key=str):
-        if dbl(a) not in r0:
-            bad = {"root": [str(x) for x in a]}
-            break
-    rep.check("odd real root doubles into an even root", bad is None, bad)
+    rep.first_failure("odd real root doubles into an even root", (
+        {"root": a} for a in real if a in r1 and dbl(a) not in r0))
+    rep.first_failure("no real root doubles into an odd root", (
+        {"root": a} for a in real if dbl(a) in r1))
+    rep.first_failure("real roots with no double are even", (
+        {"root": a} for a in real if dbl(a) not in roots and a not in r0))
 
-    bad = None
-    for a in sorted(real, key=str):
-        if dbl(a) in r1:
-            bad = {"root": [str(x) for x in a]}
-            break
-    rep.check("no real root doubles into an odd root", bad is None, bad)
-
-    bad = None
-    for a in sorted(real, key=str):
-        if dbl(a) not in roots and a not in r0:
-            bad = {"root": [str(x) for x in a]}
-            break
-    rep.check("real roots with no double are even", bad is None, bad)
-
-    bad = None
-    isotropic_even = [a for a in sorted(r0, key=str) if not datum.root_form(a, a)]
-    for a in isotropic_even:
-        for b in sorted(r0, key=str):
-            if datum.root_form(a, b):
-                bad = {"roots": ([str(x) for x in a], [str(x) for x in b])}
-                break
-        if bad:
-            break
-    rep.check("isotropic even roots are orthogonal to all even roots",
-              bad is None, bad)
+    even = sorted(r0, key=str)
+    rep.first_failure("isotropic even roots are orthogonal to all even roots", (
+        {"roots": (a, b)} for a in even if not datum.root_form(a, a)
+        for b in even if datum.root_form(a, b)))
 
     nonsingular = {a for a in datum.roots
                    if a != zero and not datum.root_form(a, a)
                    and any(datum.root_form(a, b) for b in datum.roots)}
-    bad = None
-    for a in sorted(nonsingular & r0, key=str):
-        if a != zero:
-            bad = {"root": [str(x) for x in a]}
-            break
-    rep.check("no nonzero even root is nonsingular-isotropic", bad is None, bad)
+    rep.first_failure("no nonzero even root is nonsingular-isotropic", (
+        {"root": a} for a in sorted(nonsingular & r0, key=str)))
 
-    zero_space_even = all(L.parity[i] == 0 for i in datum.spaces.get(zero, ()))
-    if zero_space_even:
-        bad = None
-        for a in sorted((r0 & r1) - {zero}, key=str):
-            bad = {"root": [str(x) for x in a]}
-            break
-        rep.check("no nonzero root is both even and odd", bad is None, bad)
+    if all(L.parity[i] == 0 for i in datum.spaces.get(zero, ())):
+        rep.first_failure("no nonzero root is both even and odd", (
+            {"root": a} for a in sorted((r0 & r1) - {zero}, key=str)))
     else:
         rep.skip("no nonzero root is both even and odd",
                  {"reason": "zero weight space is not purely even"})
 
-    bad = None
-    for a in sorted(datum.roots, key=str):
-        for b in sorted(datum.roots, key=str):
-            if not datum.root_form(a, b):
-                continue
-            plus = tuple(x + y for x, y in zip(a, b))
-            minus = tuple(y - x for x, y in zip(a, b))
-            if plus not in roots and minus not in roots:
-                bad = {"roots": ([str(x) for x in a], [str(x) for x in b])}
-                break
-        if bad:
-            break
-    rep.check("non-orthogonal roots connect by a step", bad is None, bad)
+    ordered = sorted(datum.roots, key=str)
+    rep.first_failure("non-orthogonal roots connect by a step", (
+        {"roots": (a, b)} for a in ordered for b in ordered
+        if datum.root_form(a, b)
+        and tuple(x + y for x, y in zip(a, b)) not in roots
+        and tuple(y - x for x, y in zip(a, b)) not in roots))
     return rep

@@ -91,7 +91,12 @@ def cmd_verify(args) -> int:
         return _emit(combined, args.format)
     combined.extend(verify_eals(L, datum))
     combined.extend(structural_root_checks(L, datum))
-    combined.extend(rootsys.check_axioms(rootsys.from_root_datum(datum)))
+    try:
+        system = rootsys.from_root_datum(datum)
+    except ValueError as exc:  # say, a Cartan form that is not symmetric
+        combined.check("root supersystem of the weights", False, {"detail": str(exc)})
+    else:
+        combined.extend(rootsys.check_axioms(system))
     even = even_part(L)
     combined.check("even part is a subalgebra",
                    verify_superalgebra(even).passed, None)
@@ -143,9 +148,8 @@ def cmd_roots(args) -> int:
     return _emit(report, args.format)
 
 
-def _qmatrix(rank: int, q: str):
-    val = scalar_from_string(q)
-    return tuple(tuple(val for _ in range(rank)) for _ in range(rank))
+def _qmatrix(rank: int, q):
+    return tuple(tuple(q for _ in range(rank)) for _ in range(rank))
 
 
 def cmd_affinize(args) -> int:
@@ -207,8 +211,58 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def unit_sign(text: str) -> int:
+    """argparse type: 1 or -1."""
+    value = int(text)
+    if value not in (1, -1):
+        raise argparse.ArgumentTypeError(f"must be 1 or -1, got {value}")
+    return value
+
+
+def nonzero_scalar(text: str):
+    """argparse type: an exact nonzero scalar such as "2", "-1/3" or "1+i"."""
+    try:
+        value = scalar_from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not value:
+        raise argparse.ArgumentTypeError(f"must be nonzero, got {text!r}")
+    return value
+
+
+class UsageError(Exception):
+    """A command-line usage error: args are (parser, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a usage error so that main can report it in the
+    requested format before argparse prints it and exits 2."""
+
+    def error(self, message):
+        raise UsageError(self, message)
+
+
+def _requested_format(argv) -> str:
+    """The --format value, read before the full parse so that usage errors
+    can be reported in it."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", default="text")
+    try:
+        return pre.parse_known_args(argv)[0].format
+    except UsageError:
+        return "text"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superlie",
         description="Exact verification toolkit for Lie superalgebras, "
                     "root supersystems, and affinizations.")
@@ -238,37 +292,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=nonnegative_int, default=3)
     p.add_argument("--samples", type=nonnegative_int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q", default=None, help="off-diagonal cocycle value")
+    p.add_argument("--q", type=nonzero_scalar, default=None,
+                   help="off-diagonal cocycle value")
     common(p)
     p.set_defaults(func=cmd_affinize)
 
     p = sub.add_parser("twist", help="order-4 twisted affinization")
-    p.add_argument("--I", dest="i_dot", type=int, default=1)
-    p.add_argument("--J", dest="j_dot", type=int, default=1)
+    p.add_argument("--I", dest="i_dot", type=positive_int, default=1)
+    p.add_argument("--J", dest="j_dot", type=positive_int, default=1)
     p.add_argument("--with-zero", action="store_true")
     p.add_argument("--rank", type=nonnegative_int, default=1)
     p.add_argument("--window", type=nonnegative_int, default=2, help="torus degree radius")
     p.add_argument("--zwindow", type=nonnegative_int, default=4, help="Z-grading radius")
     p.add_argument("--samples", type=nonnegative_int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q", default=None)
-    p.add_argument("--star-signs", type=int, nargs="*", default=None)
+    p.add_argument("--q", type=nonzero_scalar, default=None)
+    p.add_argument("--star-signs", type=unit_sign, nargs="*", default=None)
     common(p)
     p.set_defaults(func=cmd_twist)
     return parser
 
 
+def _error(message: str, code: int, fmt: str) -> int:
+    """An error line on stderr, and {"error": ...} on stdout under JSON."""
+    sys.stderr.write(message + "\n")
+    if fmt == "json":
+        sys.stdout.write(json.dumps({"error": message}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        sub, message = exc.args
+        if _requested_format(argv) == "json":
+            sys.stdout.write(json.dumps({"error": f"{sub.prog}: error: {message}"}) + "\n")
+        argparse.ArgumentParser.error(sub, message)  # usage on stderr, exit 2
     try:
         return args.func(args)
     except documents.DocumentError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
+        return _error(f"input error: {exc}", EXIT_INPUT, args.format)
     except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"check error: {exc}\n")
-        return EXIT_FAIL
+        return _error(f"check error: {exc}", EXIT_FAIL, args.format)
 
 
 if __name__ == "__main__":

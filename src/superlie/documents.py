@@ -61,9 +61,11 @@ def algebra_to_dict(L: LieSuperalgebra) -> dict:
 
 
 def _indices(values, n: int, what: str) -> tuple[int, ...]:
-    """values as basis indices, each in range(n)."""
-    out = tuple(int(x) for x in values)
+    """values as basis indices: JSON integers (no floats or booleans) in range(n)."""
+    out = tuple(values)
     for x in out:
+        if type(x) is not int:
+            raise DocumentError(f"{what} index {x!r} is not an integer")
         if not 0 <= x < n:
             raise DocumentError(f"{what} index {x} out of range for a basis of {n}")
     return out
@@ -77,8 +79,8 @@ def algebra_from_dict(doc: dict) -> LieSuperalgebra:
             raise DocumentError(f"unknown format {doc.get('format')!r}")
         basis = tuple(str(x) for x in doc["basis"])
         n = len(basis)
-        parity = tuple(int(x) for x in doc["parity"])
-        if len(parity) != n or any(p not in (0, 1) for p in parity):
+        parity = tuple(doc["parity"])
+        if len(parity) != n or any(type(p) is not int or p not in (0, 1) for p in parity):
             raise DocumentError("parity must list 0/1 per basis element")
         for entry in doc["structure"]:
             if len(entry) != 4:
@@ -102,12 +104,12 @@ def algebra_from_dict(doc: dict) -> LieSuperalgebra:
 
         structure: dict = {}
         for i, j, k, s in doc["structure"]:
-            structure.setdefault((int(i), int(j)), {})[int(k)] = scalar_from_string(s)
+            structure.setdefault((i, j), {})[k] = scalar_from_string(s)
         gram = None
         if doc.get("gram") is not None:
             dense = [[Rat(0)] * n for _ in range(n)]
             for i, j, s in doc["gram"]:
-                dense[int(i)][int(j)] = scalar_from_string(s)
+                dense[i][j] = scalar_from_string(s)
             gram = tuple(tuple(row) for row in dense)
         weights = None
         if doc.get("weights") is not None:

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       d_term, loop_term, v_term)
+                       ad_nilpotent_on, d_term, first_sampled_failure, form_failures,
+                       jacobi_failures, loop_term, v_term)
 from .algebra import LieSuperalgebra, weight_decomposition
 from .reports import Report
-from .scalars import IUNIT, Rat
+from .scalars import IUNIT, Rat, super_sign
 
 
 class DegenerateFormError(ValueError):
@@ -145,8 +146,7 @@ def tm_supercomm(x: dict, y: dict, idx: SuperIndexSet, torus: CocycleTorus) -> d
     px, py = tm_parity(x, idx), tm_parity(y, idx)
     if px is None or py is None:
         raise ValueError("supercommutator needs parity-homogeneous matrices")
-    sign = -1 if (px and py) else 1
-    return tm_add(tm_mul(x, y, torus), tm_mul(y, x, torus), -sign)
+    return tm_add(tm_mul(x, y, torus), tm_mul(y, x, torus), -super_sign(px, py))
 
 
 def supertrace(x: dict, idx: SuperIndexSet) -> dict:
@@ -401,10 +401,24 @@ def _zeta_power(i: int):
     return IUNIT ** (i % 4)
 
 
-def _eigenvectors(rows: list[dict], sign, z) -> list[dict]:
-    """Kernel basis of sign*M - z*I for a square M given by sparse rows."""
-    shifted = linalg.minus_identity([linalg.vscale(sign, r) for r in rows], z)
-    return [v for _, v in linalg.nullspace(shifted, len(rows))]
+def _eigenvectors(rows: list[dict], z) -> list[dict]:
+    """Kernel basis of M - z*I for a square M given by sparse rows."""
+    return [v for _, v in linalg.nullspace(linalg.minus_identity(rows, z), len(rows))]
+
+
+def _eigenbases(rows: list[dict]) -> list[list[dict]]:
+    """Kernel bases of M - zeta^k I for k = 0..3, M the matrix of # on a slice.
+
+    On torus degree tau, # acts as s M with s = degree_sign(tau) = +-1.
+    ker(-M - zeta^k I) = ker(M - zeta^(k+2) I), and negating every row
+    leaves the elimination unchanged, so the zeta^k eigenvectors at sign s
+    are entry _eigenclass(s, k) of these four bases, for every degree.
+    """
+    return [_eigenvectors(rows, _zeta_power(k)) for k in range(4)]
+
+
+def _eigenclass(sign, k: int) -> int:
+    return k if sign == 1 else (k + 2) % 4
 
 
 def sharp_eigenspaces(aff: AffinizedAlgebra, sh: SharpOperator, degrees) -> dict:
@@ -413,26 +427,23 @@ def sharp_eigenspaces(aff: AffinizedAlgebra, sh: SharpOperator, degrees) -> dict
     Returns {(i, deg): [GradedLoopElement ...]} for i in 0..3; the (0, 0)
     slice additionally contains V and V*.  Requires the Gaussian rationals
     (the field tag "Qi") so that zeta = i is available; verifies that the
-    slice dimensions add up (a direct-sum certificate).
+    eigenspace dimensions add up (a direct-sum certificate).
     """
     if aff.base.field != "Qi":
         raise FieldError("eigenspace split needs the field Q(i)")
     degrees = [tuple(d) for d in degrees]
     dim = aff.base.dim
-    rows = linalg.block_rows(sh.columns, range(dim))
+    bases = _eigenbases(linalg.block_rows(sh.columns, range(dim)))
+    total = sum(map(len, bases))
+    if total != dim:
+        raise AssertionError(f"eigenspaces of # sum to {total} != {dim}")
     zero_deg = (0,) * aff.rank
     out: dict = {}
     for deg in degrees:
         s = sh.degree_sign(deg)
-        total = 0
         for i in range(4):
-            vecs = [GradedLoopElement(loop={(b, deg): v[b] for b in sorted(v)})
-                    for v in _eigenvectors(rows, s, _zeta_power(i))]
-            total += len(vecs)
-            key = (i, deg)
-            out[key] = vecs
-        if total != dim:
-            raise AssertionError(f"eigenspaces at degree {deg} sum to {total} != {dim}")
+            out[(i, deg)] = [GradedLoopElement(loop={(b, deg): v[b] for b in sorted(v)})
+                             for v in bases[_eigenclass(s, i)]]
     if zero_deg in degrees:
         out[(0, zero_deg)] = out[(0, zero_deg)] \
             + [v_term(i) for i in range(aff.rank)] \
@@ -518,7 +529,7 @@ def displayed_pi_families(idx: SuperIndexSet, aff: AffinizedAlgebra) -> set:
 def fixed_cartan_basis(aff: AffinizedAlgebra, sigma: tuple) -> list[dict]:
     """Basis of the #-fixed part of the Cartan, in Cartan coordinates."""
     rows = [{l: c for l, c in enumerate(r) if c} for r in sigma]
-    return _eigenvectors(rows, 1, Rat(1))
+    return _eigenvectors(rows, Rat(1))
 
 
 class PiForm:
@@ -771,12 +782,12 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
         inside = set(idxs)
         if any(not sh.columns[b].keys() <= inside for b in idxs):
             raise AssertionError("# mixes averaged-weight slices")
-        sub = linalg.block_rows(sh.columns, idxs)
+        bases = _eigenbases(linalg.block_rows(sh.columns, idxs))
         for tau in tau_degrees:
             s = sh.degree_sign(tau)
             for i0 in range(4):
                 vecs = [GradedLoopElement(loop={(idxs[t], tau): v[t] for t in sorted(v)})
-                        for v in _eigenvectors(sub, s, _zeta_power(i0))]
+                        for v in bases[_eigenclass(s, i0)]]
                 if not vecs:
                     continue
                 for i in z_window:
@@ -849,41 +860,27 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     rng = random.Random(seed)
     zero_deg = (0,) * aff.rank
     zero_pi = _pi_zero(aff)
+    dim, labels = aff.base.dim, aff.base.basis_labels
 
-    rep.check("# has order 4", sh.order() == 4, {"order": sh.order()})
+    order = sh.order()
+    rep.check("# has order 4", order == 4, {"order": order})
 
-    bad = None
-    for b1 in range(aff.base.dim):
-        for tau in tau_degrees:
-            x = loop_term(b1, tau)
-            for b2 in range(aff.base.dim):
-                y = loop_term(b2, gneg(tau))
-                lhs = aff.form(sh.apply(x), sh.apply(y))
-                rhs = aff.form(x, y)
-                if lhs != rhs:
-                    bad = {"pair": [aff.base.basis_labels[b1],
-                                    aff.base.basis_labels[b2]],
-                           "tau": list(tau)}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("# preserves the form on window basis pairs", bad is None, bad)
+    def form_changes():
+        for b1, tau, b2 in itertools.product(range(dim), tau_degrees, range(dim)):
+            x, y = loop_term(b1, tau), loop_term(b2, gneg(tau))
+            if aff.form(sh.apply(x), sh.apply(y)) != aff.form(x, y):
+                yield {"pair": [labels[b1], labels[b2]], "tau": tau}
+    rep.first_failure("# preserves the form on window basis pairs", form_changes())
 
-    if not samples:
-        rep.skip("# is a bracket automorphism (sampled)",
-                 {"reason": "sampling disabled"})
-    bad = None
-    for _ in range(samples):
-        b1, b2 = rng.randrange(aff.base.dim), rng.randrange(aff.base.dim)
-        t1, t2 = rng.choice(tau_degrees), rng.choice(tau_degrees)
-        x, y = loop_term(b1, t1), loop_term(b2, t2)
-        if sh.apply(aff.bracket(x, y)) != aff.bracket(sh.apply(x), sh.apply(y)):
-            bad = {"pair": [b1, b2], "taus": [list(t1), list(t2)]}
-            break
-    if samples:
-        rep.check("# is a bracket automorphism (sampled)", bad is None, bad)
+    def automorphism_failures():
+        for _ in range(samples):
+            b1, b2 = rng.randrange(dim), rng.randrange(dim)
+            t1, t2 = rng.choice(tau_degrees), rng.choice(tau_degrees)
+            x, y = loop_term(b1, t1), loop_term(b2, t2)
+            if sh.apply(aff.bracket(x, y)) != aff.bracket(sh.apply(x), sh.apply(y)):
+                yield {"pair": [b1, b2], "taus": [t1, t2]}
+    first_sampled_failure(rep, "# is a bracket automorphism (sampled)", samples,
+                          automorphism_failures())
 
     sigma = sigma_cartan_matrix(aff, sh)
     actual = set(pi_root_classes(aff, sigma))
@@ -894,121 +891,65 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
                "extra": [str(x) for x in sorted(actual - expected, key=str)[:4]]})
 
     spaces = twisted_weight_spaces(tw, tau_degrees, z_window)
+    ordered = sorted(spaces.items(), key=lambda kv: str(kv[0]))
 
-    pair_seen: dict = {}
-    bad = None
-    for (p1, t1, i1), basis1 in spaces.items():
-        for (p2, t2, i2), basis2 in spaces.items():
-            nonzero = False
-            for x in basis1:
-                for y in basis2:
-                    if tw.form(x, y):
-                        nonzero = True
-                        break
-                if nonzero:
-                    break
-            key = ((i1 + i2) % 4 == 0)
-            pair_seen[(i1 % 4, i2 % 4)] = pair_seen.get((i1 % 4, i2 % 4), False) or nonzero
-            opposite = (all(a + b == 0 for a, b in zip(p1, p2))
-                        and gadd(t1, t2) == zero_deg and i1 + i2 == 0)
-            if nonzero and not opposite:
-                bad = {"at": [str(p1), list(t1), i1, str(p2), list(t2), i2],
-                       "reason": "pairing off opposite weights"}
-                break
-            if opposite and not nonzero:
-                bad = {"at": [str(p1), list(t1), i1],
-                       "reason": "no pairing with the opposite weight space"}
-                break
-        if bad:
-            break
-    rep.check("pairing only between opposite twisted weights", bad is None, bad)
-    bad = None
-    for (c1, c2), seen in sorted(pair_seen.items()):
-        if seen and (c1 + c2) % 4:
-            bad = {"classes": [c1, c2]}
-            break
-    rep.check("eigenspace pairing vanishes unless i+j = 0 mod 4", bad is None, bad)
-    bad = None
-    for c1 in range(4):
-        c2 = (-c1) % 4
-        if any(k == (c1, c2) and seen for k, seen in pair_seen.items()):
-            continue
-        if any(i1 % 4 == c1 for (_, _, i1) in spaces):
-            bad = {"classes": [c1, c2], "reason": "no nonzero pairing found"}
-            break
-    rep.check("each occupied eigenspace pairs with its opposite", bad is None, bad)
+    pair_seen: dict = {}  # (i1 % 4, i2 % 4) -> some pair of spaces pairs nonzero
 
-    pool = [x for basis in spaces.values() for x in basis]
-    if not samples:
-        rep.skip("twisted bracket: grading and anti-supercommutativity (sampled)",
-                 {"reason": "sampling disabled"})
-        rep.skip("twisted graded Jacobi identity (sampled)",
-                 {"reason": "sampling disabled"})
-    bad = None
-    for _ in range(samples):
-        x = _sample_twisted(pool, rng)
-        y = _sample_twisted(pool, rng)
-        br = tw.bracket(x, y)
-        try:
-            tw.check_element(br)
-        except GradingError as exc:
-            bad = {"detail": str(exc)}
-            break
-        px, py = tw.parity_of(x), tw.parity_of(y)
-        sign = Rat(-1) if (px and py) else Rat(1)
-        if br.plus(tw.bracket(y, x).scaled(sign)):
-            bad = {"reason": "anti-supercommutativity"}
-            break
-    if samples:
-        rep.check("twisted bracket: grading and anti-supercommutativity (sampled)",
-                  bad is None, bad)
+    def pairing_failures():
+        for (p1, t1, i1), basis1 in spaces.items():
+            for (p2, t2, i2), basis2 in spaces.items():
+                nonzero = any(tw.form(x, y) for x in basis1 for y in basis2)
+                classes = (i1 % 4, i2 % 4)
+                pair_seen[classes] = pair_seen.get(classes, False) or nonzero
+                opposite = (all(a + b == 0 for a, b in zip(p1, p2))
+                            and gadd(t1, t2) == zero_deg and i1 + i2 == 0)
+                if nonzero and not opposite:
+                    yield {"at": [str(p1), t1, i1, str(p2), t2, i2],
+                           "reason": "pairing off opposite weights"}
+                elif opposite and not nonzero:
+                    yield {"at": [str(p1), t1, i1],
+                           "reason": "no pairing with the opposite weight space"}
+    rep.first_failure("pairing only between opposite twisted weights", pairing_failures())
+    rep.first_failure("eigenspace pairing vanishes unless i+j = 0 mod 4", (
+        {"classes": [c1, c2]} for (c1, c2), seen in sorted(pair_seen.items())
+        if seen and (c1 + c2) % 4))
+    rep.first_failure("each occupied eigenspace pairs with its opposite", (
+        {"classes": [c1, (-c1) % 4], "reason": "no nonzero pairing found"}
+        for c1 in range(4) if not pair_seen.get((c1, (-c1) % 4))
+        and any(i1 % 4 == c1 for (_, _, i1) in spaces)))
 
-    bad = None
-    for _ in range(samples):
-        x = _sample_twisted(pool, rng)
-        y = _sample_twisted(pool, rng)
-        z = _sample_twisted(pool, rng)
-        px, py, pz = tw.parity_of(x), tw.parity_of(y), tw.parity_of(z)
-        s1 = Rat(-1) if (px and pz) else Rat(1)
-        s2 = Rat(-1) if (pz and py) else Rat(1)
-        s3 = Rat(-1) if (py and px) else Rat(1)
-        total = (tw.bracket(tw.bracket(x, y), z).scaled(s1)
-                 .plus(tw.bracket(tw.bracket(z, x), y).scaled(s2))
-                 .plus(tw.bracket(tw.bracket(y, z), x).scaled(s3)))
-        if total:
-            bad = {"reason": "jacobi"}
-            break
-    if samples:
-        rep.check("twisted graded Jacobi identity (sampled)", bad is None, bad)
+    all_vectors = [x for basis in spaces.values() for x in basis]
+
+    def draw():
+        return _sample_twisted(all_vectors, rng)
+
+    def grading_failures():
+        """Sampled brackets off their eigenspaces, then anti-supercommutativity."""
+        for _ in range(samples):
+            x, y = draw(), draw()
+            br = tw.bracket(x, y)
+            try:
+                tw.check_element(br)
+            except GradingError as exc:
+                yield {"detail": str(exc)}
+                continue
+            sign = super_sign(tw.parity_of(x), tw.parity_of(y))
+            if br.plus(tw.bracket(y, x).scaled(sign)):
+                yield {"reason": "anti-supercommutativity"}
+    first_sampled_failure(
+        rep, "twisted bracket: grading and anti-supercommutativity (sampled)", samples,
+        grading_failures())
+    first_sampled_failure(rep, "twisted graded Jacobi identity (sampled)", samples, (
+        {"reason": "jacobi"} for _ in jacobi_failures(tw, draw, samples)))
 
     cd_ok = (tw.form(tw_c(), tw_d()) == 1 and tw.form(tw_d(), tw_c()) == 1
              and not tw.form(tw_c(), tw_c()) and not tw.form(tw_d(), tw_d()))
     rep.check("(c,d) = 1 and (c,c) = (d,d) = 0", cd_ok, None)
 
-    bad = None
-    for _ in range(samples):
-        x = _sample_twisted(pool, rng)
-        y = _sample_twisted(pool, rng)
-        z = _sample_twisted(pool, rng)
-        px, py = tw.parity_of(x), tw.parity_of(y)
-        sign = Rat(-1) if (px and py) else Rat(1)
-        if tw.form(x, y) != sign * tw.form(y, x):
-            bad = {"reason": "supersymmetry"}
-            break
-        if px != py and tw.form(x, y):
-            bad = {"reason": "evenness"}
-            break
-        if tw.form(tw.bracket(x, y), z) != tw.form(x, tw.bracket(y, z)):
-            bad = {"reason": "invariance"}
-            break
-    if samples:
-        rep.check("twisted form supersymmetry/evenness/invariance (sampled)",
-                  bad is None, bad)
-    else:
-        rep.skip("twisted form supersymmetry/evenness/invariance (sampled)",
-                 {"reason": "sampling disabled"})
+    first_sampled_failure(
+        rep, "twisted form supersymmetry/evenness/invariance (sampled)", samples,
+        ({"reason": reason} for reason, _ in form_failures(tw, draw, samples)))
 
-    all_vectors = [x for basis in spaces.values() for x in basis]
     index = list(range(len(all_vectors)))
     rows = []
     for a in index:
@@ -1018,9 +959,9 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
             if val:
                 row[b] = val
         rows.append(row)
-    rep.check("twisted window-block nondegeneracy",
-              linalg.span_rank(rows) == len(all_vectors),
-              {"rank": linalg.span_rank(rows), "size": len(all_vectors)})
+    rank = linalg.span_rank(rows)
+    rep.check("twisted window-block nondegeneracy", rank == len(all_vectors),
+              {"rank": rank, "size": len(all_vectors)})
 
     # eigen-relations: every space is labeled by its joint eigenvalue on the
     # twisted Cartan (fixed Cartan vectors, V, the dual derivations, c, d)
@@ -1035,91 +976,59 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
         gens.append(("dk", k, tw_loop(0, d_term(k))))
     gens.append(("c", None, tw_c()))
     gens.append(("d", None, tw_d()))
-    bad = None
-    for (p, tau, i), basis in sorted(spaces.items(), key=lambda kv: str(kv[0])):
-        for kind, data, gen in gens:
-            if kind == "h":
-                val = sum(c * p[l] for l, c in data.items())
-            elif kind == "dk":
-                val = Rat(tau[data])
-            elif kind == "d":
-                val = Rat(i)
-            else:
-                val = Rat(0)
-            for x in basis:
-                if not x.parts:
-                    continue  # c and d themselves commute with the Cartan
-                if tw.bracket(gen, x) != x.scaled(val):
-                    bad = {"root": [str(p), list(tau), i], "generator": kind}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("twisted weight labels match the Cartan eigenvalues", bad is None, bad)
+
+    def label_failures():
+        for (p, tau, i), basis in ordered:
+            for kind, data, gen in gens:
+                if kind == "h":
+                    val = sum(c * p[l] for l, c in data.items())
+                elif kind == "dk":
+                    val = Rat(tau[data])
+                elif kind == "d":
+                    val = Rat(i)
+                else:
+                    val = Rat(0)
+                # c and d themselves (no loop part) commute with the Cartan
+                if any(x.parts and tw.bracket(gen, x) != x.scaled(val) for x in basis):
+                    yield {"root": [str(p), tau, i], "generator": kind}
+    rep.first_failure("twisted weight labels match the Cartan eigenvalues",
+                      label_failures())
 
     zero_key = (zero_pi, zero_deg, 0)
-    fixed_dim = len(fixed)
-    want_dim = fixed_dim + 2 * aff.rank + 2
+    want_dim = len(fixed) + 2 * aff.rank + 2
     got = spaces.get(zero_key, [])
-    ok = len(got) == want_dim
-    if ok:
-        for x in got:
-            if x.parts and not tw.in_twisted_cartan(x):
-                ok = False
-                break
-    rep.check("the (0,0) weight space is the fixed Cartan plus c and d", ok,
+    rep.check("the (0,0) weight space is the fixed Cartan plus c and d",
+              len(got) == want_dim
+              and all(tw.in_twisted_cartan(x) for x in got if x.parts),
               {"dim": len(got), "expected": want_dim})
 
-    bad = None
-    witnesses = {}
-    for (p, tau, i), basis in sorted(spaces.items(), key=lambda kv: str(kv[0])):
-        if (p, tau, i) == zero_key:
-            continue
-        neg = (tuple(-x for x in p), gneg(tau), -i)
-        found = None
-        for x in basis:
-            for y in spaces.get(neg, ()):
-                br = tw.bracket(x, y)
-                if br and tw.in_twisted_cartan(
-                        TwistedElement(parts=br.parts)) and not br.d:
-                    found = (x, y, br)
-                    break
-            if found:
-                break
-        if found is None:
-            bad = {"root": [str(p), list(tau), i]}
-            break
-        witnesses[(p, tau, i)] = found
-    rep.check("axiom 1: twisted witnesses at every nonzero window root",
-              bad is None, bad)
+    def lands_in_cartan(br):
+        return br and tw.in_twisted_cartan(TwistedElement(parts=br.parts)) and not br.d
+
+    witnesses = []
+
+    def missing_witnesses():
+        for (p, tau, i), basis in ordered:
+            if (p, tau, i) == zero_key:
+                continue
+            ys = spaces.get((tuple(-x for x in p), gneg(tau), -i), ())
+            found = next(((x, y) for x in basis for y in ys
+                          if lands_in_cartan(tw.bracket(x, y))), None)
+            if found is None:
+                yield {"root": [str(p), tau, i]}
+            else:
+                witnesses.append(found)
+    rep.first_failure("axiom 1: twisted witnesses at every nonzero window root",
+                      missing_witnesses())
     rep.note("axiom 1 twisted witness count", {"count": len(witnesses)})
 
     pform = PiForm(aff, sigma)
     cap = aff.base.dim + 4
     targets = all_vectors + [tw_c(), tw_d()]
-    bad = None
-    for (p, tau, i), basis in sorted(spaces.items(), key=lambda kv: str(kv[0])):
-        if (p, tau, i) == zero_key:
-            continue
-        if not pform.eval(p, p):
-            continue
-        for x in basis:
-            for y in targets:
-                w = y
-                for _ in range(cap):
-                    w = tw.bracket(x, w)
-                    if not w:
-                        break
-                if w:
-                    bad = {"root": [str(p), list(tau), i]}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check("axiom 2: windowed ad-nilpotency at real twisted roots",
-              bad is None, bad)
+    rep.first_failure("axiom 2: windowed ad-nilpotency at real twisted roots", (
+        {"root": [str(p), tau, i]}
+        for (p, tau, i), basis in ordered if (p, tau, i) != zero_key and pform.eval(p, p)
+        for x in basis if not ad_nilpotent_on(tw.bracket, x, targets, cap)))
 
     ears = rootsys.check_axioms(
         twisted_window_root_system(tw, spaces, tau_degrees, z_window))

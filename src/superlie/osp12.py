@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import LieSuperalgebra
-from .scalars import Rat, is_rat
+from .scalars import Rat, is_rat, super_sign
 
 OSP_LABELS = ("E+", "E-", "H", "F+", "F-")
 OSP_PARITY = (0, 0, 0, 1, 1)
@@ -57,7 +57,7 @@ def mat3_mul(a, b):
 
 
 def mat3_supercomm(a, pa, b, pb):
-    sign = -1 if (pa and pb) else 1
+    sign = super_sign(pa, pb)
     ab, ba = mat3_mul(a, b), mat3_mul(b, a)
     return tuple(tuple(ab[i][j] - sign * ba[i][j] for j in range(3)) for i in range(3))
 
@@ -232,7 +232,7 @@ class Osp12Module:
 
     def __init__(self, parity, act_e, act_f, act_h):
         self.parity = tuple(parity)
-        if any(not isinstance(p, int) or p not in (0, 1) for p in self.parity):
+        if any(type(p) is not int or p not in (0, 1) for p in self.parity):
             raise ModuleError(f"parity must list 0 or 1 per basis vector, got {list(self.parity)}")
         self.dim = len(self.parity)
         self.act_e = _columns(act_e, self.dim, "act_e")

@@ -57,6 +57,15 @@ class Report:
                                  None if ok else jsonable(witness)))
         return ok
 
+    def first_failure(self, name: str, witnesses) -> bool:
+        """Fail with the first witness dict the iterable yields; pass if none.
+
+        The iterable is consumed lazily, so a search stops at its first
+        counterexample: nothing after it is evaluated or drawn.
+        """
+        bad = next(iter(witnesses), None)
+        return self.check(name, bad is None, bad)
+
     def skip(self, name: str, witness: dict | None = None) -> None:
         self.checks.append(Check(name, SKIP, jsonable(witness)))
 

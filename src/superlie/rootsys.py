@@ -293,110 +293,104 @@ def check_axioms(system: RootSupersystem) -> Report:
     rep.note("S1: ambient group is the Z-span of the roots",
              {"lattice_basis": [list(r) for r in system.span_basis]})
 
-    bad = None
-    skipped = 0
-    for r in system.roots:
-        neg = gneg(r)
-        if neg in rootset:
-            continue
-        if system.is_known(neg):
-            bad = {"root": list(r)}
-            break
-        skipped += 1
-    rep.check("S2: symmetry R = -R", bad is None, bad)
-    if skipped:
-        rep.skip("S2: instances outside the known region", {"count": skipped})
+    skipped = 0  # instances of the axiom at hand left undecided by the boundary
+
+    def check_skipping(name, skip_name, failures):
+        """first_failure over failures(); the instances it skips before its
+        first failure are reported as one skip entry with their count."""
+        nonlocal skipped
+        skipped = 0
+        rep.first_failure(name, failures())
+        if skipped:
+            rep.skip(skip_name, {"count": skipped})
+
+    def s2_failures():
+        nonlocal skipped
+        for r in system.roots:
+            neg = gneg(r)
+            if neg in rootset:
+                continue
+            if system.is_known(neg):
+                yield {"root": r}
+            else:
+                skipped += 1
+    check_skipping("S2: symmetry R = -R",
+                   "S2: instances outside the known region", s2_failures)
 
     reals = sorted(system.real_roots)
     table = PairingTable(system)
-    bad = None
-    for a in reals:
-        na = table.norm[a]
-        for b, t in zip(system.roots, table.twice[a]):
-            if t % na:
-                bad = {"alpha": list(a), "beta": list(b), "value": str(Rat(t, na))}
-                break
-        if bad:
-            break
-    rep.check("S3: integrality of 2(a,b)/(a,a)", bad is None, bad)
+
+    def s3_failures():
+        for a in reals:
+            na = table.norm[a]
+            for b, t in zip(system.roots, table.twice[a]):
+                if t % na:
+                    yield {"alpha": a, "beta": b, "value": str(Rat(t, na))}
+    rep.first_failure("S3: integrality of 2(a,b)/(a,a)", s3_failures())
 
     cap = 4 * max(1, len(system.roots))
-    bad = None
-    skipped = 0
-    for a in reals:
-        na = table.norm[a]
-        for b, t in zip(system.roots, table.twice[a]):
-            scan = _string_scan(system, a, b, cap)
-            if scan.capped:
-                bad = {"alpha": list(a), "beta": list(b), "reason": "cap exceeded",
-                       "cap": cap}
-                break
-            if scan.gap_at is not None:
-                bad = {"alpha": list(a), "beta": list(b), "gap_at": scan.gap_at}
-                break
-            if scan.p is None or scan.q is None:
-                skipped += 1
-                continue
-            if t != (scan.p - scan.q) * na:
-                bad = {"alpha": list(a), "beta": list(b),
-                       "p": scan.p, "q": scan.q, "cartan": str(Rat(t, na))}
-                break
-        if bad:
-            break
-    rep.check("S4: root strings are bounded intervals with p-q = 2(b,a)/(a,a)",
-              bad is None, bad)
-    if skipped:
-        rep.skip("S4: strings leaving the known region", {"count": skipped})
+
+    def s4_failures():
+        nonlocal skipped
+        for a in reals:
+            na = table.norm[a]
+            for b, t in zip(system.roots, table.twice[a]):
+                scan = _string_scan(system, a, b, cap)
+                if scan.capped:
+                    yield {"alpha": a, "beta": b, "reason": "cap exceeded", "cap": cap}
+                elif scan.gap_at is not None:
+                    yield {"alpha": a, "beta": b, "gap_at": scan.gap_at}
+                elif scan.p is None or scan.q is None:
+                    skipped += 1
+                elif t != (scan.p - scan.q) * na:
+                    yield {"alpha": a, "beta": b, "p": scan.p, "q": scan.q,
+                           "cartan": str(Rat(t, na))}
+    check_skipping("S4: root strings are bounded intervals with p-q = 2(b,a)/(a,a)",
+                   "S4: strings leaving the known region", s4_failures)
 
     imaginary = sorted(system.nonsingular_roots | ({zero} if zero in rootset else set()))
-    bad = None
-    skipped = 0
-    for a in imaginary:
-        for b in system.roots:
-            if not table.pair(a, b):
-                continue
-            plus, minus = gadd(b, a), gadd(b, gneg(a))
-            if plus in rootset or minus in rootset:
-                continue
-            if system.is_known(plus) and system.is_known(minus):
-                bad = {"alpha": list(a), "beta": list(b)}
-                break
-            skipped += 1
-        if bad:
-            break
-    rep.check("S5: isotropic connectivity", bad is None, bad)
-    if skipped:
-        rep.skip("S5: instances outside the known region", {"count": skipped})
 
-    bad = None
-    for a in reals:
-        try:
-            ratio_check(system, a)
-        except RatioViolationError as exc:
-            bad = {"alpha": list(a), "detail": str(exc)}
-            break
-    rep.check("ratio restriction at real roots", bad is None, bad)
+    def s5_failures():
+        nonlocal skipped
+        for a in imaginary:
+            for b in system.roots:
+                if not table.pair(a, b):
+                    continue
+                plus, minus = gadd(b, a), gadd(b, gneg(a))
+                if plus in rootset or minus in rootset:
+                    continue
+                if system.is_known(plus) and system.is_known(minus):
+                    yield {"alpha": a, "beta": b}
+                else:
+                    skipped += 1
+    check_skipping("S5: isotropic connectivity",
+                   "S5: instances outside the known region", s5_failures)
 
-    bad = None
-    skipped = 0
-    for a in reals:
-        na = table.norm[a]
-        for b, t in zip(system.roots, table.twice[a]):
-            if t % na:
-                continue  # already reported under S3
-            n = t // na
-            r = tuple(y - n * x for x, y in zip(a, b))
-            if r in rootset:
-                continue
-            if system.is_known(r):
-                bad = {"alpha": list(a), "beta": list(b), "image": list(r)}
-                break
-            skipped += 1
-        if bad:
-            break
-    rep.check("reflections preserve the root set", bad is None, bad)
-    if skipped:
-        rep.skip("reflections landing outside the known region", {"count": skipped})
+    def ratio_failures():
+        for a in reals:
+            try:
+                ratio_check(system, a)
+            except RatioViolationError as exc:
+                yield {"alpha": a, "detail": str(exc)}
+    rep.first_failure("ratio restriction at real roots", ratio_failures())
+
+    def reflection_failures():
+        nonlocal skipped
+        for a in reals:
+            na = table.norm[a]
+            for b, t in zip(system.roots, table.twice[a]):
+                if t % na:
+                    continue  # already reported under S3
+                n = t // na
+                r = tuple(y - n * x for x, y in zip(a, b))
+                if r in rootset:
+                    continue
+                if system.is_known(r):
+                    yield {"alpha": a, "beta": b, "image": r}
+                else:
+                    skipped += 1
+    check_skipping("reflections preserve the root set",
+                   "reflections landing outside the known region", reflection_failures)
     return rep
 
 

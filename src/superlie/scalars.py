@@ -24,6 +24,11 @@ QZERO = Rat(0)
 QONE = Rat(1)
 
 
+def super_sign(p, q):
+    """(-1)^{pq} for parities p and q; None (zero or mixed) counts as even."""
+    return Rat(-1) if (p and q) else QONE
+
+
 def is_rat(x) -> bool:
     """True for exact rationals (int included), False for Gaussian scalars."""
     return isinstance(x, int) or (hasattr(x, "numerator") and not isinstance(x, GaussianRational))

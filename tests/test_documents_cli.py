@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superlie import documents, fixtures
 from superlie.cli import main
+from superlie.scalars import Rat, scalar_from_string, scalar_to_string
 from superlie.osp12 import check_representation, decomposition_multiset
 
 
@@ -217,6 +223,17 @@ def _one_element_doc(**overrides):
     ({"weights": []}, "weights has 0 rows for a basis of 1"),
     ({"weights": [["0", "1"]]}, "weights row 0 has 2 entries, expected 1"),
     ({"gram": [[0, 0, 1]]}, "not an exact scalar: 1"),
+    ({"parity": [0.5]}, "parity must list 0/1 per basis element"),
+    ({"parity": [0.0]}, "parity must list 0/1 per basis element"),
+    ({"parity": [False]}, "parity must list 0/1 per basis element"),
+    ({"parity": ["0"]}, "parity must list 0/1 per basis element"),
+    ({"structure": [[0, 0, 0.0, "1"]]}, "structure index 0.0 is not an integer"),
+    ({"structure": [[0, 1.5, 0, "1"]]}, "structure index 1.5 is not an integer"),
+    ({"structure": [[True, 0, 0, "1"]]}, "structure index True is not an integer"),
+    ({"gram": [[0.0, 0, "1"]]}, "gram index 0.0 is not an integer"),
+    ({"gram": [[0, False, "1"]]}, "gram index False is not an integer"),
+    ({"cartan": [0.0]}, "cartan index 0.0 is not an integer"),
+    ({"cartan": [True]}, "cartan index True is not an integer"),
 ])
 def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
                                                    message):
@@ -250,6 +267,7 @@ def _module_doc(parity, act_e, act_f=None, act_h=None):
     (_module_doc([0, 1], [["0", "1/2+1*i"], ["0", "0"]]), "act_e entry (0,1) is not rational"),
     (_module_doc([0, 1], [[0, 1], [0, 0]]), "not an exact scalar: 0"),
     ([0, 1], "document is not a JSON object"),
+    (_module_doc([True, 0], [["0", "0"], ["0", "0"]]), "parity must list 0 or 1"),
 ])
 def test_cli_decompose_rejects_malformed_module(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
@@ -283,3 +301,103 @@ def test_cli_import_leaves_numpy_out():
     import sys
     code = "import sys, superlie.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+# The CLI contract: every subcommand in both formats, on valid input, on
+# malformed input (exit 2) and on input that fails a check (exit 1).  Under
+# --format json stdout is always one JSON document: a report, or
+# {"error": ...} when no report could be made.
+CONTRACT = [
+    (["verify", "builtin:osp12"], 0),
+    (["verify", "builtin:osp12-broken"], 1),
+    (["verify", "{parity_half}"], 2),
+    (["decompose", "builtin:V2+V0"], 0),
+    (["decompose", "builtin:V3"], 2),
+    (["roots", "builtin:sl12"], 0),
+    (["roots", "{missing}"], 2),
+    (["affinize", "--rank", "1", "--window", "1", "--samples", "5"], 0),
+    (["affinize", "--base", "{cartan_weight}"], 1),
+    (["affinize", "--q", "abc"], 2),
+    (["affinize", "--q", "0"], 2),
+    (["twist", "--with-zero", "--window", "0", "--zwindow", "1", "--samples", "5"], 0),
+    (["twist", "--I", "1", "--J", "1", "--window", "0", "--zwindow", "1"], 1),
+    (["twist", "--I", "0", "--J", "0"], 2),
+    (["twist", "--I", "-1"], 2),
+    (["twist", "--star-signs", "2"], 2),
+    (["bogus"], 2),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("args,code", CONTRACT, ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else str(v))
+def test_cli_contract(tmp_path, capsys, args, code, fmt):
+    paths = {"parity_half": tmp_path / "half.json", "missing": tmp_path / "missing.json",
+             "cartan_weight": tmp_path / "weight.json"}
+    documents.save(str(paths["parity_half"]), _one_element_doc(parity=[0.5]))
+    documents.save(str(paths["cartan_weight"]), _one_element_doc(weights=[["1"]]))
+    argv = [a.format(**paths) for a in args] + ["--format", fmt]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if fmt == "json":
+        doc = json.loads(captured.out)
+        if code == 2:
+            assert list(doc) == ["error"]
+        elif code == 1:
+            assert list(doc) == ["error"] or doc["passed"] is False
+        else:
+            assert "error" not in doc and doc.get("passed", True)
+    else:
+        assert not captured.out.startswith("{")
+
+
+def _perturbed(entries, key, delta):
+    """entries ([*key, scalar] rows) with delta added at key (a new row if absent)."""
+    out = [list(e) for e in entries]
+    for e in out:
+        if e[:-1] == key:
+            e[-1] = scalar_to_string(scalar_from_string(e[-1]) + delta)
+            return out
+    return out + [key + [scalar_to_string(delta)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["osp12", "sl12"]), table=st.sampled_from(["structure", "gram"]),
+       delta=st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(1, 2), Rat(-3, 2)]),
+       data=st.data())
+def test_verify_pipeline_fails_on_one_perturbed_constant(name, table, delta, data):
+    """One structure constant or one Gram entry of osp12 or sl12 moved by a
+    nonzero delta (an absent entry counts as 0) fails the verify report."""
+    doc = documents.algebra_to_dict(fixtures.algebra_fixture(name))
+    index = st.integers(0, len(doc["basis"]) - 1)
+    key = [data.draw(index) for _ in range(3 if table == "structure" else 2)]
+    doc[table] = _perturbed(doc[table], key, delta)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "perturbed.json")
+        documents.save(path, doc)
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", path, "--format", "json"])
+    report = json.loads(out.getvalue())
+    assert (code, report["passed"]) == (1, False), (name, table, key, str(delta))
+
+
+def test_cli_verify_reports_an_asymmetric_cartan_form(tmp_path, capsys):
+    """A Gram entry moved inside the Cartan block leaves no symmetric form on
+    the roots; the pipeline reports that as a failed check, not an error."""
+    L = fixtures.algebra_fixture("sl12")
+    doc = documents.algebra_to_dict(L)
+    h1, h2 = L.cartan
+    doc["gram"] = _perturbed(doc["gram"], [h2, h1], Rat(-1))
+    path = tmp_path / "asym.json"
+    documents.save(str(path), doc)
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert "root supersystem of the weights" in failed
+    assert "supersymmetry" in failed

@@ -1,0 +1,179 @@
+"""Byte-identity of failing verification reports against a stored golden file.
+
+Each case plants a fault (a structure constant, Gram entry or parity of a
+fixture algebra, an asymmetric or broken cocycle, a perturbed affinization
+base, a doubled entry of the order-4 automorphism #) and runs a verifier.
+The golden file holds each report's ``to_json()`` and ``render_text()``, so
+witnesses, check order and skip counts are pinned as well as pass/fail.
+To regenerate it (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden_failures.py
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import re
+
+import pytest
+
+from superlie import affinize as affz
+from superlie import fixtures, matrixsuper, rootsys
+from superlie.algebra import verify_form, verify_superalgebra, weight_decomposition
+from superlie.scalars import Rat
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_failures.json")
+
+BC11 = matrixsuper.SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
+
+
+def bump_structure(L):
+    """The first structure constant (sorted by pair, then component) plus 1."""
+    key = sorted(L.structure)[0]
+    k = sorted(L.structure[key])[0]
+    structure = {pair: dict(c) for pair, c in L.structure.items()}
+    structure[key][k] = structure[key][k] + 1
+    return dataclasses.replace(L, structure=structure)
+
+
+def bump_gram(L):
+    """The first nonzero Gram entry (row-major) plus 1."""
+    i, j = next((i, j) for i in range(L.dim) for j in range(L.dim) if L.gram[i][j])
+    gram = [list(row) for row in L.gram]
+    gram[i][j] = gram[i][j] + 1
+    return dataclasses.replace(L, gram=tuple(tuple(row) for row in gram))
+
+
+def flip_parity(L):
+    """Basis element 0 with the other parity."""
+    return dataclasses.replace(L, parity=(1 - L.parity[0],) + tuple(L.parity[1:]))
+
+
+PLANTS = {"structure": bump_structure, "gram": bump_gram, "parity": flip_parity}
+
+
+def broken_table_torus():
+    """A rank-1 table cocycle (q = 2 on the radius-1 box) with theta(1, 0) = 3."""
+    degrees = affz.window_box(1, 1)
+    q2 = affz.CocycleTorus(rank=1, qmatrix=((Rat(2),),))
+    table = {(a, b): q2.theta(a, b) for a in degrees for b in degrees}
+    table[((1,), (0,))] = Rat(3)
+    return affz.CocycleTorus(rank=1, table=table)
+
+
+def perturbed_affinization():
+    base = fixtures.osp12_broken()
+    return affz.AffinizedAlgebra(base, weight_decomposition(base),
+                                 affz.trivial_torus(1))
+
+
+def perturbed_twisted():
+    """BC(1,1) over Q(i) with the first entry of #'s first column doubled."""
+    aff = matrixsuper.matrix_affinization(BC11, affz.trivial_torus(1), field="Qi")
+    sh = matrixsuper.SharpOperator(BC11, aff)
+    col = sh.columns[0]
+    k = sorted(col)[0]
+    col[k] = col[k] * 2
+    return matrixsuper.TwistedAlgebra(aff, sh)
+
+
+def cli_verify(fmt):
+    from superlie.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "builtin:osp12-broken", "--format", fmt])
+    assert code == 1
+    # the elapsed line is wall-clock time, the only nondeterministic line
+    return re.sub(r"^elapsed: .*\n", "", out.getvalue(), flags=re.M)
+
+
+def _cases():
+    cases = {}
+    for alg in ("osp12", "sl12"):
+        for plant, fn in PLANTS.items():
+            cases[f"{alg} {plant} superalgebra"] = (
+                lambda alg=alg, fn=fn: verify_superalgebra(fn(fixtures.algebra_fixture(alg))))
+            cases[f"{alg} {plant} form"] = (
+                lambda alg=alg, fn=fn: verify_form(fn(fixtures.algebra_fixture(alg))))
+    for samples in (200, 0):
+        cases[f"cocycle asymmetric q samples={samples}"] = (
+            lambda samples=samples: affz.verify_cocycle(
+                affz.CocycleTorus(rank=2, qmatrix=((Rat(1), Rat(2)), (Rat(3), Rat(1)))),
+                affz.window_box(2, 1), samples=samples, seed=5))
+        cases[f"cocycle broken table samples={samples}"] = (
+            lambda samples=samples: affz.verify_cocycle(
+                broken_table_torus(), affz.window_box(1, 1), samples=samples, seed=5))
+    for samples in (50, 0):
+        cases[f"affinized perturbed base samples={samples}"] = (
+            lambda samples=samples: affz.verify_affinized(
+                perturbed_affinization(), affz.window_box(1, 1),
+                samples=samples, seed=3))
+    for samples in (30, 0):
+        cases[f"twisted doubled sharp entry samples={samples}"] = (
+            lambda samples=samples: matrixsuper.verify_twisted(
+                perturbed_twisted(), BC11, affz.window_box(1, 0), 1,
+                samples=samples, seed=3))
+    # skip counts of a boundary-carrying system, passing and with S2 broken
+    cases["window root system rank 1 radius 2"] = lambda: rootsys.check_axioms(
+        window_system())
+    cases["window root system minus its first real root"] = minus_first_real_root
+    return cases
+
+
+def window_system():
+    return affz.window_root_system(perturbed_affinization(), affz.window_box(1, 2))
+
+
+def minus_first_real_root():
+    system = window_system()
+    first = min(system.real_roots)
+    roots = [r for r in system.roots if r != first]
+    return rootsys.check_axioms(rootsys.classify(roots, system.form, known=system.known))
+
+
+CASES = _cases()
+
+
+def capture() -> dict:
+    golden = {name: {"json": build().to_json(), "text": build().render_text()}
+              for name, build in CASES.items()}
+    golden["verify builtin:osp12-broken"] = {"json": cli_verify("json"),
+                                             "text": cli_verify("text")}
+    return golden
+
+
+def _golden() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_failing_report_matches_golden(name):
+    want = _golden()[name]
+    report = CASES[name]()
+    assert report.to_json() == want["json"]
+    assert report.render_text() == want["text"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_verify_broken_matches_golden(fmt):
+    assert cli_verify(fmt) == _golden()["verify builtin:osp12-broken"][fmt]
+
+
+# a planted Gram entry does not touch the bracket axioms, and the unbroken
+# window system pins skip counts on a passing report
+PASSING = {"osp12 gram superalgebra", "sl12 gram superalgebra",
+           "window root system rank 1 radius 2"}
+
+
+def test_golden_reports_fail_where_planted():
+    for name, entry in _golden().items():
+        assert json.loads(entry["json"])["passed"] == (name in PASSING), name
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(capture(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from superlie import linalg
+
 from superlie import trivial_torus, weight_decomposition, window_box
 from superlie.affinize import CocycleTorus, d_term, loop_term
 from superlie.matrixsuper import (DegenerateFormError, FieldError, GradingError,
@@ -15,7 +17,7 @@ from superlie.matrixsuper import (DegenerateFormError, FieldError, GradingError,
                                   tm_supercomm, trace, twisted_affinize,
                                   twisted_roots, twisted_weight_spaces, tw_c,
                                   tw_d, verify_twisted)
-from superlie.scalars import Rat
+from superlie.scalars import IUNIT, Rat
 
 
 BC11 = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
@@ -156,6 +158,42 @@ def test_eigenspace_dimensions_and_v_part():
     # V and V* sit inside the fixed eigenspace at degree zero
     fixed = spaces[(0, (0,))]
     assert any(x.v for x in fixed) and any(x.d for x in fixed)
+
+
+def test_eigenspaces_at_both_degree_signs_match_direct_kernels():
+    """The four kernels of # serve every degree: at degree sign s the
+    zeta^i eigenvectors equal the kernel of s*M - zeta^i I computed directly."""
+    aff = matrix_affinization(BC11, trivial_torus(1), field="Qi")
+    sh = SharpOperator(BC11, aff, star_signs=(-1,))
+    degrees = window_box(1, 2)
+    spaces = sharp_eigenspaces(aff, sh, degrees)
+    rows = linalg.block_rows(sh.columns, range(aff.base.dim))
+    assert {sh.degree_sign(d) for d in degrees} == {1, -1}
+    for deg in degrees:
+        s = sh.degree_sign(deg)
+        for i in range(4):
+            shifted = linalg.minus_identity([linalg.vscale(s, r) for r in rows],
+                                            IUNIT ** i)
+            want = [v for _, v in linalg.nullspace(shifted, len(rows))]
+            got = [{b: c for (b, _), c in x.loop.items()}
+                   for x in spaces[(i, deg)] if x.loop]
+            assert got == want, (deg, i)
+            for x in spaces[(i, deg)]:
+                assert sh.apply(x) == x.scaled(IUNIT ** i)
+
+
+def test_twisted_weight_spaces_are_eigenspaces_at_both_degree_signs():
+    aff = matrix_affinization(BC11, trivial_torus(1), field="Qi")
+    sh = SharpOperator(BC11, aff, star_signs=(-1,))
+    tw = twisted_affinize(aff, sh)
+    taus = window_box(1, 1)
+    spaces = twisted_weight_spaces(tw, taus, range(-4, 5))
+    for (p, tau, i), basis in spaces.items():
+        for x in basis:
+            tw.check_element(x)
+    for tau in taus:
+        assert sum(len(b) for (_, t, i), b in spaces.items()
+                   if t == tau and 0 <= i < 4) == aff.base.dim + (4 if tau == (0,) else 0)
 
 
 def test_pi_projection_values():
