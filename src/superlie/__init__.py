@@ -57,7 +57,6 @@ from .matrixsuper import (
     sl_superalgebra,
     supertrace,
     twisted_affinize,
-    twisted_roots,
     verify_twisted,
 )
 from .reports import Report

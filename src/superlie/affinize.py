@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .algebra import LieSuperalgebra, RootDatum, axiom1_witnesses, t_alpha_vector
+from .linalg import add_entry
 from .reports import Report
 from .scalars import Rat, sdiv, spow, super_sign
 
@@ -254,42 +255,22 @@ class AffinizedAlgebra:
                 coeff = c1 * c2 * self.theta(d1, d2)
                 deg = gadd(d1, d2)
                 br = self.base.bracket_basis(b1, b2)
-                if br:
-                    for k, cv in br.items():
-                        key = (k, deg)
-                        s = out_loop.get(key, 0) + coeff * cv
-                        if s:
-                            out_loop[key] = s
-                        else:
-                            out_loop.pop(key, None)
+                for k, cv in br.items():
+                    add_entry(out_loop, (k, deg), coeff * cv)
                 if deg == zero:
                     fval = self.base.gram[b1][b2]
                     if fval:
                         for i, di in enumerate(d1):
                             if di:
-                                s = out_v.get(i, 0) + coeff * fval * di
-                                if s:
-                                    out_v[i] = s
-                                else:
-                                    out_v.pop(i, None)
+                                add_entry(out_v, i, coeff * fval * di)
         for i, s in x.d.items():
             for (b, deg), c in y.loop.items():
                 if deg[i]:
-                    key = (b, deg)
-                    t = out_loop.get(key, 0) + s * c * deg[i]
-                    if t:
-                        out_loop[key] = t
-                    else:
-                        out_loop.pop(key, None)
+                    add_entry(out_loop, (b, deg), s * c * deg[i])
         for (b, deg), c in x.loop.items():
             for i, s in y.d.items():
                 if deg[i]:
-                    key = (b, deg)
-                    t = out_loop.get(key, 0) - s * c * deg[i]
-                    if t:
-                        out_loop[key] = t
-                    else:
-                        out_loop.pop(key, None)
+                    add_entry(out_loop, (b, deg), -(s * c * deg[i]))
         return GradedLoopElement(loop=out_loop, v=out_v, d={})
 
     def form(self, x: GradedLoopElement, y: GradedLoopElement):
@@ -614,8 +595,8 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     expected = {(root, deg) for root in alg.datum.roots for deg in degrees}
     rep.check("window root list is {base root + degree}",
               set(spaces) == expected,
-              {"missing": [str(k) for k in sorted(expected - set(spaces), key=str)[:4]],
-               "extra": [str(k) for k in sorted(set(spaces) - expected, key=str)[:4]]})
+              {"missing": sorted(expected - set(spaces), key=str)[:4],
+               "extra": sorted(set(spaces) - expected, key=str)[:4]})
 
     def dimension_failures():
         for (root, deg), basis in spaces.items():

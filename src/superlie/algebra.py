@@ -231,10 +231,11 @@ def weight_decomposition(L: LieSuperalgebra) -> RootDatum:
 
     cartan_gram = tuple(tuple(L.gram[i][j] for j in L.cartan) for i in L.cartan)
     gram_rows = [{j: c for j, c in enumerate(row) if c} for row in cartan_gram]
+    solve = linalg.solver(gram_rows, m)
     t_alpha = {}
     for root in spaces:
         rhs = {l: root[l] for l in range(m) if root[l]}
-        sol = linalg.solve(gram_rows, m, rhs)
+        sol = solve(rhs)
         if sol is None:
             raise ValueError("form on the Cartan part does not represent root "
                              + str([str(x) for x in root]))

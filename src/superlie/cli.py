@@ -61,7 +61,9 @@ def _fail(message: str, fmt: str) -> int:
     return EXIT_FAIL
 
 
-def _emit(report: Report, fmt: str) -> int:
+def _emit(report: Report, fmt: str, started: float) -> int:
+    """Print the report, timed from started, and return its exit code."""
+    report.elapsed = time.monotonic() - started
     if fmt == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -76,19 +78,16 @@ def cmd_verify(args) -> int:
     combined.extend(verify_superalgebra(L))
     if L.gram is None:
         combined.skip("bilinear form", {"reason": "no form in document"})
-        combined.elapsed = time.monotonic() - started
-        return _emit(combined, args.format)
+        return _emit(combined, args.format, started)
     combined.extend(verify_form(L))
     if L.cartan is None or L.weights is None:
         combined.skip("weight decomposition", {"reason": "no Cartan/weights"})
-        combined.elapsed = time.monotonic() - started
-        return _emit(combined, args.format)
+        return _emit(combined, args.format, started)
     try:
         datum = weight_decomposition(L)
     except (NotAWeightBasisError, ValueError) as exc:
         combined.check("weight decomposition", False, {"detail": str(exc)})
-        combined.elapsed = time.monotonic() - started
-        return _emit(combined, args.format)
+        return _emit(combined, args.format, started)
     combined.extend(verify_eals(L, datum))
     combined.extend(structural_root_checks(L, datum))
     try:
@@ -100,8 +99,7 @@ def cmd_verify(args) -> int:
     even = even_part(L)
     combined.check("even part is a subalgebra",
                    verify_superalgebra(even).passed, None)
-    combined.elapsed = time.monotonic() - started
-    return _emit(combined, args.format)
+    return _emit(combined, args.format, started)
 
 
 def cmd_decompose(args) -> int:
@@ -144,12 +142,15 @@ def cmd_roots(args) -> int:
                           "radical": [list(r) for r in
                                       sorted(system.radical_roots)]})
     report.extend(rootsys.check_axioms(system))
-    report.elapsed = time.monotonic() - started
-    return _emit(report, args.format)
+    return _emit(report, args.format, started)
 
 
-def _qmatrix(rank: int, q):
-    return tuple(tuple(q for _ in range(rank)) for _ in range(rank))
+def _torus(args) -> affz.CocycleTorus:
+    """The trivial torus of rank --rank, or every q-matrix entry set to --q."""
+    if args.q is None:
+        return affz.trivial_torus(args.rank)
+    q = tuple(tuple(args.q for _ in range(args.rank)) for _ in range(args.rank))
+    return affz.CocycleTorus(rank=args.rank, qmatrix=q)
 
 
 def cmd_affinize(args) -> int:
@@ -159,10 +160,7 @@ def cmd_affinize(args) -> int:
     if not (verify_superalgebra(L).passed and verify_form(L).passed
             and verify_eals(L, datum).passed):
         return _fail("base algebra is not verified", args.format)
-    if args.q is None:
-        torus = affz.trivial_torus(args.rank)
-    else:
-        torus = affz.CocycleTorus(rank=args.rank, qmatrix=_qmatrix(args.rank, args.q))
+    torus = _torus(args)
     degrees = affz.window_box(args.rank, args.window)
     combined = Report(title=f"affinize {args.base} rank={args.rank}",
                       seed=args.seed, window={"radius": args.window})
@@ -176,18 +174,14 @@ def cmd_affinize(args) -> int:
         "count": len(spaces),
         "sample": [[list(map(str, r)), list(d)]
                    for (r, d) in sorted(spaces, key=str)[:10]]})
-    combined.elapsed = time.monotonic() - started
-    return _emit(combined, args.format)
+    return _emit(combined, args.format, started)
 
 
 def cmd_twist(args) -> int:
     started = time.monotonic()
     idx = SuperIndexSet(i_dot=args.i_dot, j_dot=args.j_dot,
                         with_zero_i=args.with_zero, barred=True)
-    if args.q is None:
-        torus = affz.trivial_torus(args.rank)
-    else:
-        torus = affz.CocycleTorus(rank=args.rank, qmatrix=_qmatrix(args.rank, args.q))
+    torus = _torus(args)
     try:
         aff = matrixsuper.matrix_affinization(idx, torus, field="Qi")
     except matrixsuper.DegenerateFormError as exc:
@@ -199,8 +193,7 @@ def cmd_twist(args) -> int:
                                         samples=args.samples, seed=args.seed)
     if args.format == "text":
         sys.stdout.write(f"type: {idx.type_label()}\n")
-    report.elapsed = time.monotonic() - started
-    return _emit(report, args.format)
+    return _emit(report, args.format, started)
 
 
 def nonnegative_int(text: str) -> int:

@@ -1,6 +1,8 @@
 """Exact sparse linear algebra over the package's scalar types.
 
 Vectors are dicts ``{index: nonzero scalar}``; an absent key means zero.
+Only this module's accumulators (vadd, vsub, vaxpy_inplace, add_entry)
+drop the keys whose sums cancel; every other module sums through them.
 Matrices appear either as a list of sparse rows or as a list of sparse
 columns, whichever the caller finds natural.  Everything is exact; the
 elimination engine keeps rows fully reduced (RREF invariant) so coordinate
@@ -52,8 +54,13 @@ def vaxpy_inplace(acc: dict, c, v: dict) -> None:
             acc.pop(k, None)
 
 
-def vneg(v: dict) -> dict:
-    return {k: -c for k, c in v.items()}
+def add_entry(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum cancels."""
+    s = acc.get(key, 0) + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def vdot(u: dict, v: dict):
@@ -91,9 +98,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rowof)
 
-    def pivots(self):
-        return sorted(self.rowof)
-
     def reduce(self, v: dict):
         """Return (residual, combo) with v = residual + sum(combo[t] * added[t])."""
         v = dict(v)
@@ -102,13 +106,7 @@ class Echelon:
             c = v.get(p)
             if not c:
                 continue
-            row = self.rowof[p]
-            for k, x in row.items():
-                s = v.get(k, 0) - c * x
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
+            vaxpy_inplace(v, -c, self.rowof[p])
             if self.track:
                 vaxpy_inplace(combo, c, self.comboof[p])
         return v, combo
@@ -136,12 +134,7 @@ class Echelon:
         for p, other in self.rowof.items():
             c = other.get(piv)
             if c:
-                for k, x in row.items():
-                    s = other.get(k, 0) - c * x
-                    if s:
-                        other[k] = s
-                    else:
-                        other.pop(k, None)
+                vaxpy_inplace(other, -c, row)
                 if self.track:
                     occ = self.comboof[p]
                     vaxpy_inplace(occ, -c, rcombo)
@@ -160,9 +153,6 @@ class Echelon:
         if res:
             return None
         return combo
-
-    def basis(self) -> list[dict]:
-        return [self.rowof[p] for p in sorted(self.rowof)]
 
 
 def span_rank(vectors) -> int:
@@ -202,28 +192,30 @@ def minus_identity(rows: list[dict], c) -> list[dict]:
     out = []
     for i, row in enumerate(rows):
         row = dict(row)
-        s = row.get(i, 0) - c
-        if s:
-            row[i] = s
-        else:
-            row.pop(i, None)
+        add_entry(row, i, -c)
         out.append(row)
     return out
 
 
-def solve(rows: list[dict], ncols: int, rhs: dict):
-    """Exact solution x of M x = rhs for M given by sparse rows, else None.
+def solver(rows: list[dict], ncols: int):
+    """Factor M (given by sparse rows) once for many right-hand sides.
 
-    Deterministic pivoting: columns are introduced in index order and each
-    takes the lowest available row index as pivot.
+    Returns a function taking rhs to the exact solution x of M x = rhs as a
+    sparse dict, or to None when there is none.  Deterministic pivoting:
+    columns are introduced in index order and each takes the lowest
+    available row index as pivot, so x is zero at every free column.
     """
     ech = Echelon(track=True)
     for j, col in enumerate(columns_of(rows, ncols)):
         ech.add(col, tag=j)
-    combo = ech.coords(rhs)
-    if combo is None:
-        return None
-    return {j: c for j, c in combo.items() if c}
+
+    def solve(rhs: dict):
+        combo = ech.coords(rhs)
+        if combo is None:
+            return None
+        return {j: c for j, c in combo.items() if c}
+
+    return solve
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[tuple[int, dict]]:

@@ -31,6 +31,7 @@ from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
                        ad_nilpotent_on, d_term, first_sampled_failure, form_failures,
                        jacobi_failures, loop_term, v_term)
 from .algebra import LieSuperalgebra, weight_decomposition
+from .linalg import add_entry
 from .reports import Report
 from .scalars import IUNIT, Rat, super_sign
 
@@ -116,24 +117,7 @@ def tm_mul(x: dict, y: dict, torus: CocycleTorus) -> dict:
         ycols.setdefault(r, []).append((c, deg, v))
     for (r, c, deg), v in x.items():
         for (c2, deg2, v2) in ycols.get(c, ()):
-            coeff = v * v2 * torus.theta(deg, deg2)
-            key = (r, c2, gadd(deg, deg2))
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def tm_add(x: dict, y: dict, sign=1) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        s = out.get(k, 0) + sign * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+            add_entry(out, (r, c2, gadd(deg, deg2)), v * v2 * torus.theta(deg, deg2))
     return out
 
 
@@ -146,20 +130,17 @@ def tm_supercomm(x: dict, y: dict, idx: SuperIndexSet, torus: CocycleTorus) -> d
     px, py = tm_parity(x, idx), tm_parity(y, idx)
     if px is None or py is None:
         raise ValueError("supercommutator needs parity-homogeneous matrices")
-    return tm_add(tm_mul(x, y, torus), tm_mul(y, x, torus), -super_sign(px, py))
+    out = tm_mul(x, y, torus)
+    linalg.vaxpy_inplace(out, -super_sign(px, py), tm_mul(y, x, torus))
+    return out
 
 
 def supertrace(x: dict, idx: SuperIndexSet) -> dict:
     """Signed diagonal sum; a torus element {degree: scalar}."""
     out: dict = {}
     for (r, c, deg), v in x.items():
-        if r != c:
-            continue
-        s = out.get(deg, 0) + (-v if idx.parity(r) else v)
-        if s:
-            out[deg] = s
-        else:
-            out.pop(deg, None)
+        if r == c:
+            add_entry(out, deg, -v if idx.parity(r) else v)
     return out
 
 
@@ -167,11 +148,7 @@ def trace(x: dict) -> dict:
     out: dict = {}
     for (r, c, deg), v in x.items():
         if r == c:
-            s = out.get(deg, 0) + v
-            if s:
-                out[deg] = s
-            else:
-                out.pop(deg, None)
+            add_entry(out, deg, v)
     return out
 
 
@@ -237,38 +214,15 @@ def sl_superalgebra(idx: SuperIndexSet, field: str = "Q") -> LieSuperalgebra:
         labels.append(f"D[{order[k]}|{order[k + 1]}]")
         parity.append(0)
     cartan = tuple(range(len(order) * (len(order) - 1), len(mats)))
-
-    # coordinates: positions (r, c) -> rows of the linear system
-    pos = {}
-    for b, m in enumerate(mats):
-        for (r, c, _), v in m.items():
-            pos.setdefault((r, c), {})[b] = v
-    rows = list(pos.values())
-    keys = list(pos.keys())
     width = len(mats)
-
-    def to_coords(m: dict) -> dict:
-        rhs = {}
-        for i, key in enumerate(keys):
-            val = m.get((key[0], key[1], zero_deg))
-            if val:
-                rhs[i] = val
-        sol = linalg.solve(rows, width, rhs)
-        if sol is None:
-            raise AssertionError("matrix outside the supertraceless span")
-        return sol
+    coordinates = _coordinates(mats)
 
     structure = {}
     for a in range(width):
         for b in range(width):
             comm = tm_supercomm(mats[a], mats[b], idx, torus0)
             if comm:
-                rhs = {}
-                for i, key in enumerate(keys):
-                    val = comm.get((key[0], key[1], zero_deg))
-                    if val:
-                        rhs[i] = val
-                sol = linalg.solve(rows, width, rhs)
+                sol = coordinates(comm)
                 if sol is None:
                     raise AssertionError("bracket left the supertraceless span")
                 if sol:
@@ -279,18 +233,14 @@ def sl_superalgebra(idx: SuperIndexSet, field: str = "Q") -> LieSuperalgebra:
               for b in range(width))
         for a in range(width))
 
-    diag = {}
-    for l, h in enumerate(cartan):
-        for (r, c, _), v in mats[h].items():
-            diag.setdefault(l, {})[r] = v
+    eps = _epsilons(idx, mats, cartan)
     weights = {}
     for b, m in enumerate(mats):
         if b in cartan:
             weights[b] = tuple(Rat(0) for _ in cartan)
             continue
         (r, c, _) = next(iter(m))
-        weights[b] = tuple(diag[l].get(r, Rat(0)) - diag[l].get(c, Rat(0))
-                           for l in range(len(cartan)))
+        weights[b] = tuple(x - y for x, y in zip(eps[r], eps[c]))
 
     return LieSuperalgebra(
         basis_labels=tuple(labels),
@@ -301,6 +251,37 @@ def sl_superalgebra(idx: SuperIndexSet, field: str = "Q") -> LieSuperalgebra:
         weights=weights,
         field=field,
     )
+
+
+def _coordinates(mats: list[dict]):
+    """Coordinates over a basis of degree-0 matrices, factored once.
+
+    Returns a function taking a matrix to its coefficients over mats (a
+    sparse dict), or to None when it lies outside their span.  Entries at
+    positions where every basis matrix vanishes are not read.
+    """
+    pos: dict = {}
+    for b, m in enumerate(mats):
+        for (r, c, _), v in m.items():
+            pos.setdefault((r, c), {})[b] = v
+    keys = list(pos)
+    solve = linalg.solver(list(pos.values()), len(mats))
+
+    def coordinates(m: dict):
+        rhs = {}
+        for i, (r, c) in enumerate(keys):
+            val = m.get((r, c, ()))
+            if val:
+                rhs[i] = val
+        return solve(rhs)
+
+    return coordinates
+
+
+def _epsilons(idx: SuperIndexSet, mats: list[dict], cartan) -> dict:
+    """{t: eps_t}: the diagonal entries at index t of the Cartan basis matrices."""
+    diag = [{r: v for (r, _, _), v in mats[h].items()} for h in cartan]
+    return {t: tuple(d.get(t, Rat(0)) for d in diag) for t in idx.indices()}
 
 
 def matrix_affinization(idx: SuperIndexSet, torus: CocycleTorus,
@@ -350,22 +331,10 @@ class SharpOperator:
         mats = basis_matrices(idx)
         if len(mats) != aff.base.dim:
             raise ValueError("index set does not match the algebra's basis")
-        pos: dict = {}
-        for b, m in enumerate(mats):
-            for (r, c, _), v in m.items():
-                pos.setdefault((r, c), {})[b] = v
-        rows = list(pos.values())
-        keys = list(pos.keys())
-        width = len(mats)
+        coordinates = _coordinates(mats)
         self.columns: list[dict] = []
-        for b, m in enumerate(mats):
-            image = sharp(m, idx)
-            rhs = {}
-            for i, key in enumerate(keys):
-                val = image.get((key[0], key[1], ()))
-                if val:
-                    rhs[i] = val
-            sol = linalg.solve(rows, width, rhs)
+        for m in mats:
+            sol = coordinates(sharp(m, idx))
             if sol is None:
                 raise AssertionError("# left the supertraceless span")
             self.columns.append(sol)
@@ -388,12 +357,7 @@ class SharpOperator:
         for (b, deg), c in x.loop.items():
             coeff = c * self.degree_sign(deg)
             for k, v in self.columns[b].items():
-                key = (k, deg)
-                s = out_loop.get(key, 0) + coeff * v
-                if s:
-                    out_loop[key] = s
-                else:
-                    out_loop.pop(key, None)
+                add_entry(out_loop, (k, deg), coeff * v)
         return GradedLoopElement(loop=out_loop, v=dict(x.v), d=dict(x.d))
 
 
@@ -493,27 +457,17 @@ def displayed_pi_families(idx: SuperIndexSet, aff: AffinizedAlgebra) -> set:
     {(u_j - u_s)/2}, and {±(u_i - u_j)/2} over the respective blocks with
     distinct indices inside each block.
     """
-    cartan = aff.base.cartan
-    diag = {}
-    mats = basis_matrices(idx)
-    for l, h in enumerate(cartan):
-        for (r, c, _), v in mats[h].items():
-            diag.setdefault(l, {})[r] = v
-    m = len(cartan)
-
-    def eps(t: str) -> tuple:
-        return tuple(diag[l].get(t, Rat(0)) for l in range(m))
+    eps = _epsilons(idx, basis_matrices(idx), aff.base.cartan)
 
     def u(t: str) -> tuple:
-        a, b = eps(t), eps(idx.bar(t))
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(x - y for x, y in zip(eps[t], eps[idx.bar(t)]))
 
     half = Rat(1, 2)
 
     def halfdiff(a: tuple, b: tuple) -> tuple:
         return tuple(half * (x - y) for x, y in zip(a, b))
 
-    fams = {tuple(Rat(0) for _ in range(m))}
+    fams = {aff.datum.zero}
     iset, jset = idx.i_indices(), idx.j_indices()
     for a, b in itertools.permutations(iset, 2):
         fams.add(halfdiff(u(a), u(b)))
@@ -552,8 +506,8 @@ class PiForm:
                 if val:
                     row[b] = val
             gram_rows.append(row)
-        self.gram_rows = gram_rows
         self.k = k
+        self.solve = linalg.solver(gram_rows, k)
 
     def restrict(self, p: tuple) -> dict:
         out = {}
@@ -566,7 +520,7 @@ class PiForm:
         return out
 
     def eval(self, p: tuple, q: tuple):
-        t = linalg.solve(self.gram_rows, self.k, self.restrict(p))
+        t = self.solve(self.restrict(p))
         if t is None:
             raise ValueError("averaged weight is not representable on the fixed Cartan")
         rq = self.restrict(q)
@@ -610,16 +564,23 @@ class TwistedElement:
     def plus(self, other: "TwistedElement") -> "TwistedElement":
         parts = dict(self.parts)
         for i, p in other.parts.items():
-            q = parts.get(i)
-            merged = p if q is None else q.plus(p)
-            if merged:
-                parts[i] = merged
-            else:
-                parts.pop(i, None)
+            _add_part(parts, i, p)
         return TwistedElement(parts, self.c + other.c, self.d + other.d)
 
     def minus(self, other: "TwistedElement") -> "TwistedElement":
         return self.plus(other.scaled(Rat(-1)))
+
+
+def _add_part(parts: dict, i: int, x: GradedLoopElement) -> None:
+    """parts[i] += x, dropping degree i when the sum is zero."""
+    if not x:
+        return
+    cur = parts.get(i)
+    merged = x if cur is None else cur.plus(x)
+    if merged:
+        parts[i] = merged
+    else:
+        parts.pop(i, None)
 
 
 def tw_loop(i: int, x: GradedLoopElement) -> TwistedElement:
@@ -661,20 +622,9 @@ class TwistedAlgebra:
     def bracket(self, x: TwistedElement, y: TwistedElement) -> TwistedElement:
         parts: dict = {}
         cval = Rat(0)
-
-        def addpart(i, gle):
-            if not gle:
-                return
-            cur = parts.get(i)
-            merged = gle if cur is None else cur.plus(gle)
-            if merged:
-                parts[i] = merged
-            else:
-                parts.pop(i, None)
-
         for i, xi in x.parts.items():
             for j, yj in y.parts.items():
-                addpart(i + j, self.aff.bracket(xi, yj))
+                _add_part(parts, i + j, self.aff.bracket(xi, yj))
                 if i and i == -j:
                     val = self.aff.form(xi, yj)
                     if val:
@@ -682,11 +632,11 @@ class TwistedAlgebra:
         if x.d:
             for j, yj in y.parts.items():
                 if j:
-                    addpart(j, yj.scaled(x.d * j))
+                    _add_part(parts, j, yj.scaled(x.d * j))
         if y.d:
             for i, xi in x.parts.items():
                 if i:
-                    addpart(i, xi.scaled(-(y.d * i)))
+                    _add_part(parts, i, xi.scaled(-(y.d * i)))
         return TwistedElement(parts, cval, Rat(0))
 
     def form(self, x: TwistedElement, y: TwistedElement):
@@ -766,7 +716,6 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     dim = aff.base.dim
     tau_degrees = [tuple(d) for d in tau_degrees]
     zero_deg = (0,) * aff.rank
-    zero_pi = tuple(Rat(0) for _ in aff.base.cartan)
 
     pi_of_basis = {}
     for root in datum.roots:
@@ -797,7 +746,7 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     out: dict = {}
     for (p, tau, i), vecs in spaces.items():
         out[(p, tau, i)] = [tw_loop(i, v) for v in vecs]
-    zero_key = (zero_pi, zero_deg, 0)
+    zero_key = (datum.zero, zero_deg, 0)
     if zero_key in out or 0 in z_window:
         extra = [tw_c(), tw_d()]
         if zero_deg in tau_degrees:
@@ -806,17 +755,6 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
         out.setdefault(zero_key, [])
         out[zero_key] = out[zero_key] + extra
     return out
-
-
-def twisted_roots(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
-                  z_window) -> tuple[dict, str]:
-    """Window of the twisted root system plus the BC/C type label."""
-    spaces = twisted_weight_spaces(tw, tau_degrees, z_window)
-    return spaces, idx.type_label()
-
-
-def _pi_zero(aff):
-    return tuple(Rat(0) for _ in aff.base.cartan)
 
 
 def twisted_window_root_system(tw: TwistedAlgebra, spaces: dict,
@@ -859,7 +797,6 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
                  window={"tau_degrees": len(tau_degrees), "z_radius": z_radius})
     rng = random.Random(seed)
     zero_deg = (0,) * aff.rank
-    zero_pi = _pi_zero(aff)
     dim, labels = aff.base.dim, aff.base.basis_labels
 
     order = sh.order()
@@ -887,8 +824,8 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     expected = displayed_pi_families(idx, aff)
     rep.check("averaged weights match the displayed five families",
               actual == expected,
-              {"missing": [str(x) for x in sorted(expected - actual, key=str)[:4]],
-               "extra": [str(x) for x in sorted(actual - expected, key=str)[:4]]})
+              {"missing": sorted(expected - actual, key=str)[:4],
+               "extra": sorted(actual - expected, key=str)[:4]})
 
     spaces = twisted_weight_spaces(tw, tau_degrees, z_window)
     ordered = sorted(spaces.items(), key=lambda kv: str(kv[0]))
@@ -904,10 +841,10 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
                 opposite = (all(a + b == 0 for a, b in zip(p1, p2))
                             and gadd(t1, t2) == zero_deg and i1 + i2 == 0)
                 if nonzero and not opposite:
-                    yield {"at": [str(p1), t1, i1, str(p2), t2, i2],
+                    yield {"at": [p1, t1, i1, p2, t2, i2],
                            "reason": "pairing off opposite weights"}
                 elif opposite and not nonzero:
-                    yield {"at": [str(p1), t1, i1],
+                    yield {"at": [p1, t1, i1],
                            "reason": "no pairing with the opposite weight space"}
     rep.first_failure("pairing only between opposite twisted weights", pairing_failures())
     rep.first_failure("eigenspace pairing vanishes unless i+j = 0 mod 4", (
@@ -990,11 +927,11 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
                     val = Rat(0)
                 # c and d themselves (no loop part) commute with the Cartan
                 if any(x.parts and tw.bracket(gen, x) != x.scaled(val) for x in basis):
-                    yield {"root": [str(p), tau, i], "generator": kind}
+                    yield {"root": [p, tau, i], "generator": kind}
     rep.first_failure("twisted weight labels match the Cartan eigenvalues",
                       label_failures())
 
-    zero_key = (zero_pi, zero_deg, 0)
+    zero_key = (aff.datum.zero, zero_deg, 0)
     want_dim = len(fixed) + 2 * aff.rank + 2
     got = spaces.get(zero_key, [])
     rep.check("the (0,0) weight space is the fixed Cartan plus c and d",
@@ -1015,7 +952,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
             found = next(((x, y) for x in basis for y in ys
                           if lands_in_cartan(tw.bracket(x, y))), None)
             if found is None:
-                yield {"root": [str(p), tau, i]}
+                yield {"root": [p, tau, i]}
             else:
                 witnesses.append(found)
     rep.first_failure("axiom 1: twisted witnesses at every nonzero window root",
@@ -1026,7 +963,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     cap = aff.base.dim + 4
     targets = all_vectors + [tw_c(), tw_d()]
     rep.first_failure("axiom 2: windowed ad-nilpotency at real twisted roots", (
-        {"root": [str(p), tau, i]}
+        {"root": [p, tau, i]}
         for (p, tau, i), basis in ordered if (p, tau, i) != zero_key and pform.eval(p, p)
         for x in basis if not ad_nilpotent_on(tw.bracket, x, targets, cap)))
 

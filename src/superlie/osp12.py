@@ -74,6 +74,7 @@ def osp12_standard() -> LieSuperalgebra:
     for i in range(3):
         for j in range(3):
             rows.append({b: Rat(mats[b][i][j]) for b in range(5) if mats[b][i][j]})
+    solve = linalg.solver(rows, 5)
     structure = {}
     for a in range(5):
         for b in range(5):
@@ -83,7 +84,7 @@ def osp12_standard() -> LieSuperalgebra:
                 for j in range(3):
                     if comm[i][j]:
                         rhs[3 * i + j] = Rat(comm[i][j])
-            coeffs = linalg.solve(rows, 5, rhs)
+            coeffs = solve(rhs)
             if coeffs is None:
                 raise AssertionError("supercommutator left the span of the basis")
             if coeffs:
@@ -361,11 +362,7 @@ def scramble(m: Osp12Module, seed: int) -> Osp12Module:
                 for col in cols:  # row i += c * row j
                     x = col.get(j)
                     if x:
-                        s = col.get(i, 0) + c * x
-                        if s:
-                            col[i] = s
-                        else:
-                            del col[i]
+                        linalg.add_entry(col, i, c * x)
                 linalg.vaxpy_inplace(cols[j], -c, cols[i])  # column j -= c * column i
     return Osp12Module(m.parity, *map(Columns, mats))
 

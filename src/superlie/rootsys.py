@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
 from . import linalg
@@ -263,7 +263,7 @@ def root_string(system: RootSupersystem, alpha, beta):
     return scan.p, scan.q, members
 
 
-def ratio_check(system: RootSupersystem, alpha, strict: bool = True):
+def ratio_check(system: RootSupersystem, alpha):
     """All rational k with k*alpha in R; verifies k in {0, ±1, ±2, ±1/2}."""
     alpha = tuple(alpha)
     if alpha not in system.real_roots and not system.form.eval(alpha, alpha):
@@ -271,7 +271,7 @@ def ratio_check(system: RootSupersystem, alpha, strict: bool = True):
     ds, m = system.lines.steps(alpha, (0,) * len(alpha))
     ks = {Rat(d, m) for d in ds}
     allowed = {Rat(0), Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)}
-    if strict and not ks <= allowed:
+    if not ks <= allowed:
         bad = sorted(ks - allowed)
         raise RatioViolationError(f"ratios {[str(k) for k in bad]} for root {alpha}")
     return ks
@@ -407,10 +407,7 @@ def rebase_rational_tuples(tuples, form_fn):
         for x in t:
             if hasattr(x, "im") and getattr(x, "im"):
                 raise ValueError("vectors must be rational")
-    denom = 1
-    for t in tuples:
-        for x in t:
-            denom = _lcm(denom, Rat(x).denominator)
+    denom = lcm(*(int(Rat(x).denominator) for t in tuples for x in t))
     rows = [[int(Rat(x) * denom) for x in t] for t in tuples]
     basis = linalg.hnf(rows)
     coords = {}
@@ -434,12 +431,12 @@ def weight_lattice(datum):
     form.eval(coords[a], coords[b]) == datum.root_form(a, b) exactly.
     """
     m = len(datum.cartan)
-    gram_rows = [{j: c for j, c in enumerate(r) if c}
-                 for r in datum.cartan_gram]
+    solve = linalg.solver([{j: c for j, c in enumerate(r) if c}
+                           for r in datum.cartan_gram], m)
 
     def form_fn(a, b):
         rhs = {l: Rat(a[l]) for l in range(m) if a[l]}
-        t = linalg.solve(gram_rows, m, rhs)
+        t = solve(rhs)
         if t is None:
             raise ValueError("Cartan form does not represent a root vector")
         val = Rat(0)
@@ -459,8 +456,3 @@ def from_root_datum(datum) -> RootSupersystem:
     """
     coords, form = weight_lattice(datum)
     return classify(list(coords.values()), form)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)

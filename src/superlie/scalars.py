@@ -136,11 +136,6 @@ class GaussianRational:
 IUNIT = GaussianRational(0, 1)
 
 
-def conj(x):
-    """Complex conjugate; the identity on plain rationals."""
-    return x.conjugate() if isinstance(x, GaussianRational) else x
-
-
 def scalar_key(x):
     """Total-order key for scalars (Gaussian ones sort by (re, im))."""
     if isinstance(x, GaussianRational):

@@ -1,7 +1,10 @@
 import random
 
+import sympy
+from hypothesis import given, settings, strategies as st
+
 from superlie import linalg
-from superlie.scalars import Rat
+from superlie.scalars import GaussianRational, Rat
 
 
 def dense(rows):
@@ -11,15 +14,15 @@ def dense(rows):
 def test_solve_identity():
     rows = dense([[1, 0], [0, 1]])
     rhs = {0: Rat(3), 1: Rat(-2)}
-    assert linalg.solve(rows, 2, rhs) == rhs
+    assert linalg.solver(rows, 2)(rhs) == rhs
 
 
 def test_solve_scalar_division():
-    assert linalg.solve(dense([[2]]), 1, {0: Rat(3)}) == {0: Rat(3, 2)}
+    assert linalg.solver(dense([[2]]), 1)({0: Rat(3)}) == {0: Rat(3, 2)}
 
 
 def test_solve_no_solution():
-    assert linalg.solve(dense([[0]]), 1, {0: Rat(1)}) is None
+    assert linalg.solver(dense([[0]]), 1)({0: Rat(1)}) is None
 
 
 def test_solve_remultiplication_random():
@@ -29,7 +32,7 @@ def test_solve_remultiplication_random():
         rows = [{j: Rat(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.6}
                 for _ in range(n)]
         rows = [{j: c for j, c in r.items() if c} for r in rows]
-        x = linalg.solve(rows, n, {0: Rat(1)})
+        x = linalg.solver(rows, n)({0: Rat(1)})
         if x is None:
             continue
         out = {}
@@ -87,3 +90,120 @@ def test_lattice_coords_membership():
 def test_hnf_of_empty_and_zero():
     assert linalg.hnf([]) == []
     assert linalg.hnf([[0, 0]]) == []
+
+
+# ---------------------------------------------------------------------------
+# sympy oracles: rank, kernel and solutions of small random matrices over Q
+# and Q(i), from sympy's own exact elimination.  A reduced row echelon form
+# is unique, so the kernel basis (1 at its free column, 0 at the others) and
+# the solution that is zero at every free column are unique too, and are
+# compared entry by entry.
+
+def _sym(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def to_sympy(x):
+    if isinstance(x, GaussianRational):
+        return _sym(x.re) + sympy.I * _sym(x.im)
+    return _sym(Rat(x))
+
+
+def from_sympy(z):
+    re, im = (sympy.Rational(part) for part in sympy.expand_complex(z).as_real_imag())
+    re, im = Rat(int(re.p), int(re.q)), Rat(int(im.p), int(im.q))
+    return GaussianRational(re, im) if im else re
+
+
+def _iszero(z):
+    return sympy.expand_complex(z) == 0
+
+
+def sympy_matrix(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, lambda i, j: to_sympy(rows[i].get(j, 0)))
+
+
+def sparse(vec) -> dict:
+    return {j: c for j, c in ((j, from_sympy(z)) for j, z in enumerate(vec)) if c}
+
+
+rationals = st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+def scalars(gaussian: bool):
+    if not gaussian:
+        return rationals
+    return st.builds(GaussianRational, rationals, rationals)
+
+
+@st.composite
+def systems(draw):
+    """(rows, ncols, field) with at most 5 rows and columns; a product
+    A B through a narrow middle dimension makes rank-deficient systems."""
+    gaussian = draw(st.booleans())
+    entry = st.one_of(st.just(Rat(0)), scalars(gaussian))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def dense_of(r, c):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        mat = dense_of(n, m)
+    else:
+        k = draw(st.integers(1, min(n, m)))
+        a, b = dense_of(n, k), dense_of(k, m)
+        mat = [[sum((a[i][t] * b[t][j] for t in range(k)), Rat(0)) for j in range(m)]
+               for i in range(n)]
+    rows = [{j: c for j, c in enumerate(row) if c} for row in mat]
+    return rows, m, gaussian
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_span_rank_matches_sympy(system):
+    rows, ncols, _ = system
+    assert linalg.span_rank(rows) == sympy_matrix(rows, ncols).rank(iszerofunc=_iszero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_nullspace_matches_sympy(system):
+    rows, ncols, _ = system
+    want = [sparse(v) for v in sympy_matrix(rows, ncols).nullspace(iszerofunc=_iszero)]
+    assert [v for _, v in linalg.nullspace(rows, ncols)] == want
+
+
+def sympy_solution(rows, ncols, rhs):
+    """The solution that is zero at every free column, or None."""
+    b = sympy.Matrix(len(rows), 1, lambda i, _: to_sympy(rhs.get(i, 0)))
+    try:
+        sol, params = sympy_matrix(rows, ncols).gauss_jordan_solve(b)
+    except ValueError:  # no solution
+        return None
+    return sparse(sol.subs({t: 0 for t in params}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.data())
+def test_solver_matches_sympy_on_several_right_hand_sides(system, data):
+    """One factored solver answers every right-hand side: images M x (always
+    solvable) and arbitrary vectors (unsolvable when M is rank-deficient)."""
+    rows, ncols, gaussian = system
+    solve = linalg.solver(rows, ncols)
+    entry = st.one_of(st.just(Rat(0)), scalars(gaussian))
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            x = {j: data.draw(entry) for j in range(ncols)}
+            rhs = {i: v for i, v in enumerate(linalg.vdot(row, x) for row in rows) if v}
+        else:
+            rhs = {i: v for i in range(len(rows)) if (v := data.draw(entry))}
+        assert solve(rhs) == sympy_solution(rows, ncols, rhs)
+
+
+def test_solver_reports_no_solution_outside_the_column_space():
+    rows = dense([[1, 2], [2, 4]])  # rank 1, column space spanned by (1, 2)
+    solve = linalg.solver(rows, 2)
+    assert solve({0: Rat(1), 1: Rat(3)}) is None
+    assert sympy_solution(rows, 2, {0: Rat(1), 1: Rat(3)}) is None
+    assert solve({0: Rat(3), 1: Rat(6)}) == {0: Rat(3)}
+    assert solve({0: Rat(1), 1: Rat(2)}) == {0: Rat(1)}

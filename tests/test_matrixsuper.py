@@ -15,8 +15,8 @@ from superlie.matrixsuper import (DegenerateFormError, FieldError, GradingError,
                                   sharp_eigenspaces, sigma_cartan_matrix,
                                   sl_superalgebra, supertrace, tm_mul,
                                   tm_supercomm, trace, twisted_affinize,
-                                  twisted_roots, twisted_weight_spaces, tw_c,
-                                  tw_d, verify_twisted)
+                                  twisted_weight_spaces, tw_c, tw_d,
+                                  verify_twisted)
 from superlie.scalars import IUNIT, Rat
 
 
@@ -308,8 +308,8 @@ def test_verify_twisted_full_suite():
 
 def test_twisted_roots_labels():
     tw, aff, sh = build_twisted()
-    spaces, label = twisted_roots(tw, BC11, window_box(1, 1), range(-2, 3))
-    assert label == "BC(1,1)"
+    spaces = twisted_weight_spaces(tw, window_box(1, 1), range(-2, 3))
+    assert BC11.type_label() == "BC(1,1)"
     assert all(len(v) >= 1 for v in spaces.values())
 
 
