@@ -19,15 +19,17 @@ finite box but never truncates a bracket.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 
 from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .algebra import LieSuperalgebra, RootDatum, axiom1_witnesses, t_alpha_vector
-from .linalg import add_entry
 from .reports import Report
-from .scalars import Rat, sdiv, spow, super_sign
+from .scalars import (IUNIT, Rat, common_denominator, integer_over, integers_over,
+                      scalar_over, scalars_over, sdiv, spow)
 
 
 class WindowExceededError(ValueError):
@@ -214,8 +216,70 @@ def d_term(i: int, c=None) -> GradedLoopElement:
     return GradedLoopElement(d={i: Rat(1) if c is None else c})
 
 
+# ---------------------------------------------------------------------------
+# the integer kernel
+#
+# The affinized bracket and form, and the twisted ones built from them, run
+# on integers.  A kernel element of the affinized algebra is a tuple
+# (loop, v, d) of dicts with an element's keys and integer values, over one
+# denominator s kept beside it; an integer is an int, or a GaussianInt for
+# a Q(i) coefficient.  Scalars enter through the algebras' kernel methods
+# and leave through loop_element and scalar_over, and nowhere else.
+
+
+def kernel_part(x: GradedLoopElement, s) -> tuple:
+    """x's coefficients times s, as a kernel element; s is a multiple of
+    every coefficient's denominator (see kernel_values)."""
+    return (integers_over(x.loop, s), integers_over(x.v, s) if x.v else {},
+            integers_over(x.d, s) if x.d else {})
+
+
+def kernel_values(x: GradedLoopElement, dim: int) -> list:
+    """x's coefficients, after checking its basis indices against dim."""
+    for b, _ in x.loop:
+        if not 0 <= b < dim:
+            raise IndexError(f"basis index out of range: {b}")
+    if x.v or x.d:
+        return [*x.loop.values(), *x.v.values(), *x.d.values()]
+    return list(x.loop.values())
+
+
+def loop_element(K: tuple, s) -> GradedLoopElement:
+    """The element K / s."""
+    loop, v, d = K
+    return GradedLoopElement(scalars_over(loop, s), scalars_over(v, s) if v else {},
+                             scalars_over(d, s) if d else {})
+
+
+def _vstar_terms(loop_part: dict, dstar: dict, factor, out: list) -> None:
+    """Append factor * s * n * deg[k] at (b, deg) for every V* term s at k
+    and loop term n at (b, deg): V*_k acts by the degree's k-th coordinate."""
+    for k, s in dstar.items():
+        s *= factor
+        out += [(key, s * n * key[1][k]) for key, n in loop_part.items() if key[1][k]]
+
+
+def _vv_pairing(X: tuple, Y: tuple):
+    """sum_k x_v[k] y_d[k] + x_d[k] y_v[k]: V against V*."""
+    (_, xv, xd), (_, yv, yd) = X, Y
+    return (sum(n * yd[k] for k, n in xv.items() if k in yd)
+            + sum(n * yv[k] for k, n in xd.items() if k in yv))
+
+
+def _integral_torus(torus: CocycleTorus) -> bool:
+    """True when every theta value is an integer: q entries that are units
+    (theta takes negative powers of them), or a table of integers."""
+    if torus.qmatrix is not None:
+        return all(q in (1, -1, IUNIT, -IUNIT) for row in torus.qmatrix for q in row)
+    return common_denominator(list(torus.table.values())) == 1
+
+
 class AffinizedAlgebra:
-    """(g ⊗ A) ⊕ V ⊕ V* with the cocycle-twisted bracket and form."""
+    """(g ⊗ A) ⊕ V ⊕ V* with the cocycle-twisted bracket and form.
+
+    Both run on the integer kernel: kernel_bracket and kernel_form act on
+    kernel elements, and bracket and form convert at the boundary.
+    """
 
     def __init__(self, base: LieSuperalgebra, datum: RootDatum, torus: CocycleTorus):
         if base.gram is None or base.cartan is None:
@@ -225,6 +289,8 @@ class AffinizedAlgebra:
         self.torus = torus
         self.rank = torus.rank
         self._theta: dict = {}
+        self.integral_theta = _integral_torus(torus)
+        self._zero = (0,) * self.rank
 
     def theta(self, a, b):
         """torus.theta(a, b), memoized on this algebra per degree pair.
@@ -232,11 +298,22 @@ class AffinizedAlgebra:
         A table-mode torus raises WindowExceededError outside its window;
         the miss propagates and is not cached.
         """
+        return self._theta_entry(a, b)[0]
+
+    def _theta_entry(self, a, b):
+        """The memo entry (theta, num, den, a + b) with theta = num / den."""
         key = (a, b)
-        value = self._theta.get(key)
-        if value is None:
-            value = self._theta[key] = self.torus.theta(a, b)
-        return value
+        entry = self._theta.get(key)
+        if entry is None:
+            value = self.torus.theta(a, b)
+            den = common_denominator([value])
+            entry = self._theta[key] = (value, integer_over(value, den), den, gadd(a, b))
+        return entry
+
+    def theta_lcm(self, pairs) -> int:
+        """The lcm of theta's denominators on the degree pairs (callers skip
+        it when integral_theta says every denominator is 1)."""
+        return math.lcm(*(self._theta_entry(a, b)[2] for a, b in pairs))
 
     def parity_of(self, x: GradedLoopElement):
         seen = {self.base.parity[b] for (b, _) in x.loop}
@@ -246,50 +323,92 @@ class AffinizedAlgebra:
             return seen.pop()
         return None
 
+    def kernel(self, x: GradedLoopElement) -> tuple:
+        """(K, s): x as the kernel element K over the denominator s."""
+        s = common_denominator(kernel_values(x, self.base.dim))
+        return kernel_part(x, s), s
+
+    @staticmethod
+    def kernel_entries(K: tuple):
+        """The (key, integer) entries of a kernel element, keys told apart."""
+        for slot, entries in enumerate(K):
+            for key, n in entries.items():
+                yield (slot, key), n
+
     def bracket(self, x: GradedLoopElement, y: GradedLoopElement) -> GradedLoopElement:
-        out_loop: dict = {}
-        out_v: dict = {}
-        zero = (0,) * self.rank
-        for (b1, d1), c1 in x.loop.items():
-            for (b2, d2), c2 in y.loop.items():
-                coeff = c1 * c2 * self.theta(d1, d2)
-                deg = gadd(d1, d2)
-                br = self.base.bracket_basis(b1, b2)
-                for k, cv in br.items():
-                    add_entry(out_loop, (k, deg), coeff * cv)
-                if deg == zero:
-                    fval = self.base.gram[b1][b2]
-                    if fval:
-                        for i, di in enumerate(d1):
-                            if di:
-                                add_entry(out_v, i, coeff * fval * di)
-        for i, s in x.d.items():
-            for (b, deg), c in y.loop.items():
-                if deg[i]:
-                    add_entry(out_loop, (b, deg), s * c * deg[i])
-        for (b, deg), c in x.loop.items():
-            for i, s in y.d.items():
-                if deg[i]:
-                    add_entry(out_loop, (b, deg), -(s * c * deg[i]))
-        return GradedLoopElement(loop=out_loop, v=out_v, d={})
+        (X, sx), (Y, sy) = self.kernel(x), self.kernel(y)
+        Z, s = self.kernel_bracket(X, Y)
+        return loop_element(Z, sx * sy * s)
 
     def form(self, x: GradedLoopElement, y: GradedLoopElement):
-        total = Rat(0)
-        for (b1, d1), c1 in x.loop.items():
-            for (b2, d2), c2 in y.loop.items():
-                if any(a + b for a, b in zip(d1, d2)):
-                    continue
-                fval = self.base.gram[b1][b2]
-                if fval:
-                    total = total + c1 * c2 * self.theta(d1, d2) * fval
-        for i, c in x.v.items():
-            s = y.d.get(i)
-            if s:
-                total = total + c * s
-        for i, c in x.d.items():
-            s = y.v.get(i)
-            if s:
-                total = total + c * s
+        (X, sx), (Y, sy) = self.kernel(x), self.kernel(y)
+        n, s = self.kernel_form(X, Y)
+        return scalar_over(n, sx * sy * s)
+
+    def kernel_bracket(self, X: tuple, Y: tuple) -> tuple:
+        """(Z, s) with [X, Y] = Z / s, for kernel elements X and Y."""
+        L = 1 if self.integral_theta else self.theta_lcm(
+            {(d1, d2) for (_, d1) in X[0] for (_, d2) in Y[0]})
+        loop, v = [], []
+        self.bracket_terms(X, Y, L, loop, v)
+        return ((linalg.vsum(loop), linalg.vsum(v) if v else {}, {}),
+                self.base.integer_tables[2] * L)
+
+    def bracket_terms(self, X: tuple, Y: tuple, L, loop: list, v: list):
+        """Append the terms of D L [X, Y] to the loop and V term lists, and
+        return D L (X, Y); L is a multiple of theta's denominators on X, Y."""
+        (xl, xv, xd), (yl, yv, yd) = X, Y
+        rows, gram, D = self.base.integer_tables
+        memo, zero = self._theta, self._zero
+        append = loop.append
+        pairing = 0
+        for (b1, d1), c1 in xl.items():
+            row, grow = rows[b1], gram[b1]
+            for (b2, d2), c2 in yl.items():
+                _, tn, td, deg = memo.get((d1, d2)) or self._theta_entry(d1, d2)
+                coeff = c1 * c2 * tn
+                if td != L:
+                    coeff *= L // td
+                for k, n in row[b2]:
+                    append(((k, deg), coeff * n))
+                if deg == zero and grow[b2]:
+                    f = coeff * grow[b2]
+                    for k, dk in enumerate(d1):
+                        if dk:
+                            v.append((k, f * dk))
+                    pairing += f
+        if xd or yd:
+            DL = D * L
+            _vstar_terms(yl, xd, DL, loop)
+            _vstar_terms(xl, yd, -DL, loop)
+            pairing += DL * _vv_pairing(X, Y)
+        return pairing
+
+    def kernel_form(self, X: tuple, Y: tuple) -> tuple:
+        """(n, s) with (X, Y) = n / s, for kernel elements X and Y."""
+        terms = []
+        pairing = self.form_terms(X, Y, terms)
+        L = 1 if self.integral_theta else self.theta_lcm(
+            (d1, d2) for _, d1, d2 in terms)
+        DL = self.base.integer_tables[2] * L
+        return self.theta_sum(terms, L) + DL * pairing, DL
+
+    def form_terms(self, X: tuple, Y: tuple, terms: list):
+        """Append (c1 c2 D f(b1, b2), d1, d2) to terms for the loop pairs of
+        X, Y in opposite degrees, and return the pairing of V with V*."""
+        gram = self.base.integer_tables[1]
+        terms += [(c1 * c2 * gram[b1][b2], d1, d2)
+                  for (b1, d1), c1 in X[0].items() for (b2, d2), c2 in Y[0].items()
+                  if gram[b1][b2] and not any(map(operator.add, d1, d2))]
+        return _vv_pairing(X, Y) if X[1] or X[2] else 0
+
+    def theta_sum(self, terms: list, L):
+        """L times sum f theta(d1, d2) over the (f, d1, d2) of terms."""
+        memo = self._theta
+        total = 0
+        for f, d1, d2 in terms:
+            _, tn, td, _ = memo.get((d1, d2)) or self._theta_entry(d1, d2)
+            total += f * tn if td == L else f * tn * (L // td)
         return total
 
     def in_cartan(self, x: GradedLoopElement) -> bool:
@@ -397,18 +516,42 @@ def window_root_system(alg: AffinizedAlgebra, degrees) -> rootsys.RootSupersyste
 # ---------------------------------------------------------------------------
 # sampled identities, shared by the affinized and the twisted algebras
 #
-# ``alg`` has bracket, form and parity_of; its elements have plus, scaled and
-# truthiness.  ``draw()`` returns the next random element.  Each generator
-# yields the failing samples in order and draws a sample only when asked
-# for the next failure, so a check stops drawing at its first failure.
+# ``alg`` has parity_of and the integer kernel: kernel, kernel_bracket,
+# kernel_form and kernel_entries.  ``draw()`` returns the next random
+# element.  Each generator yields the failing samples in order and draws a
+# sample only when asked for the next failure, so a check stops drawing at
+# its first failure.  The identities are evaluated in the kernel, where an
+# element x is K / s with s dropped: every term of an identity carries the
+# same product of the samples' denominators, so only the verdicts leave.
+
+
+def _sign(p, q) -> int:
+    """(-1)^{pq} for parities p and q; None (zero or mixed) counts as even."""
+    return -1 if (p and q) else 1
+
+
+def _vanishes(alg, terms) -> bool:
+    """Whether sum sign K / s vanishes over the (sign, (K, s)) of terms."""
+    S = math.lcm(*(s for _, (_, s) in terms))
+    return not linalg.vsum((key, sign * (S // s) * n) for sign, (K, s) in terms
+                           for key, n in alg.kernel_entries(K))
+
+
+def _nested(alg, X, Y, Z) -> tuple:
+    """[[X, Y], Z] in the kernel, over the product of both denominators."""
+    XY, s = alg.kernel_bracket(X, Y)
+    R, t = alg.kernel_bracket(XY, Z)
+    return R, s * t
 
 
 def antisymmetry_failures(alg, draw, samples: int):
     """Sampled (x, y) with [x, y] + (-1)^{|x||y|} [y, x] != 0."""
     for _ in range(samples):
         x, y = draw(), draw()
-        sign = super_sign(alg.parity_of(x), alg.parity_of(y))
-        if alg.bracket(x, y).plus(alg.bracket(y, x).scaled(sign)):
+        sign = _sign(alg.parity_of(x), alg.parity_of(y))
+        X, Y = alg.kernel(x)[0], alg.kernel(y)[0]
+        if not _vanishes(alg, [(1, alg.kernel_bracket(X, Y)),
+                               (sign, alg.kernel_bracket(Y, X))]):
             yield x, y
 
 
@@ -417,10 +560,10 @@ def jacobi_failures(alg, draw, samples: int):
     for _ in range(samples):
         x, y, z = draw(), draw(), draw()
         px, py, pz = alg.parity_of(x), alg.parity_of(y), alg.parity_of(z)
-        total = (alg.bracket(alg.bracket(x, y), z).scaled(super_sign(px, pz))
-                 .plus(alg.bracket(alg.bracket(z, x), y).scaled(super_sign(pz, py)))
-                 .plus(alg.bracket(alg.bracket(y, z), x).scaled(super_sign(py, px))))
-        if total:
+        X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
+        if not _vanishes(alg, [(_sign(px, pz), _nested(alg, X, Y, Z)),
+                               (_sign(pz, py), _nested(alg, Z, X, Y)),
+                               (_sign(py, px), _nested(alg, Y, Z, X))]):
             yield x, y, z
 
 
@@ -430,12 +573,17 @@ def form_failures(alg, draw, samples: int):
     for _ in range(samples):
         x, y, z = draw(), draw(), draw()
         px, py = alg.parity_of(x), alg.parity_of(y)
-        if alg.form(x, y) != super_sign(px, py) * alg.form(y, x):
+        X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
+        (n, s), (m, t) = alg.kernel_form(X, Y), alg.kernel_form(Y, X)
+        if n * t != _sign(px, py) * m * s:
             yield "supersymmetry", (x, y)
-        elif px != py and alg.form(x, y):
+        elif px != py and n:
             yield "evenness", (x, y)
-        elif alg.form(alg.bracket(x, y), z) != alg.form(x, alg.bracket(y, z)):
-            yield "invariance", (x, y, z)
+        else:
+            (XY, a), (YZ, b) = alg.kernel_bracket(X, Y), alg.kernel_bracket(Y, Z)
+            (n, a2), (m, b2) = alg.kernel_form(XY, Z), alg.kernel_form(X, YZ)
+            if n * b * b2 != m * a * a2:
+                yield "invariance", (x, y, z)
 
 
 def first_sampled_failure(rep: Report, name: str, samples: int, failures) -> None:
@@ -446,14 +594,21 @@ def first_sampled_failure(rep: Report, name: str, samples: int, failures) -> Non
         rep.skip(name, {"reason": "sampling disabled"})
 
 
-def ad_nilpotent_on(bracket, x, targets, cap: int) -> bool:
-    """For every y in targets, ad_x^k y = 0 for some 1 <= k <= cap."""
+def ad_nilpotent_on(alg, x, targets, cap: int) -> bool:
+    """For every y in targets, ad_x^k y = 0 for some 1 <= k <= cap.
+
+    Runs in the integer kernel: ``alg`` has kernel and kernel_bracket, and
+    targets are kernel elements (``alg.kernel(y)[0]``).  Each iterate is a
+    nonzero integer multiple of ad_x^k y, so only the verdict leaves.
+    """
+    X = alg.kernel(x)[0]
+    bracket = alg.kernel_bracket
     for y in targets:
         for _ in range(cap):
-            y = bracket(x, y)
-            if not y:
+            y = bracket(X, y)[0]
+            if not any(y):
                 break
-        if y:
+        if any(y):
             return False
     return True
 
@@ -479,11 +634,13 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
         ends = degrees[:3] + degrees[-3:]
         for b1, b2, deg1, deg2 in itertools.product(range(base.dim), range(base.dim),
                                                     ends, ends):
-            out = alg.bracket(loop_term(b1, deg1), loop_term(b2, deg2))
+            # the support of a bracket is read off in the kernel
+            loop, v, _ = alg.kernel_bracket(({(b1, deg1): 1}, {}, {}),
+                                            ({(b2, deg2): 1}, {}, {}))[0]
             target = gadd(deg1, deg2)
-            if any(deg != target for (_, deg) in out.loop):
+            if any(deg != target for (_, deg) in loop):
                 yield {"pair": [b1, b2], "degrees": [deg1, deg2]}
-            elif out.v and target != zero_deg:
+            elif v and target != zero_deg:
                 yield {"pair": [b1, b2], "reason": "central part off degree 0"}
     rep.first_failure("bracket adds degrees", grading_failures())
 
@@ -578,6 +735,7 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     targets = [loop_term(b, deg) for deg in degrees for b in range(base.dim)]
     targets += [v_term(i) for i in range(alg.rank)]
     targets += [d_term(i) for i in range(alg.rank)]
+    targets = [alg.kernel(y)[0] for y in targets]
 
     def non_nilpotent():
         for root in alg.datum.roots:
@@ -587,7 +745,7 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
                 if root == zero_root and deg == zero_deg:
                     continue
                 for b in alg.datum.spaces[root]:
-                    if not ad_nilpotent_on(alg.bracket, loop_term(b, deg), targets, cap):
+                    if not ad_nilpotent_on(alg, loop_term(b, deg), targets, cap):
                         yield {"root": root, "degree": deg, "basis": b}
     rep.first_failure("axiom 2: windowed ad-nilpotency at real roots", non_nilpotent())
 

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .linalg import vaxpy_inplace
 from .reports import Report
-from .scalars import Rat, as_scalar, scalar_key, scalar_to_string, super_sign
+from .scalars import (Rat, as_scalar, common_denominator, integer_over, scalar_key,
+                      scalar_to_string, super_sign)
 
 
 class NotAWeightBasisError(ValueError):
@@ -41,6 +43,27 @@ class LieSuperalgebra:
     @property
     def dim(self) -> int:
         return len(self.basis_labels)
+
+    @cached_property
+    def integer_tables(self) -> tuple:
+        """(rows, gram, D): the structure constants and Gram matrix as
+        integers over one denominator D, compiled once on this object.
+
+        rows[i][j] is a tuple of (k, n) with [b_i, b_j] = sum n/D b_k, and
+        gram[i][j] is D times the Gram entry (gram is None without a form).
+        Entries are ints, or GaussianInts for Gaussian constants.  D is the
+        lcm of every denominator, 1 for each built-in algebra.
+        """
+        values = [c for row in self.structure.values() for c in row.values()]
+        if self.gram is not None:
+            values += [g for row in self.gram for g in row]
+        D = common_denominator(values)
+        rows = [[() for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j), row in self.structure.items():
+            rows[i][j] = tuple((k, integer_over(c, D)) for k, c in row.items() if c)
+        gram = None if self.gram is None else \
+            tuple(tuple(integer_over(g, D) for g in row) for row in self.gram)
+        return rows, gram, D
 
     def bracket_basis(self, i: int, j: int) -> dict:
         if not (0 <= i < self.dim and 0 <= j < self.dim):

@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over the package's scalar types.
 
 Vectors are dicts ``{index: nonzero scalar}``; an absent key means zero.
-Only this module's accumulators (vadd, vsub, vaxpy_inplace, add_entry)
-drop the keys whose sums cancel; every other module sums through them.
+Only this module's accumulators (vadd, vsub, vaxpy_inplace, add_entry,
+vsum) drop the keys whose sums cancel; every other module sums through them.
 Matrices appear either as a list of sparse rows or as a list of sparse
 columns, whichever the caller finds natural.  Everything is exact; the
 elimination engine keeps rows fully reduced (RREF invariant) so coordinate
@@ -61,6 +61,15 @@ def add_entry(acc: dict, key, value) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+def vsum(terms) -> dict:
+    """The sparse sum of an iterable of (key, value) terms, without the keys
+    whose sums cancel."""
+    out: dict = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def vdot(u: dict, v: dict):
@@ -125,9 +134,8 @@ class Echelon:
         row = {k: c * inv for k, c in res.items()}
         if self.track:
             rcombo = {t: -c * inv for t, c in combo.items()}
+            # rcombo expresses the normalized row over the added vectors
             vaxpy_inplace(rcombo, inv, {tag: Rat(1)})
-            # rcombo now expresses the normalized row over the added vectors
-            rcombo = {t: c for t, c in rcombo.items() if c}
         else:
             rcombo = None
         # keep existing rows reduced against the new pivot
@@ -208,14 +216,7 @@ def solver(rows: list[dict], ncols: int):
     ech = Echelon(track=True)
     for j, col in enumerate(columns_of(rows, ncols)):
         ech.add(col, tag=j)
-
-    def solve(rhs: dict):
-        combo = ech.coords(rhs)
-        if combo is None:
-            return None
-        return {j: c for j, c in combo.items() if c}
-
-    return solve
+    return ech.coords
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[tuple[int, dict]]:
@@ -231,9 +232,7 @@ def nullspace(rows: list[dict], ncols: int) -> list[tuple[int, dict]]:
     for j, col in enumerate(columns_of(rows, ncols)):
         if not ech.add(col, tag=j):
             null = {j: Rat(1)}
-            for t, c in ech._last_combo.items():
-                if c:
-                    null[t] = -c
+            null.update((t, -c) for t, c in ech._last_combo.items())
             out.append((j, null))
     return out
 

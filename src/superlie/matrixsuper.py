@@ -29,11 +29,12 @@ from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
                        ad_nilpotent_on, d_term, first_sampled_failure, form_failures,
-                       jacobi_failures, loop_term, v_term)
+                       jacobi_failures, kernel_part, kernel_values, loop_element,
+                       loop_term, v_term)
 from .algebra import LieSuperalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
-from .scalars import IUNIT, Rat, super_sign
+from .scalars import IUNIT, Rat, common_denominator, integer_over, scalar_over, super_sign
 
 
 class DegenerateFormError(ValueError):
@@ -619,34 +620,84 @@ class TwistedAlgebra:
             seen.add(0)
         return seen.pop() if len(seen) == 1 else None
 
+    def kernel(self, x: TwistedElement) -> tuple:
+        """(K, s): x as the kernel element K = (parts, c, d) over the
+        denominator s, with parts = {i: affinized kernel element}."""
+        values = [x.c, x.d]
+        for part in x.parts.values():
+            values += kernel_values(part, self.aff.base.dim)
+        s = common_denominator(values)
+        return ({i: kernel_part(p, s) for i, p in x.parts.items()},
+                integer_over(x.c, s), integer_over(x.d, s)), s
+
     def bracket(self, x: TwistedElement, y: TwistedElement) -> TwistedElement:
-        parts: dict = {}
-        cval = Rat(0)
-        for i, xi in x.parts.items():
-            for j, yj in y.parts.items():
-                _add_part(parts, i + j, self.aff.bracket(xi, yj))
-                if i and i == -j:
-                    val = self.aff.form(xi, yj)
-                    if val:
-                        cval = cval + i * val
-        if x.d:
-            for j, yj in y.parts.items():
-                if j:
-                    _add_part(parts, j, yj.scaled(x.d * j))
-        if y.d:
-            for i, xi in x.parts.items():
-                if i:
-                    _add_part(parts, i, xi.scaled(-(y.d * i)))
-        return TwistedElement(parts, cval, Rat(0))
+        (X, sx), (Y, sy) = self.kernel(x), self.kernel(y)
+        (parts, c, d), s = self.kernel_bracket(X, Y)
+        s *= sx * sy
+        return TwistedElement({i: loop_element(p, s) for i, p in parts.items()},
+                              scalar_over(c, s), scalar_over(d, s))
 
     def form(self, x: TwistedElement, y: TwistedElement):
-        total = Rat(0)
-        for i, xi in x.parts.items():
-            yj = y.parts.get(-i)
-            if yj is not None:
-                total = total + self.aff.form(xi, yj)
-        total = total + x.c * y.d + x.d * y.c
-        return total
+        (X, sx), (Y, sy) = self.kernel(x), self.kernel(y)
+        n, s = self.kernel_form(X, Y)
+        return scalar_over(n, sx * sy * s)
+
+    def kernel_entries(self, K: tuple):
+        """The (key, integer) entries of a kernel element, keys told apart."""
+        parts, c, d = K
+        for i, part in parts.items():
+            for key, n in self.aff.kernel_entries(part):
+                yield (i, key), n
+        yield "c", c
+        yield "d", d
+
+    def kernel_bracket(self, X: tuple, Y: tuple) -> tuple:
+        """(Z, s) with [X, Y] = Z / s, for kernel elements X and Y.
+
+        Parts i and j bracket into part i + j by the affinized bracket, and
+        for i = -j != 0 their pairing times i goes to c; d scales part j by j.
+        """
+        aff = self.aff
+        (xparts, _, xd), (yparts, _, yd) = X, Y
+        L = 1 if aff.integral_theta else aff.theta_lcm(
+            {(d1, d2) for xp in xparts.values() for (_, d1) in xp[0]
+             for yp in yparts.values() for (_, d2) in yp[0]})
+        DL = aff.base.integer_tables[2] * L
+        out: dict = {}
+        c = 0
+        for i, xp in xparts.items():
+            for j, yp in yparts.items():
+                loop, v, _ = out.get(i + j) or out.setdefault(i + j, ([], [], []))
+                pairing = aff.bracket_terms(xp, yp, L, loop, v)
+                if i and i == -j:
+                    c += i * pairing
+        for side, s in ((yparts, DL * xd), (xparts, -DL * yd)):
+            if s:
+                for j, part in side.items():
+                    if j:
+                        terms = out.get(j) or out.setdefault(j, ([], [], []))
+                        for acc, entries in zip(terms, part):
+                            acc += [(key, s * j * n) for key, n in entries.items()]
+        parts = {}
+        for i, terms in out.items():
+            part = tuple(linalg.vsum(t) for t in terms)
+            if any(part):
+                parts[i] = part
+        return (parts, c, 0), DL
+
+    def kernel_form(self, X: tuple, Y: tuple) -> tuple:
+        """(n, s) with (X, Y) = n / s: part i pairs with part -i by the
+        affinized form, and c with d."""
+        aff = self.aff
+        terms = []
+        pairing = X[1] * Y[2] + X[2] * Y[1]
+        for i, xp in X[0].items():
+            yp = Y[0].get(-i)
+            if yp is not None:
+                pairing += aff.form_terms(xp, yp, terms)
+        L = 1 if aff.integral_theta else aff.theta_lcm((d1, d2) for _, d1, d2 in terms)
+        DL = aff.base.integer_tables[2] * L
+        return aff.theta_sum(terms, L) + DL * pairing, DL
 
     def in_twisted_cartan(self, x: TwistedElement) -> bool:
         """Support inside (h^sigma ⊗ 1) ⊕ Fc ⊕ Fd."""
@@ -831,11 +882,12 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     ordered = sorted(spaces.items(), key=lambda kv: str(kv[0]))
 
     pair_seen: dict = {}  # (i1 % 4, i2 % 4) -> some pair of spaces pairs nonzero
+    kernels = {key: [tw.kernel(x) for x in basis] for key, basis in spaces.items()}
 
     def pairing_failures():
-        for (p1, t1, i1), basis1 in spaces.items():
-            for (p2, t2, i2), basis2 in spaces.items():
-                nonzero = any(tw.form(x, y) for x in basis1 for y in basis2)
+        for (p1, t1, i1), basis1 in kernels.items():
+            for (p2, t2, i2), basis2 in kernels.items():
+                nonzero = any(tw.kernel_form(X, Y)[0] for X, _ in basis1 for Y, _ in basis2)
                 classes = (i1 % 4, i2 % 4)
                 pair_seen[classes] = pair_seen.get(classes, False) or nonzero
                 opposite = (all(a + b == 0 for a, b in zip(p1, p2))
@@ -887,14 +939,14 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
         rep, "twisted form supersymmetry/evenness/invariance (sampled)", samples,
         ({"reason": reason} for reason, _ in form_failures(tw, draw, samples)))
 
-    index = list(range(len(all_vectors)))
+    all_kernels = [k for basis in kernels.values() for k in basis]
     rows = []
-    for a in index:
+    for X, sx in all_kernels:
         row = {}
-        for b in index:
-            val = tw.form(all_vectors[a], all_vectors[b])
-            if val:
-                row[b] = val
+        for b, (Y, sy) in enumerate(all_kernels):
+            n, s = tw.kernel_form(X, Y)
+            if n:
+                row[b] = scalar_over(n, sx * sy * s)
         rows.append(row)
     rank = linalg.span_rank(rows)
     rep.check("twisted window-block nondegeneracy", rank == len(all_vectors),
@@ -961,11 +1013,11 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
 
     pform = PiForm(aff, sigma)
     cap = aff.base.dim + 4
-    targets = all_vectors + [tw_c(), tw_d()]
+    targets = [X for X, _ in all_kernels] + [tw.kernel(y)[0] for y in (tw_c(), tw_d())]
     rep.first_failure("axiom 2: windowed ad-nilpotency at real twisted roots", (
         {"root": [p, tau, i]}
         for (p, tau, i), basis in ordered if (p, tau, i) != zero_key and pform.eval(p, p)
-        for x in basis if not ad_nilpotent_on(tw.bracket, x, targets, cap)))
+        for x in basis if not ad_nilpotent_on(tw, x, targets, cap)))
 
     ears = rootsys.check_axioms(
         twisted_window_root_system(tw, spaces, tau_degrees, z_window))

@@ -13,6 +13,7 @@ duck-typed through the ``Rat`` constructor.
 
 from __future__ import annotations
 
+import math
 import re
 
 try:
@@ -134,6 +135,101 @@ class GaussianRational:
 
 
 IUNIT = GaussianRational(0, 1)
+
+
+class GaussianInt:
+    """An element re + im*i of Z[i]: the integer pairs of the bracket kernel.
+
+    Mixes with integers (Python ints, or gmpy2's mpz) under + and *, and
+    compares with them; zero is falsy.  Instances are never mutated, and
+    they are not hashable (the kernel keeps them only as values).
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianInt):
+            return self.re == other.re and self.im == other.im
+        return not self.im and self.re == other
+
+    def __add__(self, other):
+        if isinstance(other, GaussianInt):
+            return GaussianInt(self.re + other.re, self.im + other.im)
+        return GaussianInt(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianInt):
+            return GaussianInt(self.re * other.re - self.im * other.im,
+                               self.re * other.im + self.im * other.re)
+        return GaussianInt(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"GaussianInt({self.re}, {self.im})"
+
+
+def common_denominator(values) -> int:
+    """The least positive s with s*x integral for every value (Gaussian
+    values need both parts integral)."""
+    try:
+        return math.lcm(*[x.denominator for x in values])
+    except AttributeError:  # Gaussian values among them
+        return math.lcm(*[d for x in values for d in
+                          ((x.re.denominator, x.im.denominator)
+                           if isinstance(x, GaussianRational) else (x.denominator,))])
+
+
+def integer_over(x, s):
+    """s*x as an integer, or a GaussianInt for a Gaussian x with nonzero
+    imaginary part; s is a multiple of x's denominator."""
+    if isinstance(x, GaussianRational):
+        if x.im:
+            return GaussianInt(x.re.numerator * (s // x.re.denominator),
+                               x.im.numerator * (s // x.im.denominator))
+        x = x.re
+    return x.numerator * (s // x.denominator)
+
+
+def integers_over(values: dict, s) -> dict:
+    """{k: s*x} for the scalars x of values (see integer_over)."""
+    try:
+        if s == 1:
+            return {k: x.numerator for k, x in values.items()}
+        return {k: x.numerator * (s // x.denominator) for k, x in values.items()}
+    except AttributeError:  # Gaussian values among them
+        return {k: integer_over(x, s) for k, x in values.items()}
+
+
+def scalar_over(n, s):
+    """The scalar n/s for an integer or GaussianInt n and a positive int s.
+
+    A Gaussian value with zero imaginary part comes back as a rational.
+    """
+    if type(n) is GaussianInt:
+        if n.im:
+            return GaussianRational(Rat(n.re, s), Rat(n.im, s))
+        n = n.re
+    return Rat(n, s)
+
+
+def scalars_over(values: dict, s) -> dict:
+    """{k: n/s} for the integers n of values (see scalar_over)."""
+    try:
+        if s == 1:
+            return {k: Rat(n) for k, n in values.items()}
+        return {k: Rat(n, s) for k, n in values.items()}
+    except TypeError:  # GaussianInts among them
+        return {k: scalar_over(n, s) for k, n in values.items()}
 
 
 def scalar_key(x):

@@ -151,23 +151,15 @@ def test_verify_affinized_sl12_rank2():
 
 def test_corrupted_form_fails_invariance():
     class Corrupted(AffinizedAlgebra):
-        def form(self, x, y):
-            # drop the degree-matching condition of the pairing
-            total = Rat(0)
-            for (b1, _), c1 in x.loop.items():
-                for (b2, _), c2 in y.loop.items():
-                    g = self.base.gram[b1][b2]
-                    if g:
-                        total = total + c1 * c2 * g
-            for i, c in x.v.items():
-                s = y.d.get(i)
-                if s:
-                    total = total + c * s
-            for i, c in x.d.items():
-                s = y.v.get(i)
-                if s:
-                    total = total + c * s
-            return total
+        def form_terms(self, X, Y, terms):
+            # drop the degree-matching condition of the pairing (the form
+            # and the sampled form checks both run on these terms)
+            gram = self.base.integer_tables[1]
+            terms += [(c1 * c2 * gram[b1][b2], d1, d2)
+                      for (b1, d1), c1 in X[0].items()
+                      for (b2, d2), c2 in Y[0].items() if gram[b1][b2]]
+            return sum(n * Y[2].get(k, 0) for k, n in X[1].items()) \
+                + sum(n * Y[1].get(k, 0) for k, n in X[2].items())
 
     L = osp12_standard()
     datum = weight_decomposition(L)

@@ -1,0 +1,488 @@
+"""The integer kernel of the affinized and twisted brackets and forms.
+
+AffinizedAlgebra and TwistedAlgebra compute brackets and forms on integers
+over one denominator.  The scalar versions they replaced are kept here as
+the reference (they read the structure constants, the Gram matrix and the
+torus directly, not the compiled tables or the theta memo), and every
+result must equal them: on the configurations of acceptance criteria 6 and
+7 on small windows, on hypothesis-drawn elements with fractional rational
+and Gaussian coefficients and V, V*, c and d parts, and on tori whose theta
+is not an integer.  Results must hold Rat values, or GaussianRational ones
+with a nonzero imaginary part, and never an int or a float.
+"""
+
+import ast
+import dataclasses
+import itertools
+import json
+import pathlib
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard,
+                      trivial_torus, verify_affinized, verify_twisted,
+                      weight_decomposition, window_box)
+from superlie.abelian import gadd
+from superlie.affinize import (GradedLoopElement, _sample_element, ad_nilpotent_on,
+                               d_term, loop_term, v_term)
+from superlie.linalg import add_entry
+from superlie.matrixsuper import (SharpOperator, SuperIndexSet, TwistedAlgebra,
+                                  TwistedElement, matrix_affinization,
+                                  plain_index_set, sl_superalgebra, tw_c, tw_d,
+                                  twisted_affinize, twisted_weight_spaces)
+from superlie.scalars import IUNIT, GaussianRational, Rat
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "superlie"
+BC11 = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
+
+
+# ---------------------------------------------------------------------------
+# the reference: the scalar bracket and form
+
+
+def ref_bracket(alg, x, y):
+    out_loop, out_v = {}, {}
+    zero = (0,) * alg.rank
+    for (b1, d1), c1 in x.loop.items():
+        for (b2, d2), c2 in y.loop.items():
+            coeff = c1 * c2 * alg.torus.theta(d1, d2)
+            deg = gadd(d1, d2)
+            for k, cv in alg.base.bracket_basis(b1, b2).items():
+                add_entry(out_loop, (k, deg), coeff * cv)
+            if deg == zero:
+                fval = alg.base.gram[b1][b2]
+                if fval:
+                    for i, di in enumerate(d1):
+                        if di:
+                            add_entry(out_v, i, coeff * fval * di)
+    for i, s in x.d.items():
+        for (b, deg), c in y.loop.items():
+            if deg[i]:
+                add_entry(out_loop, (b, deg), s * c * deg[i])
+    for (b, deg), c in x.loop.items():
+        for i, s in y.d.items():
+            if deg[i]:
+                add_entry(out_loop, (b, deg), -(s * c * deg[i]))
+    return GradedLoopElement(loop=out_loop, v=out_v, d={})
+
+
+def ref_form(alg, x, y):
+    total = Rat(0)
+    for (b1, d1), c1 in x.loop.items():
+        for (b2, d2), c2 in y.loop.items():
+            if any(a + b for a, b in zip(d1, d2)):
+                continue
+            fval = alg.base.gram[b1][b2]
+            if fval:
+                total = total + c1 * c2 * alg.torus.theta(d1, d2) * fval
+    for i, c in x.v.items():
+        s = y.d.get(i)
+        if s:
+            total = total + c * s
+    for i, c in x.d.items():
+        s = y.v.get(i)
+        if s:
+            total = total + c * s
+    return total
+
+
+def _add_part(parts, i, x):
+    if not x:
+        return
+    merged = parts[i].plus(x) if i in parts else x
+    if merged:
+        parts[i] = merged
+    else:
+        parts.pop(i)
+
+
+def ref_tw_bracket(tw, x, y):
+    parts = {}
+    cval = Rat(0)
+    for i, xi in x.parts.items():
+        for j, yj in y.parts.items():
+            _add_part(parts, i + j, ref_bracket(tw.aff, xi, yj))
+            if i and i == -j:
+                val = ref_form(tw.aff, xi, yj)
+                if val:
+                    cval = cval + i * val
+    if x.d:
+        for j, yj in y.parts.items():
+            if j:
+                _add_part(parts, j, yj.scaled(x.d * j))
+    if y.d:
+        for i, xi in x.parts.items():
+            if i:
+                _add_part(parts, i, xi.scaled(-(y.d * i)))
+    return TwistedElement(parts, cval, Rat(0))
+
+
+def ref_tw_form(tw, x, y):
+    total = Rat(0)
+    for i, xi in x.parts.items():
+        yj = y.parts.get(-i)
+        if yj is not None:
+            total = total + ref_form(tw.aff, xi, yj)
+    return total + x.c * y.d + x.d * y.c
+
+
+def ref_ad_nilpotent(bracket, x, targets, cap):
+    for y in targets:
+        for _ in range(cap):
+            y = bracket(x, y)
+            if not y:
+                break
+        if y:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# comparison helpers
+
+
+def assert_scalar(value):
+    """A kernel result leaves as Rat, or as Q(i) with a nonzero i part."""
+    assert type(value) is type(Rat(0)) or (
+        isinstance(value, GaussianRational) and value.im), repr(value)
+
+
+def assert_loop_scalars(x):
+    for part in (x.loop, x.v, x.d):
+        for value in part.values():
+            assert_scalar(value)
+
+
+def assert_same_bracket(alg, x, y):
+    got = alg.bracket(x, y)
+    assert got == ref_bracket(alg, x, y), (str(x), str(y), str(got))
+    assert_loop_scalars(got)
+    return got
+
+
+def assert_same_form(alg, x, y):
+    got = alg.form(x, y)
+    assert got == ref_form(alg, x, y), (str(x), str(y), got)
+    assert_scalar(got)
+
+
+def assert_same_tw_bracket(tw, x, y):
+    got = tw.bracket(x, y)
+    assert got == ref_tw_bracket(tw, x, y)
+    for part in got.parts.values():
+        assert part
+        assert_loop_scalars(part)
+    assert_scalar(got.c)
+    assert_scalar(got.d)
+    return got
+
+
+def assert_same_tw_form(tw, x, y):
+    got = tw.form(x, y)
+    assert got == ref_tw_form(tw, x, y)
+    assert_scalar(got)
+
+
+def sign_torus(rank):
+    return CocycleTorus(rank=rank, qmatrix=tuple(
+        tuple(Rat(-1) for _ in range(rank)) for _ in range(rank)))
+
+
+def two_thirds_torus():
+    """A bimultiplicative torus with q = 2/3: theta is not an integer."""
+    q = ((Rat(2, 3), Rat(-1, 2)), (Rat(-1, 2), Rat(3)))
+    return CocycleTorus(rank=2, qmatrix=q)
+
+
+def table_torus():
+    """A table torus of rank 1 on degrees -3..3 with theta = (2/3)^(ab)."""
+    degrees = [(a,) for a in range(-3, 4)]
+    q = CocycleTorus(rank=1, qmatrix=((Rat(2, 3),),))
+    return CocycleTorus(rank=1, table={(a, b): q.theta(a, b)
+                                       for a in degrees for b in degrees})
+
+
+def fractional_base():
+    """osp(1,2) with structure constants halved and the Gram matrix thirded:
+    a bilinear table whose compiled denominator D is 6."""
+    L = osp12_standard()
+    structure = {pair: {k: Rat(1, 2) * c for k, c in row.items()}
+                 for pair, row in L.structure.items()}
+    gram = tuple(tuple(Rat(1, 3) * g for g in row) for row in L.gram)
+    return dataclasses.replace(L, structure=structure, gram=gram)
+
+
+def window_basis(alg, degrees):
+    out = [loop_term(b, deg) for deg in degrees for b in range(alg.base.dim)]
+    return out + [v_term(i) for i in range(alg.rank)] + [d_term(i) for i in range(alg.rank)]
+
+
+# ---------------------------------------------------------------------------
+# compiled tables
+
+
+def test_integer_tables_of_the_fixtures_have_denominator_one():
+    for L in (osp12_standard(), sl_superalgebra(plain_index_set(1, 2))):
+        rows, gram, D = L.integer_tables
+        assert D == 1
+        for (i, j), row in L.structure.items():
+            assert dict(rows[i][j]) == {k: c for k, c in row.items() if c}
+        assert all(type(n) is int for row in rows for entry in row for _, n in entry)
+        assert [list(r) for r in gram] == [list(r) for r in L.gram]
+        assert L.integer_tables is L.integer_tables
+
+
+def test_integer_tables_of_a_fractional_base():
+    L = fractional_base()
+    rows, gram, D = L.integer_tables
+    assert D == 6
+    for (i, j), row in L.structure.items():
+        assert {k: Rat(n, D) for k, n in rows[i][j]} == row
+    assert all(Rat(gram[i][j], D) == L.gram[i][j]
+               for i in range(L.dim) for j in range(L.dim))
+
+
+# ---------------------------------------------------------------------------
+# the configurations of criteria 6 and 7 on small windows
+
+
+def criterion6_algebras():
+    for L in (osp12_standard(), sl_superalgebra(plain_index_set(1, 2))):
+        datum = weight_decomposition(L)
+        for rank in (1, 2):
+            for torus in (trivial_torus(rank), sign_torus(rank)):
+                yield AffinizedAlgebra(L, datum, torus)
+
+
+def test_affinized_kernel_matches_reference_on_criterion_6_windows():
+    rng = random.Random(6)
+    for alg in criterion6_algebras():
+        degrees = window_box(alg.rank, 1)
+        basis = window_basis(alg, degrees)
+        pairs = list(itertools.product(basis, repeat=2))
+        if alg.rank == 2:
+            pairs = rng.sample(pairs, 400)
+        for x, y in pairs:
+            assert_same_bracket(alg, x, y)
+            assert_same_form(alg, x, y)
+        for _ in range(60):
+            x, y, z = (_sample_element(alg, rng, degrees) for _ in range(3))
+            xy = assert_same_bracket(alg, x, y)
+            assert_same_bracket(alg, xy, z)
+            assert_same_form(alg, xy, z)
+
+
+def test_affinized_ad_nilpotency_matches_reference():
+    for alg in criterion6_algebras():
+        if alg.rank == 2:
+            continue
+        degrees = window_box(1, 1)
+        targets = window_basis(alg, degrees)
+        kernel_targets = [alg.kernel(y)[0] for y in targets]
+        cap = alg.base.dim + 2
+        verdicts = set()
+        for x in targets:
+            want = ref_ad_nilpotent(lambda a, b: ref_bracket(alg, a, b), x, targets, cap)
+            assert ad_nilpotent_on(alg, x, kernel_targets, cap) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+def criterion7_twisted():
+    aff = matrix_affinization(BC11, trivial_torus(1), field="Qi")
+    return twisted_affinize(aff, SharpOperator(BC11, aff))
+
+
+def test_twisted_kernel_matches_reference_on_criterion_7_window():
+    tw = criterion7_twisted()
+    spaces = twisted_weight_spaces(tw, window_box(1, 1), range(-2, 3))
+    vectors = [x for basis in spaces.values() for x in basis]
+    assert any(isinstance(c, GaussianRational) and c.im
+               for x in vectors for part in x.parts.values() for c in part.loop.values())
+    rng = random.Random(7)
+    pairs = rng.sample(list(itertools.product(vectors, repeat=2)), 500)
+    for x, y in pairs:
+        xy = assert_same_tw_bracket(tw, x, y)
+        assert_same_tw_form(tw, x, y)
+        z = rng.choice(vectors)
+        assert_same_tw_bracket(tw, xy, z)
+        assert_same_tw_form(tw, xy, z)
+    targets = vectors + [tw_c(), tw_d()]
+    kernel_targets = [tw.kernel(y)[0] for y in targets]
+    verdicts = set()
+    for x in rng.sample(vectors, 6):
+        want = ref_ad_nilpotent(lambda a, b: ref_tw_bracket(tw, a, b), x, targets, 8)
+        assert ad_nilpotent_on(tw, x, kernel_targets, 8) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-drawn elements
+
+
+rationals = st.builds(lambda n, d: Rat(n, d), st.integers(-4, 4), st.integers(1, 6))
+gaussians = st.builds(GaussianRational, rationals, rationals)
+scalars = st.one_of(rationals, gaussians)
+
+
+def loop_elements(dim, rank, radius):
+    degree = st.tuples(*[st.integers(-radius, radius)] * rank)
+    return st.builds(
+        lambda loop, v, d: GradedLoopElement(
+            {k: c for k, c in loop.items() if c}, {k: c for k, c in v.items() if c},
+            {k: c for k, c in d.items() if c}),
+        st.dictionaries(st.tuples(st.integers(0, dim - 1), degree), scalars, max_size=4),
+        st.dictionaries(st.integers(0, rank - 1), scalars, max_size=rank),
+        st.dictionaries(st.integers(0, rank - 1), scalars, max_size=rank))
+
+
+AFFINIZED = {
+    "osp12 sign": AffinizedAlgebra(osp12_standard(), weight_decomposition(osp12_standard()),
+                                   sign_torus(2)),
+    "sl12 q=2/3": AffinizedAlgebra(sl_superalgebra(plain_index_set(1, 2)),
+                                   weight_decomposition(
+                                       sl_superalgebra(plain_index_set(1, 2))),
+                                   two_thirds_torus()),
+    "fractional base q=2/3": AffinizedAlgebra(
+        fractional_base(), weight_decomposition(osp12_standard()), two_thirds_torus()),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(AFFINIZED)), st.data())
+def test_affinized_kernel_matches_reference_on_drawn_elements(name, data):
+    alg = AFFINIZED[name]
+    elements = loop_elements(alg.base.dim, alg.rank, 2)
+    x, y, z = data.draw(elements), data.draw(elements), data.draw(elements)
+    xy = assert_same_bracket(alg, x, y)
+    assert_same_bracket(alg, y, x)
+    assert_same_bracket(alg, xy, z)
+    assert_same_form(alg, x, y)
+    assert_same_form(alg, xy, z)
+
+
+def test_two_thirds_torus_on_negative_degrees():
+    alg = AFFINIZED["sl12 q=2/3"]
+    degrees = [d for d in window_box(2, 2) if min(d) < 0]
+    rng = random.Random(23)
+    for _ in range(300):
+        b1, b2 = rng.randrange(alg.base.dim), rng.randrange(alg.base.dim)
+        d1, d2 = rng.choice(degrees), rng.choice(degrees)
+        x = loop_term(b1, d1, Rat(rng.randint(1, 5), rng.randint(1, 4)))
+        y = loop_term(b2, d2).plus(loop_term(b1, tuple(-a for a in d1), Rat(-1, 3)))
+        assert_same_bracket(alg, x, y)
+        assert_same_form(alg, x, y)
+        assert_same_form(alg, x, loop_term(b2, tuple(-a for a in d1)))
+
+
+def test_table_torus_with_fractional_theta():
+    L = osp12_standard()
+    alg = AffinizedAlgebra(L, weight_decomposition(L), table_torus())
+    basis = window_basis(alg, window_box(1, 1))
+    for x, y in itertools.product(basis, repeat=2):
+        assert_same_bracket(alg, x.scaled(Rat(3, 2)), y)
+        assert_same_form(alg, x, y.scaled(Rat(-2, 5)))
+
+
+def test_gaussian_torus():
+    L = sl_superalgebra(plain_index_set(1, 2), field="Qi")
+    alg = AffinizedAlgebra(L, weight_decomposition(L), CocycleTorus(rank=1, qmatrix=((IUNIT,),)))
+    basis = window_basis(alg, window_box(1, 2))
+    values = []
+    for x, y in itertools.product(basis, repeat=2):
+        values += assert_same_bracket(alg, x, y).loop.values()
+        assert_same_form(alg, x, y)
+    assert any(isinstance(c, GaussianRational) for c in values)
+
+
+def twisted_elements(dim, radius):
+    parts = st.dictionaries(st.integers(-3, 3), loop_elements(dim, 1, radius), max_size=3)
+    zero_or = st.one_of(st.just(Rat(0)), scalars)
+    return st.builds(
+        lambda p, c, d: TwistedElement({i: x for i, x in p.items() if x}, c, d),
+        parts, zero_or, zero_or)
+
+
+TWISTED = {
+    "trivial": criterion7_twisted(),
+    "q=2/3": TwistedAlgebra(
+        matrix_affinization(BC11, CocycleTorus(rank=1, qmatrix=((Rat(2, 3),),)), field="Qi"),
+        criterion7_twisted().sh),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(TWISTED)), st.data())
+def test_twisted_kernel_matches_reference_on_drawn_elements(name, data):
+    tw = TWISTED[name]
+    elements = twisted_elements(tw.aff.base.dim, 2)
+    x, y, z = data.draw(elements), data.draw(elements), data.draw(elements)
+    xy = assert_same_tw_bracket(tw, x, y)
+    assert_same_tw_bracket(tw, xy, z)
+    assert_same_tw_form(tw, x, y)
+    assert_same_tw_form(tw, xy, z)
+
+
+# ---------------------------------------------------------------------------
+# no floats
+
+
+def assert_no_float(obj):
+    if isinstance(obj, float):
+        raise AssertionError("float in a result")
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            assert_no_float(k)
+            assert_no_float(v)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for v in obj:
+            assert_no_float(v)
+    elif isinstance(obj, GradedLoopElement):
+        assert_no_float([obj.loop, obj.v, obj.d])
+    elif isinstance(obj, TwistedElement):
+        assert_no_float([obj.parts, obj.c, obj.d])
+    elif isinstance(obj, GaussianRational):
+        assert_no_float([obj.re, obj.im])
+
+
+def test_no_float_in_kernel_results_or_reports():
+    rng = random.Random(11)
+    alg = AFFINIZED["sl12 q=2/3"]
+    degrees = window_box(2, 1)
+    for _ in range(50):
+        x, y = (_sample_element(alg, rng, degrees) for _ in range(2))
+        X, Y = alg.kernel(x), alg.kernel(y)
+        assert_no_float([X, Y, alg.kernel_bracket(X[0], Y[0]), alg.kernel_form(X[0], Y[0]),
+                         alg.bracket(x, y), alg.form(x, y)])
+    tw = TWISTED["q=2/3"]
+    x = TwistedElement({1: loop_term(0, (1,), GaussianRational(Rat(1, 2), 3))}, Rat(1), Rat(2))
+    y = TwistedElement({-1: loop_term(2, (-1,), Rat(1, 3))}, IUNIT, Rat(1, 5))
+    X, Y = tw.kernel(x), tw.kernel(y)
+    assert_no_float([X, Y, tw.kernel_bracket(X[0], Y[0]), tw.kernel_form(X[0], Y[0]),
+                     tw.bracket(x, y), tw.form(x, y)])
+    reports = [verify_affinized(alg, degrees, samples=20, seed=3),
+               verify_twisted(criterion7_twisted(), BC11, window_box(1, 0), 1,
+                              samples=10, seed=3)]
+    for rep in reports:
+        assert_no_float(rep.as_dict())
+        json.loads(rep.to_json())
+
+
+def test_kernel_code_has_no_true_division():
+    """The kernel divides only exactly (//) on integers; a scalar quotient
+    goes through the Rat constructor or sdiv, never through /."""
+    for name in ("affinize.py", "matrixsuper.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        assert not [n for n in ast.walk(tree)
+                    if isinstance(n, (ast.BinOp, ast.AugAssign))
+                    and isinstance(n.op, ast.Div)], name
+    tree = ast.parse((SRC / "scalars.py").read_text(encoding="utf-8"))
+    kernel = {"GaussianInt", "common_denominator", "integer_over", "integers_over",
+              "scalar_over", "scalars_over"}
+    for node in tree.body:
+        if getattr(node, "name", None) in kernel:
+            assert not [n for n in ast.walk(node)
+                        if isinstance(n, (ast.BinOp, ast.AugAssign))
+                        and isinstance(n.op, ast.Div)], node.name

@@ -1,8 +1,8 @@
 """Sparse-vector arithmetic stays inside ``superlie.linalg``.
 
 A sparse vector is a dict of nonzero scalars, and a sum drops the keys that
-cancel.  Only linalg's accumulators (vadd, vsub, vaxpy_inplace and
-add_entry) know that: a hand-written ``acc.get(k, 0) + ...`` anywhere else
+cancel.  Only linalg's accumulators (vadd, vsub, vaxpy_inplace, add_entry
+and vsum) know that: a hand-written ``acc.get(k, 0) + ...`` anywhere else
 is a second copy of the format decision.
 """
 
@@ -12,7 +12,7 @@ import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "superlie"
 ACCUMULATE = re.compile(r"\.get\([^()]*, 0\) [+-]")
-ACCUMULATORS = {"vadd", "vsub", "vaxpy_inplace", "add_entry"}
+ACCUMULATORS = {"vadd", "vsub", "vaxpy_inplace", "add_entry", "vsum"}
 
 
 def accumulate_lines(path: pathlib.Path) -> list[int]:
