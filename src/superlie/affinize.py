@@ -28,8 +28,8 @@ from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .algebra import LieSuperalgebra, RootDatum, axiom1_witnesses, t_alpha_vector
 from .reports import Report
-from .scalars import (IUNIT, Rat, common_denominator, integer_over, integers_over,
-                      scalar_over, scalars_over, sdiv, spow)
+from .scalars import (Rat, common_denominator, integer_over, integers_over,
+                      scalar_over, scalars_over, sdiv, spow, super_sign)
 
 
 class WindowExceededError(ValueError):
@@ -192,9 +192,6 @@ class GradedLoopElement:
                                  linalg.vadd(self.v, other.v),
                                  linalg.vadd(self.d, other.d))
 
-    def minus(self, other: "GradedLoopElement") -> "GradedLoopElement":
-        return self.plus(other.scaled(Rat(-1)))
-
     def __str__(self):
         from .scalars import scalar_to_string
         terms = [f"{scalar_to_string(c)}*b{b}@t^{list(deg)}"
@@ -266,12 +263,8 @@ def _vv_pairing(X: tuple, Y: tuple):
             + sum(n * yv[k] for k, n in xd.items() if k in yv))
 
 
-def _integral_torus(torus: CocycleTorus) -> bool:
-    """True when every theta value is an integer: q entries that are units
-    (theta takes negative powers of them), or a table of integers."""
-    if torus.qmatrix is not None:
-        return all(q in (1, -1, IUNIT, -IUNIT) for row in torus.qmatrix for q in row)
-    return common_denominator(list(torus.table.values())) == 1
+class ThetaDenominatorMiss(Exception):
+    """A theta denominator that does not divide the L a kernel bracket runs at."""
 
 
 class AffinizedAlgebra:
@@ -289,7 +282,6 @@ class AffinizedAlgebra:
         self.torus = torus
         self.rank = torus.rank
         self._theta: dict = {}
-        self.integral_theta = _integral_torus(torus)
         self._zero = (0,) * self.rank
 
     def theta(self, a, b):
@@ -298,22 +290,24 @@ class AffinizedAlgebra:
         A table-mode torus raises WindowExceededError outside its window;
         the miss propagates and is not cached.
         """
-        return self._theta_entry(a, b)[0]
+        num, den, _ = self._theta_entry(a, b)
+        return scalar_over(num, den)
 
     def _theta_entry(self, a, b):
-        """The memo entry (theta, num, den, a + b) with theta = num / den."""
+        """The memo entry (num, den, a + b) with theta(a, b) = num / den."""
         key = (a, b)
         entry = self._theta.get(key)
         if entry is None:
             value = self.torus.theta(a, b)
             den = common_denominator([value])
-            entry = self._theta[key] = (value, integer_over(value, den), den, gadd(a, b))
+            entry = self._theta[key] = (integer_over(value, den), den, gadd(a, b))
         return entry
 
-    def theta_lcm(self, pairs) -> int:
-        """The lcm of theta's denominators on the degree pairs (callers skip
-        it when integral_theta says every denominator is 1)."""
-        return math.lcm(*(self._theta_entry(a, b)[2] for a, b in pairs))
+    def theta_lcm(self, degrees1, degrees2) -> int:
+        """The lcm of theta's denominators on degrees1 x degrees2."""
+        memo = self._theta
+        return math.lcm(*((memo.get(key) or self._theta_entry(*key))[1]
+                          for key in itertools.product(degrees1, degrees2)))
 
     def parity_of(self, x: GradedLoopElement):
         seen = {self.base.parity[b] for (b, _) in x.loop}
@@ -346,9 +340,18 @@ class AffinizedAlgebra:
         return scalar_over(n, sx * sy * s)
 
     def kernel_bracket(self, X: tuple, Y: tuple) -> tuple:
-        """(Z, s) with [X, Y] = Z / s, for kernel elements X and Y."""
-        L = 1 if self.integral_theta else self.theta_lcm(
-            {(d1, d2) for (_, d1) in X[0] for (_, d2) in Y[0]})
+        """(Z, s) with [X, Y] = Z / s, for kernel elements X and Y.
+
+        Most tori take integer values, so the terms are first scaled to L = 1
+        and only on a miss to the lcm of theta's denominators.
+        """
+        try:
+            return self._kernel_bracket(X, Y, 1)
+        except ThetaDenominatorMiss:
+            return self._kernel_bracket(X, Y, self.theta_lcm({d for _, d in X[0]},
+                                                             {d for _, d in Y[0]}))
+
+    def _kernel_bracket(self, X: tuple, Y: tuple, L) -> tuple:
         loop, v = [], []
         self.bracket_terms(X, Y, L, loop, v)
         return ((linalg.vsum(loop), linalg.vsum(v) if v else {}, {}),
@@ -356,7 +359,8 @@ class AffinizedAlgebra:
 
     def bracket_terms(self, X: tuple, Y: tuple, L, loop: list, v: list):
         """Append the terms of D L [X, Y] to the loop and V term lists, and
-        return D L (X, Y); L is a multiple of theta's denominators on X, Y."""
+        return D L (X, Y); raises ThetaDenominatorMiss unless L is a multiple
+        of theta's denominators on the degrees of X and Y."""
         (xl, xv, xd), (yl, yv, yd) = X, Y
         rows, gram, D = self.base.integer_tables
         memo, zero = self._theta, self._zero
@@ -365,9 +369,11 @@ class AffinizedAlgebra:
         for (b1, d1), c1 in xl.items():
             row, grow = rows[b1], gram[b1]
             for (b2, d2), c2 in yl.items():
-                _, tn, td, deg = memo.get((d1, d2)) or self._theta_entry(d1, d2)
+                tn, td, deg = memo.get((d1, d2)) or self._theta_entry(d1, d2)
                 coeff = c1 * c2 * tn
                 if td != L:
+                    if L % td:
+                        raise ThetaDenominatorMiss
                     coeff *= L // td
                 for k, n in row[b2]:
                     append(((k, deg), coeff * n))
@@ -388,10 +394,9 @@ class AffinizedAlgebra:
         """(n, s) with (X, Y) = n / s, for kernel elements X and Y."""
         terms = []
         pairing = self.form_terms(X, Y, terms)
-        L = 1 if self.integral_theta else self.theta_lcm(
-            (d1, d2) for _, d1, d2 in terms)
+        total, L = self.theta_sum(terms)
         DL = self.base.integer_tables[2] * L
-        return self.theta_sum(terms, L) + DL * pairing, DL
+        return total + DL * pairing, DL
 
     def form_terms(self, X: tuple, Y: tuple, terms: list):
         """Append (c1 c2 D f(b1, b2), d1, d2) to terms for the loop pairs of
@@ -402,14 +407,18 @@ class AffinizedAlgebra:
                   if gram[b1][b2] and not any(map(operator.add, d1, d2))]
         return _vv_pairing(X, Y) if X[1] or X[2] else 0
 
-    def theta_sum(self, terms: list, L):
-        """L times sum f theta(d1, d2) over the (f, d1, d2) of terms."""
+    def theta_sum(self, terms: list):
+        """(n, L) with sum f theta(d1, d2) = n / L over the (f, d1, d2) of
+        terms, L the lcm of theta's denominators there."""
         memo = self._theta
-        total = 0
+        total, L = 0, 1
         for f, d1, d2 in terms:
-            _, tn, td, _ = memo.get((d1, d2)) or self._theta_entry(d1, d2)
+            tn, td, _ = memo.get((d1, d2)) or self._theta_entry(d1, d2)
+            if L % td:
+                m = td // math.gcd(L, td)
+                total, L = total * m, L * m
             total += f * tn if td == L else f * tn * (L // td)
-        return total
+        return total, L
 
     def in_cartan(self, x: GradedLoopElement) -> bool:
         """Support inside (h ⊗ 1) ⊕ V ⊕ V*."""
@@ -525,11 +534,6 @@ def window_root_system(alg: AffinizedAlgebra, degrees) -> rootsys.RootSupersyste
 # same product of the samples' denominators, so only the verdicts leave.
 
 
-def _sign(p, q) -> int:
-    """(-1)^{pq} for parities p and q; None (zero or mixed) counts as even."""
-    return -1 if (p and q) else 1
-
-
 def _vanishes(alg, terms) -> bool:
     """Whether sum sign K / s vanishes over the (sign, (K, s)) of terms."""
     S = math.lcm(*(s for _, (_, s) in terms))
@@ -548,7 +552,7 @@ def antisymmetry_failures(alg, draw, samples: int):
     """Sampled (x, y) with [x, y] + (-1)^{|x||y|} [y, x] != 0."""
     for _ in range(samples):
         x, y = draw(), draw()
-        sign = _sign(alg.parity_of(x), alg.parity_of(y))
+        sign = super_sign(alg.parity_of(x), alg.parity_of(y))
         X, Y = alg.kernel(x)[0], alg.kernel(y)[0]
         if not _vanishes(alg, [(1, alg.kernel_bracket(X, Y)),
                                (sign, alg.kernel_bracket(Y, X))]):
@@ -561,9 +565,9 @@ def jacobi_failures(alg, draw, samples: int):
         x, y, z = draw(), draw(), draw()
         px, py, pz = alg.parity_of(x), alg.parity_of(y), alg.parity_of(z)
         X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
-        if not _vanishes(alg, [(_sign(px, pz), _nested(alg, X, Y, Z)),
-                               (_sign(pz, py), _nested(alg, Z, X, Y)),
-                               (_sign(py, px), _nested(alg, Y, Z, X))]):
+        if not _vanishes(alg, [(super_sign(px, pz), _nested(alg, X, Y, Z)),
+                               (super_sign(pz, py), _nested(alg, Z, X, Y)),
+                               (super_sign(py, px), _nested(alg, Y, Z, X))]):
             yield x, y, z
 
 
@@ -575,7 +579,7 @@ def form_failures(alg, draw, samples: int):
         px, py = alg.parity_of(x), alg.parity_of(y)
         X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
         (n, s), (m, t) = alg.kernel_form(X, Y), alg.kernel_form(Y, X)
-        if n * t != _sign(px, py) * m * s:
+        if n * t != super_sign(px, py) * m * s:
             yield "supersymmetry", (x, y)
         elif px != py and n:
             yield "evenness", (x, y)

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from . import linalg, rootsys
 from .abelian import SymmetricGroupForm, gadd, gneg
 from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       ad_nilpotent_on, d_term, first_sampled_failure, form_failures,
-                       jacobi_failures, kernel_part, kernel_values, loop_element,
-                       loop_term, v_term)
+                       ThetaDenominatorMiss, ad_nilpotent_on, d_term, first_sampled_failure,
+                       form_failures, jacobi_failures, kernel_part, kernel_values,
+                       loop_element, loop_term, v_term)
 from .algebra import LieSuperalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
@@ -568,9 +568,6 @@ class TwistedElement:
             _add_part(parts, i, p)
         return TwistedElement(parts, self.c + other.c, self.d + other.d)
 
-    def minus(self, other: "TwistedElement") -> "TwistedElement":
-        return self.plus(other.scaled(Rat(-1)))
-
 
 def _add_part(parts: dict, i: int, x: GradedLoopElement) -> None:
     """parts[i] += x, dropping degree i when the sum is zero."""
@@ -657,11 +654,16 @@ class TwistedAlgebra:
         Parts i and j bracket into part i + j by the affinized bracket, and
         for i = -j != 0 their pairing times i goes to c; d scales part j by j.
         """
+        try:
+            return self._kernel_bracket(X, Y, 1)
+        except ThetaDenominatorMiss:
+            return self._kernel_bracket(X, Y, self.aff.theta_lcm(
+                {d for part in X[0].values() for _, d in part[0]},
+                {d for part in Y[0].values() for _, d in part[0]}))
+
+    def _kernel_bracket(self, X: tuple, Y: tuple, L) -> tuple:
         aff = self.aff
         (xparts, _, xd), (yparts, _, yd) = X, Y
-        L = 1 if aff.integral_theta else aff.theta_lcm(
-            {(d1, d2) for xp in xparts.values() for (_, d1) in xp[0]
-             for yp in yparts.values() for (_, d2) in yp[0]})
         DL = aff.base.integer_tables[2] * L
         out: dict = {}
         c = 0
@@ -695,9 +697,9 @@ class TwistedAlgebra:
             yp = Y[0].get(-i)
             if yp is not None:
                 pairing += aff.form_terms(xp, yp, terms)
-        L = 1 if aff.integral_theta else aff.theta_lcm((d1, d2) for _, d1, d2 in terms)
+        total, L = aff.theta_sum(terms)
         DL = aff.base.integer_tables[2] * L
-        return aff.theta_sum(terms, L) + DL * pairing, DL
+        return total + DL * pairing, DL
 
     def in_twisted_cartan(self, x: TwistedElement) -> bool:
         """Support inside (h^sigma ⊗ 1) ⊕ Fc ⊕ Fd."""

@@ -22,12 +22,11 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
 
 QZERO = Rat(0)
-QONE = Rat(1)
 
 
 def super_sign(p, q):
     """(-1)^{pq} for parities p and q; None (zero or mixed) counts as even."""
-    return Rat(-1) if (p and q) else QONE
+    return -1 if (p and q) else 1
 
 
 def is_rat(x) -> bool:
