@@ -885,20 +885,20 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
 
     pair_seen: dict = {}  # (i1 % 4, i2 % 4) -> some pair of spaces pairs nonzero
     kernels = {key: [tw.kernel(x) for x in basis] for key, basis in spaces.items()}
+    opposites = {(p, t, i): (tuple(-a for a in p), gneg(t), -i) for p, t, i in kernels}
 
     def pairing_failures():
-        for (p1, t1, i1), basis1 in kernels.items():
-            for (p2, t2, i2), basis2 in kernels.items():
+        for key1, basis1 in kernels.items():
+            for key2, basis2 in kernels.items():
                 nonzero = any(tw.kernel_form(X, Y)[0] for X, _ in basis1 for Y, _ in basis2)
-                classes = (i1 % 4, i2 % 4)
+                classes = (key1[2] % 4, key2[2] % 4)
                 pair_seen[classes] = pair_seen.get(classes, False) or nonzero
-                opposite = (all(a + b == 0 for a, b in zip(p1, p2))
-                            and gadd(t1, t2) == zero_deg and i1 + i2 == 0)
+                opposite = key2 == opposites[key1]
                 if nonzero and not opposite:
-                    yield {"at": [p1, t1, i1, p2, t2, i2],
+                    yield {"at": [*key1, *key2],
                            "reason": "pairing off opposite weights"}
                 elif opposite and not nonzero:
-                    yield {"at": [p1, t1, i1],
+                    yield {"at": list(key1),
                            "reason": "no pairing with the opposite weight space"}
     rep.first_failure("pairing only between opposite twisted weights", pairing_failures())
     rep.first_failure("eigenspace pairing vanishes unless i+j = 0 mod 4", (

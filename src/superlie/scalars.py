@@ -295,6 +295,8 @@ def _parse_rat(text: str):
         text = text[1:]
     if "/" in text:
         num, den = text.split("/")
+        if not int(den):
+            raise ValueError(f"zero denominator in {text!r}")
         return Rat(int(num), int(den))
     return Rat(int(text))
 

@@ -234,6 +234,8 @@ def _one_element_doc(**overrides):
     ({"gram": [[0, False, "1"]]}, "gram index False is not an integer"),
     ({"cartan": [0.0]}, "cartan index 0.0 is not an integer"),
     ({"cartan": [True]}, "cartan index True is not an integer"),
+    ({"gram": [[0, 0, "1/0"]]}, "zero denominator in '1/0'"),
+    ({"structure": [[0, 0, 0, "1+2/0*i"]]}, "zero denominator in '2/0'"),
 ])
 def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
                                                    message):
@@ -311,6 +313,7 @@ CONTRACT = [
     (["verify", "builtin:osp12"], 0),
     (["verify", "builtin:osp12-broken"], 1),
     (["verify", "{parity_half}"], 2),
+    (["verify", "{zero_denominator}"], 2),
     (["decompose", "builtin:V2+V0"], 0),
     (["decompose", "builtin:V3"], 2),
     (["roots", "builtin:sl12"], 0),
@@ -319,11 +322,14 @@ CONTRACT = [
     (["affinize", "--base", "{cartan_weight}"], 1),
     (["affinize", "--q", "abc"], 2),
     (["affinize", "--q", "0"], 2),
+    (["affinize", "--q", "1/0"], 2),
+    (["affinize", "--q", "1+1/0*i"], 2),
     (["twist", "--with-zero", "--window", "0", "--zwindow", "1", "--samples", "5"], 0),
     (["twist", "--I", "1", "--J", "1", "--window", "0", "--zwindow", "1"], 1),
     (["twist", "--I", "0", "--J", "0"], 2),
     (["twist", "--I", "-1"], 2),
     (["twist", "--star-signs", "2"], 2),
+    (["twist", "--q", "1/0"], 2),
     (["bogus"], 2),
 ]
 
@@ -333,9 +339,11 @@ CONTRACT = [
                          if isinstance(v, list) else str(v))
 def test_cli_contract(tmp_path, capsys, args, code, fmt):
     paths = {"parity_half": tmp_path / "half.json", "missing": tmp_path / "missing.json",
-             "cartan_weight": tmp_path / "weight.json"}
+             "cartan_weight": tmp_path / "weight.json",
+             "zero_denominator": tmp_path / "zero.json"}
     documents.save(str(paths["parity_half"]), _one_element_doc(parity=[0.5]))
     documents.save(str(paths["cartan_weight"]), _one_element_doc(weights=[["1"]]))
+    documents.save(str(paths["zero_denominator"]), _one_element_doc(gram=[[0, 0, "1/0"]]))
     argv = [a.format(**paths) for a in args] + ["--format", fmt]
     try:
         got = main(argv)

@@ -486,3 +486,87 @@ def test_kernel_code_has_no_true_division():
             assert not [n for n in ast.walk(node)
                         if isinstance(n, (ast.BinOp, ast.AugAssign))
                         and isinstance(n.op, ast.Div)], node.name
+
+
+# ---------------------------------------------------------------------------
+# eigen-relations: affinized_roots checks [h, x] = value x in the kernel; the
+# loop through the public bracket that it replaced is the reference
+
+
+def ref_affinized_roots(alg, degrees):
+    degrees = [tuple(d) for d in degrees]
+    zero_deg = (0,) * alg.rank
+    zero_root = alg.datum.zero
+    spaces = {}
+    for deg in degrees:
+        for root in alg.datum.roots:
+            if root == zero_root and deg == zero_deg:
+                spaces[(root, deg)] = alg.cartan_generators()
+            else:
+                spaces[(root, deg)] = [loop_term(b, deg) for b in alg.datum.spaces[root]]
+    gens = alg.cartan_generators()
+    for (root, deg), basis in spaces.items():
+        for x in basis:
+            for gi, h in enumerate(gens):
+                want = x.scaled(alg.root_value(root, deg, gi))
+                got = alg.bracket(h, x)
+                if (root, deg) == (zero_root, zero_deg):
+                    want = GradedLoopElement()
+                if got != want:
+                    raise ValueError(f"eigen-relation fails at root {root}, degree {deg}")
+    return spaces
+
+
+def eigen_verdict(roots_fn, alg, degrees):
+    """("spaces", spaces) from roots_fn, or ("error", message) when it raises."""
+    try:
+        return "spaces", roots_fn(alg, degrees)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def eigen_algebras():
+    yield from criterion6_algebras()
+    yield from AFFINIZED.values()
+    L = osp12_standard()
+    yield AffinizedAlgebra(L, weight_decomposition(L), table_torus())
+    L = sl_superalgebra(plain_index_set(1, 2), field="Qi")
+    yield AffinizedAlgebra(L, weight_decomposition(L),
+                           CocycleTorus(rank=1, qmatrix=((IUNIT,),)))
+
+
+def test_eigen_relations_match_the_public_bracket_loop():
+    from superlie.affinize import affinized_roots
+    verdicts = []
+    for alg in eigen_algebras():
+        for degrees in (window_box(alg.rank, 1), window_box(alg.rank, 2)[:7]):
+            want = eigen_verdict(ref_affinized_roots, alg, degrees)
+            assert eigen_verdict(affinized_roots, alg, degrees) == want
+            verdicts.append(want[0])
+    # the fractional base halves [h, x] against its datum, so it must fail
+    assert verdicts.count("error") == 2 and "spaces" in verdicts
+
+
+def perturbed_cartan_constant(L, scale, extra):
+    """L with the first nonzero [h, b] (h in the Cartan, b outside it) scaled
+    by scale, plus extra times the next basis element."""
+    h = L.cartan[0]
+    b = next(b for b in range(L.dim) if b not in L.cartan and L.structure.get((h, b)))
+    row = {k: scale * c for k, c in L.structure[(h, b)].items()}
+    k = (b + 1) % L.dim
+    row[k] = row.get(k, 0) + extra
+    return dataclasses.replace(L, structure={**L.structure, (h, b): row})
+
+
+def test_eigen_relations_catch_a_perturbed_cartan_constant():
+    from superlie.affinize import affinized_roots
+    for L in (osp12_standard(), sl_superalgebra(plain_index_set(1, 2))):
+        datum = weight_decomposition(L)
+        for scale, extra in ((Rat(2), Rat(0)), (Rat(1), Rat(1, 3)), (Rat(3, 2), Rat(-1))):
+            broken = perturbed_cartan_constant(L, scale, extra)
+            for torus in (trivial_torus(1), two_thirds_torus()):
+                alg = AffinizedAlgebra(broken, datum, torus)
+                degrees = window_box(torus.rank, 1)
+                want = eigen_verdict(ref_affinized_roots, alg, degrees)
+                assert want[0] == "error"
+                assert eigen_verdict(affinized_roots, alg, degrees) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from functools import lru_cache
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from superlie import check_axioms, classify, from_root_datum, ratio_check, reflect, root_string
 from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard, trivial_torus,
-                      weight_decomposition, window_box)
+                      verify_affinized, weight_decomposition, window_box)
 from superlie.abelian import SymmetricGroupForm, gadd, gneg, gscale
 from superlie.affinize import window_root_system
 from superlie.matrixsuper import plain_index_set, sl_superalgebra
@@ -508,14 +509,16 @@ def integrality_breakers(which):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(which=st.integers(0, len(SMALL_SYSTEMS) - 1),
-       mutation=st.sampled_from(["drop", "add", "scale", "break"]),
-       pick=st.integers(0, 10 ** 6),
-       factor=st.sampled_from([Rat(1, 3), Rat(2, 5)]),
-       offset=st.lists(st.integers(-2, 2), min_size=8, max_size=8))
-def test_check_axioms_matches_reference_on_mutations(which, mutation, pick, factor,
-                                                      offset):
+MUTATIONS = dict(mutation=st.sampled_from(["drop", "add", "scale", "break"]),
+                 pick=st.integers(0, 10 ** 6),
+                 factor=st.sampled_from([Rat(1, 3), Rat(2, 5)]),
+                 offset=st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+
+
+def mutated_system(which, mutation, pick, factor, offset):
+    """SMALL_SYSTEMS[which] with one root dropped or added, its form scaled,
+    or an integrality breaker added and the form scaled ("break"); None for
+    a break on a system without real roots."""
     system = SMALL_SYSTEMS[which]
     roots, form = list(system.roots), system.form
     if mutation == "drop":
@@ -528,14 +531,118 @@ def test_check_axioms_matches_reference_on_mutations(which, mutation, pick, fact
     else:
         candidates = integrality_breakers(which)
         if not candidates:
-            return  # no real roots
+            return None
         roots.append(candidates[pick % len(candidates)])
         form = _scaled(form, factor)
-    mutated = classify(roots, form, known=system.known)
+    return classify(roots, form, known=system.known)
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(SMALL_SYSTEMS) - 1), **MUTATIONS)
+def test_check_axioms_matches_reference_on_mutations(which, mutation, pick, factor,
+                                                      offset):
+    mutated = mutated_system(which, mutation, pick, factor, offset)
+    if mutated is None:
+        return  # no real roots
     report = _assert_same_report(mutated)
     if mutation == "break":
         s3 = next(c for c in report["checks"] if c["name"].startswith("S3"))
         assert s3["status"] == "fail" and "/" in s3["witness"]["value"]
+
+
+# ---------------------------------------------------------------------------
+# the product lemma behind verify_affinized's root-system check: a fully known
+# base system times a window that holds degree 0 (the form zero on the degree
+# block, membership known on the window) fails exactly the base's axioms
+
+
+def window_product(base, degrees):
+    """base x degrees under window_root_system's rule."""
+    r, n = base.rank, len(degrees[0])
+    degset = set(degrees)
+    gram = tuple(tuple(base.form.gram[i][j] if i < r and j < r else Rat(0)
+                       for j in range(r + n)) for i in range(r + n))
+    return classify([c + d for c in base.roots for d in degrees],
+                    SymmetricGroupForm(gram=gram), known=lambda g: g[r:] in degset)
+
+
+def failing_names(system):
+    return [c.name for c in check_axioms(system).failures()]
+
+
+BASE_INDICES = [i for i, s in enumerate(SMALL_SYSTEMS) if s.known is None]
+PRODUCT_WINDOWS = [window_box(rank, radius) for rank in (1, 2) for radius in (0, 1, 2)]
+
+
+def test_window_root_system_is_the_product_of_the_base_system():
+    for name in ("osp12", "sl12"):
+        alg = affinized(name, "sign", 2)
+        got = window_root_system(alg, window_box(2, 1))
+        want = window_product(from_root_datum(alg.datum), window_box(2, 1))
+        assert (got.roots, got.form.gram) == (want.roots, want.form.gram)
+        probes = window_product(from_root_datum(alg.datum), window_box(2, 2)).roots
+        assert [got.is_known(g) for g in probes] == [want.is_known(g) for g in probes]
+
+
+def test_window_products_fail_exactly_the_base_axioms():
+    seen = set()
+    for which in BASE_INDICES:
+        base = SMALL_SYSTEMS[which]
+        want = failing_names(base)
+        seen.update(want)
+        for degrees in PRODUCT_WINDOWS:
+            assert failing_names(window_product(base, degrees)) == want, (which, degrees)
+    # the fixtures include a base breaking S2 and one whose string has a gap
+    assert any(n.startswith("S2") for n in seen) and any(n.startswith("S4") for n in seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(BASE_INDICES), window=st.integers(0, len(PRODUCT_WINDOWS) - 1),
+       **MUTATIONS)
+def test_window_products_of_mutated_bases_fail_exactly_their_axioms(
+        which, window, mutation, pick, factor, offset):
+    base = mutated_system(which, mutation, pick, factor, offset)
+    if base is None:
+        return  # no real roots
+    assert failing_names(window_product(base, PRODUCT_WINDOWS[window])) == failing_names(base)
+
+
+ROOT_CHECK = "windowed roots form a root supersystem"
+
+
+def root_check(alg, degrees):
+    """verify_affinized's root-system check, and the same check made
+    directly on window_root_system."""
+    got = next(c for c in verify_affinized(alg, degrees, samples=0).checks
+               if c.name == ROOT_CHECK)
+    ears = check_axioms(window_root_system(alg, degrees))
+    direct = Report(title="direct")
+    direct.check(ROOT_CHECK, ears.passed,
+                 None if ears.passed else {"failures": [c.name for c in ears.failures()]})
+    return got.as_dict(), direct.checks[0].as_dict()
+
+
+@pytest.mark.parametrize("name", ["osp12", "sl12"])
+@pytest.mark.parametrize("kind", ["trivial", "sign"])
+@pytest.mark.parametrize("rank,radius", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_verify_affinized_root_check_matches_the_window_system(name, kind, rank, radius):
+    got, direct = root_check(affinized(name, kind, rank), window_box(rank, radius))
+    assert got == direct and got["status"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["osp12", "sl12"])
+def test_verify_affinized_root_check_fails_with_a_dropped_base_root(name):
+    L, datum = base_with_datum(name)
+    dropped = next(r for r in datum.roots if r != datum.zero)
+    broken = dataclasses.replace(datum, roots=tuple(r for r in datum.roots if r != dropped))
+    got, direct = root_check(AffinizedAlgebra(L, broken, trivial_torus(1)), window_box(1, 1))
+    assert got == direct and got["status"] == "fail"
+    assert got["witness"]["failures"][0].startswith("S2")
+
+
+def test_verify_affinized_rejects_a_window_without_degree_zero():
+    with pytest.raises(ValueError, match="degree 0"):
+        verify_affinized(affinized("osp12", "trivial", 1), [(-1,), (1,)], samples=0)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "sign"])

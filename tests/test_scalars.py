@@ -1,3 +1,6 @@
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
 from superlie.scalars import (GaussianRational, IUNIT, Rat, scalar_from_string,
@@ -74,3 +77,10 @@ def test_unsigned_imaginary_fraction_round_trip():
     assert scalar_to_string(a) == "1/10*i"
     assert scalar_from_string("1/10*i") == a
     assert scalar_from_string("1/12*i") == GaussianRational(0, Rat(1, 12))
+
+
+def test_zero_denominators_rejected():
+    for text, part in (("1/0", "1/0"), ("-3/0", "-3/0"), ("1/0*i", "1/0"),
+                       ("2+1/0*i", "1/0"), ("1/0+i", "1/0"), ("1/2-0/0*i", "-0/0")):
+        with pytest.raises(ValueError, match=f"zero denominator in '{re.escape(part)}'"):
+            scalar_from_string(text)
