@@ -7,7 +7,6 @@ from .algebra import (
     RootDatum,
     even_part,
     structural_root_checks,
-    verify_eals,
     verify_form,
     verify_superalgebra,
     weight_decomposition,
@@ -42,6 +41,7 @@ from .affinize import (
     trivial_torus,
     verify_affinized,
     verify_cocycle,
+    verify_eals,
     window_box,
 )
 from .matrixsuper import (

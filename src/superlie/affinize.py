@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg, rootsys
-from .abelian import SymmetricGroupForm, gadd, gneg
-from .algebra import LieSuperalgebra, RootDatum, axiom1_witnesses, t_alpha_vector
+from .abelian import gadd, gneg
+from .algebra import LieSuperalgebra, RootDatum, t_alpha_vector
 from .reports import Report
 from .scalars import (Rat, common_denominator, integer_over, integers_over,
                       scalar_over, scalars_over, sdiv, spow, super_sign)
@@ -171,15 +171,8 @@ class GradedLoopElement:
     v: dict = field(default_factory=dict)     # V basis index -> scalar
     d: dict = field(default_factory=dict)     # dual basis index -> scalar
 
-    def is_zero(self) -> bool:
-        return not (self.loop or self.v or self.d)
-
     def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedLoopElement) and self.loop == other.loop
-                and self.v == other.v and self.d == other.d)
+        return bool(self.loop or self.v or self.d)
 
     def scaled(self, c) -> "GradedLoopElement":
         if not c:
@@ -510,21 +503,10 @@ def window_root_system(alg: AffinizedAlgebra, degrees) -> rootsys.RootSupersyste
     on the window.  verify_affinized checks the axioms on the base system
     instead, which fails exactly the same ones (see there).
     """
-    base_coords, base_form = rootsys.weight_lattice(alg.datum)
-    r = base_form.rank
-    n = alg.rank
     degrees = [tuple(d) for d in degrees]
-    degset = set(degrees)
-    gram = [[base_form.gram[i][j] if i < r and j < r else Rat(0)
-             for j in range(r + n)] for i in range(r + n)]
-    form = SymmetricGroupForm(gram=tuple(tuple(row) for row in gram))
-    roots = [coords + deg
-             for coords in base_coords.values() for deg in degrees]
-
-    def known(g):
-        return g[r:] in degset
-
-    return rootsys.classify(roots, form, known=known)
+    base_coords, base_form = rootsys.weight_lattice(alg.datum)
+    return rootsys.graded_system(((c, deg) for c in base_coords.values() for deg in degrees),
+                                 base_form, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +604,95 @@ def ad_nilpotent_on(alg, x, targets, cap: int) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# the two axioms of the definition, for the base, loop and twisted algebras
+#
+# ``alg`` has bracket, in_cartan and the integer kernel, and ``spaces`` maps
+# a weight key to its basis.  Each verifier keys its spaces, orders them as
+# its report lists them, and formats its own witnesses.
+
+
+def witness_pairs(alg, spaces, opposite):
+    """(key, pair) per key of spaces, in order: pair is the first (x, y)
+    with x in spaces[key], y in spaces[opposite(key)] and 0 != [x, y] in
+    the Cartan of alg, or None if there is none (axiom 1)."""
+    for key, basis in spaces.items():
+        ys = spaces.get(opposite(key), ())
+        yield key, next(((x, y) for x in basis for y in ys
+                         if (br := alg.bracket(x, y)) and alg.in_cartan(br)), None)
+
+
+def non_nilpotent(alg, spaces, real, targets, cap: int):
+    """(key, x) per x in spaces[key] at a key with real(key) that
+    ad_nilpotent_on(alg, x, targets, cap) rejects, in order (axiom 2)."""
+    return ((key, x) for key, basis in spaces.items() if real(key)
+            for x in basis if not ad_nilpotent_on(alg, x, targets, cap))
+
+
+def _index(x: GradedLoopElement) -> int:
+    """The basis index of a loop monomial."""
+    return next(iter(x.loop))[0]
+
+
+def axiom1_witnesses(L: LieSuperalgebra, datum: RootDatum) -> dict:
+    """First basis pair per (root, parity) with 0 != [x, y] in the Cartan.
+
+    Returns {(root, parity): (i, j)} for every nonzero root and parity with
+    a nonempty weight space; missing keys mean no witness exists.  The
+    search runs on L as its rank-0 affinization, whose loop terms b ⊗ t^()
+    are L's basis.
+    """
+    spaces = {(root, par): [loop_term(b, ()) for b in datum.spaces[root] if L.parity[b] == par]
+              for root in datum.roots if root != datum.zero for par in (0, 1)}
+    pairs = witness_pairs(AffinizedAlgebra(L, datum, CocycleTorus(rank=0, qmatrix=())),
+                          spaces, lambda key: (tuple(-x for x in key[0]), key[1]))
+    return {key: tuple(map(_index, pair)) for key, pair in pairs if pair}
+
+
+def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
+    """The two extra axioms on top of a verified super-toral triple.
+
+    (1) every nonzero root alpha (per parity) has a weight-basis pair with
+        0 != [x_a, x_{-a}] in the Cartan, and every such witness satisfies
+        [x_a, x_{-a}] = (x_a, x_{-a}) t_a;
+    (2) for every real root and every weight basis vector x, ad_x is
+        nilpotent (exponent bounded by dim L).
+
+    Both run on L as its rank-0 affinization, through the searches that
+    verify_affinized and verify_twisted share.
+    """
+    rep = Report(title="extended affine axioms")
+    witnesses = axiom1_witnesses(L, datum)
+    rep.first_failure("axiom 1: sl2-pair witnesses at every nonzero root", (
+        {"root": root, "parity": par}
+        for root in datum.roots if root != datum.zero for par in (0, 1)
+        if any(L.parity[i] == par for i in datum.spaces[root])
+        and (root, par) not in witnesses))
+
+    def witness_failures():
+        for (root, par), (i, j) in sorted(witnesses.items(), key=lambda kv: str(kv[0])):
+            br = L.bracket_basis(i, j)
+            pairing = L.form({i: Rat(1)}, {j: Rat(1)})
+            want = linalg.vscale(pairing, t_alpha_vector(datum, root))
+            if br != want:
+                yield {"root": root, "pair": (L.basis_labels[i], L.basis_labels[j]),
+                       "bracket": L.label_vector(br), "expected": L.label_vector(want)}
+    rep.first_failure("witness brackets equal (x,y) t_alpha", witness_failures())
+
+    alg = AffinizedAlgebra(L, datum, CocycleTorus(rank=0, qmatrix=()))
+    spaces = {root: [loop_term(b, ()) for b in datum.spaces[root]] for root in datum.roots}
+    targets = [alg.kernel(loop_term(b, ()))[0] for b in range(L.dim)]
+    rep.first_failure("axiom 2: ad-nilpotency at real roots", (
+        {"root": root, "vector": L.basis_labels[_index(x)]}
+        for root, x in non_nilpotent(alg, spaces, datum.is_real, targets, L.dim)))
+
+    rep.note("axiom 1 witnesses", {
+        str([str(x) for x in root]) + f" parity {par}":
+            (L.basis_labels[i], L.basis_labels[j])
+        for (root, par), (i, j) in witnesses.items()})
+    return rep
+
+
 def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
                      seed: int = 0) -> Report:
     """Windowed verification of the affinized triple.
@@ -648,17 +719,22 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
       and the degree-0 scans through both runs would need
       a1 + b1 = a2 + b2 to pass, which cannot hold.
 
-    Raises ValueError for a window without degree 0.
+    Raises ValueError for a window without degree 0 or not closed under
+    negation.
     """
     degrees = [tuple(d) for d in degrees]
-    if (0,) * alg.rank not in degrees:
+    window = set(degrees)
+    if (0,) * alg.rank not in window:
         raise ValueError("the window must contain degree 0")
+    if any(gneg(d) not in window for d in degrees):
+        raise ValueError("the window must be closed under negation")
     rep = Report(title="affinized algebra (windowed)", seed=seed,
                  window={"degrees": len(degrees)})
     rng = random.Random(seed)
     base = alg.base
     zero_deg = (0,) * alg.rank
     zero_root = alg.datum.zero
+    spaces = affinized_roots(alg, degrees)
 
     def grading_failures():
         ends = degrees[:3] + degrees[-3:]
@@ -692,12 +768,11 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     for (b1, d1) in basis_elems:
         row = {}
         negd = gneg(d1)
-        if negd in set(degrees):
-            th = alg.theta(d1, negd)
-            for b2 in range(base.dim):
-                fval = base.gram[b1][b2]
-                if fval:
-                    row[index[(b2, negd)]] = th * fval
+        th = alg.theta(d1, negd)
+        for b2 in range(base.dim):
+            fval = base.gram[b1][b2]
+            if fval:
+                row[index[(b2, negd)]] = th * fval
         rows.append(row)
     for i in range(alg.rank):
         rows.append({nb + alg.rank + i: Rat(1)})
@@ -708,38 +783,26 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
               {"rank": rank, "size": nb + 2 * alg.rank})
 
     base_witnesses = axiom1_witnesses(base, alg.datum)
-
-    def lands_in_cartan(br):
-        return br and alg.in_cartan(br)
-
-    def window_witness(root, deg):
-        """First (parity, b1, b2) with 0 != [b1 t^deg, b2 t^-deg] in the Cartan."""
-        ys = alg.datum.spaces.get(tuple(-v for v in root), ())
-        return next(((par, b1, b2) for par in (0, 1)
-                     for b1 in alg.datum.spaces[root] if base.parity[b1] == par
-                     for b2 in ys if base.parity[b2] == par
-                     if lands_in_cartan(alg.bracket(loop_term(b1, deg),
-                                                    loop_term(b2, gneg(deg))))), None)
-
+    # the nonzero window roots, even vectors first as in the base search
+    nonzero = {key: sorted(basis, key=alg.parity_of) for key, basis in spaces.items()
+               if key != (zero_root, zero_deg)}
     witness_records = {}
 
     def missing_witnesses():
-        for deg, root in itertools.product(degrees, alg.datum.roots):
-            if root == zero_root and deg == zero_deg:
-                continue
-            found = window_witness(root, deg)
-            if found is None:
+        for (root, deg), pair in witness_pairs(
+                alg, nonzero, lambda key: (tuple(-v for v in key[0]), gneg(key[1]))):
+            if pair is None:
                 yield {"root": root, "degree": deg}
             else:
-                witness_records[(root, deg)] = found
+                witness_records[(root, deg)] = pair
     rep.first_failure("axiom 1: witnesses at every nonzero window root",
                       missing_witnesses())
     sample = sorted(witness_records.items(), key=lambda kv: str(kv[0]))[:3]
     rep.note("axiom 1 witness pairs", {
         "count": len(witness_records),
-        "sample": [{"root": root, "degree": deg, "parity": par,
-                    "pair": [base.basis_labels[b1], base.basis_labels[b2]]}
-                   for (root, deg), (par, b1, b2) in sample]})
+        "sample": [{"root": root, "degree": deg, "parity": alg.parity_of(x),
+                    "pair": [base.basis_labels[_index(x)], base.basis_labels[_index(y)]]}
+                   for (root, deg), (x, y) in sample]})
 
     def t_alpha_failures():
         for deg, root in itertools.product(degrees, alg.datum.roots):
@@ -766,20 +829,13 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     targets += [v_term(i) for i in range(alg.rank)]
     targets += [d_term(i) for i in range(alg.rank)]
     targets = [alg.kernel(y)[0] for y in targets]
+    real = {root for root in alg.datum.roots if alg.datum.is_real(root)}
+    root_major = {(root, deg): spaces[(root, deg)] for root in alg.datum.roots for deg in degrees}
+    rep.first_failure("axiom 2: windowed ad-nilpotency at real roots", (
+        {"root": root, "degree": deg, "basis": _index(x)}
+        for (root, deg), x in non_nilpotent(alg, root_major, lambda key: key[0] in real,
+                                            targets, cap)))
 
-    def non_nilpotent():
-        for root in alg.datum.roots:
-            if not alg.datum.is_real(root):
-                continue
-            for deg in degrees:
-                if root == zero_root and deg == zero_deg:
-                    continue
-                for b in alg.datum.spaces[root]:
-                    if not ad_nilpotent_on(alg, loop_term(b, deg), targets, cap):
-                        yield {"root": root, "degree": deg, "basis": b}
-    rep.first_failure("axiom 2: windowed ad-nilpotency at real roots", non_nilpotent())
-
-    spaces = affinized_roots(alg, degrees)
     expected = {(root, deg) for root in alg.datum.roots for deg in degrees}
     rep.check("window root list is {base root + degree}",
               set(spaces) == expected,

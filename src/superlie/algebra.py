@@ -92,7 +92,8 @@ class LieSuperalgebra:
         for i, xi in x.items():
             row = self.gram[i]
             for j, yj in y.items():
-                total = total + xi * yj * row[j]
+                if row[j]:
+                    total = total + xi * yj * row[j]
         return total
 
     def parity_of(self, v: dict):
@@ -279,89 +280,6 @@ def weight_decomposition(L: LieSuperalgebra) -> RootDatum:
 def t_alpha_vector(datum: RootDatum, root) -> dict:
     """t_alpha as a sparse vector over the algebra's basis indices."""
     return {datum.cartan[l]: c for l, c in datum.t_alpha[root].items() if c}
-
-
-def axiom1_witnesses(L: LieSuperalgebra, datum: RootDatum) -> dict:
-    """First basis pair per (root, parity) with 0 != [x, y] in the Cartan.
-
-    Returns {(root, parity): (i, j)} for every nonzero root and parity with
-    a nonempty weight space; missing keys mean no witness exists.
-    """
-    cartan_set = set(datum.cartan)
-
-    def in_cartan(br):
-        return br and set(br) <= cartan_set
-
-    out = {}
-    for root in datum.roots:
-        neg = tuple(-x for x in root)
-        if root == datum.zero or neg not in datum.spaces:
-            continue
-        for par in (0, 1):
-            found = next(((i, j) for i in datum.spaces[root] if L.parity[i] == par
-                          for j in datum.spaces[neg] if L.parity[j] == par
-                          if in_cartan(L.bracket_basis(i, j))), None)
-            if found is not None:
-                out[(root, par)] = found
-    return out
-
-
-def _ad_matrix_cols(L: LieSuperalgebra, x: dict) -> list[dict]:
-    return [L.bracket(x, {j: Rat(1)}) for j in range(L.dim)]
-
-
-def is_ad_nilpotent(L: LieSuperalgebra, x: dict, cap: int | None = None) -> bool:
-    """ad_x^k = 0 for some k <= cap (default: dim of the algebra)."""
-    cap = L.dim if cap is None else cap
-    cols = _ad_matrix_cols(L, x)
-    for j in range(L.dim):
-        v = {j: Rat(1)}
-        for _ in range(cap):
-            v = linalg.mat_vec(cols, v)
-            if not v:
-                break
-        if v:
-            return False
-    return True
-
-
-def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
-    """The two extra axioms on top of a verified super-toral triple.
-
-    (1) every nonzero root alpha (per parity) has a weight-basis pair with
-        0 != [x_a, x_{-a}] in the Cartan, and every such witness satisfies
-        [x_a, x_{-a}] = (x_a, x_{-a}) t_a;
-    (2) for every real root and every weight basis vector x, ad_x is
-        nilpotent (exponent bounded by dim L).
-    """
-    rep = Report(title="extended affine axioms")
-    witnesses = axiom1_witnesses(L, datum)
-    rep.first_failure("axiom 1: sl2-pair witnesses at every nonzero root", (
-        {"root": root, "parity": par}
-        for root in datum.roots if root != datum.zero for par in (0, 1)
-        if any(L.parity[i] == par for i in datum.spaces[root])
-        and (root, par) not in witnesses))
-
-    def witness_failures():
-        for (root, par), (i, j) in sorted(witnesses.items(), key=lambda kv: str(kv[0])):
-            br = L.bracket_basis(i, j)
-            pairing = L.form({i: Rat(1)}, {j: Rat(1)})
-            want = linalg.vscale(pairing, t_alpha_vector(datum, root))
-            if br != want:
-                yield {"root": root, "pair": (L.basis_labels[i], L.basis_labels[j]),
-                       "bracket": L.label_vector(br), "expected": L.label_vector(want)}
-    rep.first_failure("witness brackets equal (x,y) t_alpha", witness_failures())
-
-    rep.first_failure("axiom 2: ad-nilpotency at real roots", (
-        {"root": root, "vector": L.basis_labels[i]}
-        for root in datum.roots if datum.is_real(root)
-        for i in datum.spaces[root] if not is_ad_nilpotent(L, {i: Rat(1)})))
-
-    rep.note("axiom 1 witnesses", {
-        str([str(x) for x in root]) + f" parity {par}":
-            (L.basis_labels[i], L.basis_labels[j])
-        for (root, par), (i, j) in witnesses.items()})
-    return rep
 
 
 def even_part(L: LieSuperalgebra) -> LieSuperalgebra:

@@ -72,16 +72,6 @@ def vsum(terms) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def vdot(u: dict, v: dict):
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    total = Rat(0)
-    for k, c in small.items():
-        x = big.get(k)
-        if x is not None:
-            total = total + c * x
-    return total
-
-
 def mat_vec(cols: list[dict], v: dict) -> dict:
     """Apply a matrix given by columns to a sparse vector."""
     out: dict = {}

@@ -26,11 +26,11 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg, rootsys
-from .abelian import SymmetricGroupForm, gadd, gneg
+from .abelian import gadd, gneg
 from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       ThetaDenominatorMiss, ad_nilpotent_on, d_term, first_sampled_failure,
-                       form_failures, jacobi_failures, kernel_part, kernel_values,
-                       loop_element, loop_term, v_term)
+                       ThetaDenominatorMiss, d_term, first_sampled_failure, form_failures,
+                       jacobi_failures, kernel_part, kernel_values, loop_element,
+                       loop_term, non_nilpotent, v_term, witness_pairs)
 from .algebra import LieSuperalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
@@ -142,14 +142,6 @@ def supertrace(x: dict, idx: SuperIndexSet) -> dict:
     for (r, c, deg), v in x.items():
         if r == c:
             add_entry(out, deg, -v if idx.parity(r) else v)
-    return out
-
-
-def trace(x: dict) -> dict:
-    out: dict = {}
-    for (r, c, deg), v in x.items():
-        if r == c:
-            add_entry(out, deg, v)
     return out
 
 
@@ -545,16 +537,8 @@ class TwistedElement:
     c: object = 0
     d: object = 0
 
-    def is_zero(self) -> bool:
-        return not self.parts and not self.c and not self.d
-
     def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, TwistedElement) and self.parts == other.parts
-                and Rat(0) + self.c == Rat(0) + other.c
-                and Rat(0) + self.d == Rat(0) + other.d)
+        return bool(self.parts or self.c or self.d)
 
     def scaled(self, k) -> "TwistedElement":
         if not k:
@@ -701,7 +685,7 @@ class TwistedAlgebra:
         DL = aff.base.integer_tables[2] * L
         return total + DL * pairing, DL
 
-    def in_twisted_cartan(self, x: TwistedElement) -> bool:
+    def in_cartan(self, x: TwistedElement) -> bool:
         """Support inside (h^sigma ⊗ 1) ⊕ Fc ⊕ Fd."""
         for i, part in x.parts.items():
             if i != 0:
@@ -723,29 +707,13 @@ def twisted_affinize(aff: AffinizedAlgebra, sh: SharpOperator) -> TwistedAlgebra
     order = sh.order()
     if order != 4:
         raise ValueError(f"# has order {order or '>4'}, expected 4")
-    base = aff.base
-    cols = sh.columns
-    for b1 in range(base.dim):
-        for b2 in range(base.dim):
-            val = Rat(0)
-            for k1, c1 in cols[b1].items():
-                for k2, c2 in cols[b2].items():
-                    g = base.gram[k1][k2]
-                    if g:
-                        val = val + c1 * c2 * g
-            if val != base.gram[b1][b2]:
-                raise ValueError("# does not preserve the form")
-    for b1 in range(base.dim):
-        for b2 in range(base.dim):
-            lhs: dict = {}
-            for k, c in base.bracket_basis(b1, b2).items():
-                linalg.vaxpy_inplace(lhs, c, cols[k])
-            rhs: dict = {}
-            for k1, c1 in cols[b1].items():
-                for k2, c2 in cols[b2].items():
-                    linalg.vaxpy_inplace(rhs, c1 * c2, base.bracket_basis(k1, k2))
-            if lhs != rhs:
-                raise ValueError("# is not a bracket automorphism")
+    base, cols = aff.base, sh.columns
+    pairs = list(itertools.product(range(base.dim), repeat=2))
+    if any(base.form(cols[b1], cols[b2]) != base.gram[b1][b2] for b1, b2 in pairs):
+        raise ValueError("# does not preserve the form")
+    if any(linalg.mat_vec(cols, base.bracket_basis(b1, b2)) != base.bracket(cols[b1], cols[b2])
+           for b1, b2 in pairs):
+        raise ValueError("# is not a bracket automorphism")
     return TwistedAlgebra(aff, sh)
 
 
@@ -818,20 +786,9 @@ def twisted_window_root_system(tw: TwistedAlgebra, spaces: dict,
     pform = PiForm(aff, sigma)
     pis = sorted({p for (p, _, _) in spaces}, key=str)
     coords, base_form = rootsys.rebase_rational_tuples(pis, pform.eval)
-    r = base_form.rank
-    n = aff.rank
-    tau_set = {tuple(d) for d in tau_degrees}
-    z_set = set(z_window)
-    size = r + n + 1
-    gram = [[base_form.gram[i][j] if i < r and j < r else Rat(0)
-             for j in range(size)] for i in range(size)]
-    form = SymmetricGroupForm(gram=tuple(tuple(row) for row in gram))
-    roots = [coords[p] + tuple(tau) + (i,) for (p, tau, i) in spaces]
-
-    def known(g):
-        return g[r:r + n] in tau_set and g[r + n] in z_set
-
-    return rootsys.classify(roots, form, known=known)
+    return rootsys.graded_system(
+        ((coords[p], tuple(tau) + (i,)) for (p, tau, i) in spaces), base_form,
+        (tuple(tau) + (i,) for tau, i in itertools.product(tau_degrees, z_window)))
 
 
 def _sample_twisted(pool, rng: random.Random):
@@ -990,36 +947,28 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     got = spaces.get(zero_key, [])
     rep.check("the (0,0) weight space is the fixed Cartan plus c and d",
               len(got) == want_dim
-              and all(tw.in_twisted_cartan(x) for x in got if x.parts),
+              and all(tw.in_cartan(x) for x in got if x.parts),
               {"dim": len(got), "expected": want_dim})
 
-    def lands_in_cartan(br):
-        return br and tw.in_twisted_cartan(TwistedElement(parts=br.parts)) and not br.d
-
-    witnesses = []
+    nonzero = {key: basis for key, basis in ordered if key != zero_key}
+    witnessed = []
 
     def missing_witnesses():
-        for (p, tau, i), basis in ordered:
-            if (p, tau, i) == zero_key:
-                continue
-            ys = spaces.get((tuple(-x for x in p), gneg(tau), -i), ())
-            found = next(((x, y) for x in basis for y in ys
-                          if lands_in_cartan(tw.bracket(x, y))), None)
-            if found is None:
-                yield {"root": [p, tau, i]}
+        for key, pair in witness_pairs(tw, nonzero, opposites.__getitem__):
+            if pair is None:
+                yield {"root": list(key)}
             else:
-                witnesses.append(found)
+                witnessed.append(key)
     rep.first_failure("axiom 1: twisted witnesses at every nonzero window root",
                       missing_witnesses())
-    rep.note("axiom 1 twisted witness count", {"count": len(witnesses)})
+    rep.note("axiom 1 twisted witness count", {"count": len(witnessed)})
 
     pform = PiForm(aff, sigma)
     cap = aff.base.dim + 4
     targets = [X for X, _ in all_kernels] + [tw.kernel(y)[0] for y in (tw_c(), tw_d())]
     rep.first_failure("axiom 2: windowed ad-nilpotency at real twisted roots", (
-        {"root": [p, tau, i]}
-        for (p, tau, i), basis in ordered if (p, tau, i) != zero_key and pform.eval(p, p)
-        for x in basis if not ad_nilpotent_on(tw, x, targets, cap)))
+        {"root": list(key)} for key, _ in non_nilpotent(
+            tw, nonzero, lambda key: pform.eval(key[0], key[0]), targets, cap)))
 
     ears = rootsys.check_axioms(
         twisted_window_root_system(tw, spaces, tau_degrees, z_window))

@@ -456,3 +456,23 @@ def from_root_datum(datum) -> RootSupersystem:
     """
     coords, form = weight_lattice(datum)
     return classify(list(coords.values()), form)
+
+
+def graded_system(roots, base_form: SymmetricGroupForm, known_degrees) -> RootSupersystem:
+    """The roots c + g over the (c, g) of roots: coordinates c over
+    base_form, followed by a degree g.
+
+    The form extends base_form by zero on the degree block, and membership
+    is known exactly where the degree g lies in known_degrees.
+    """
+    known_degrees = {tuple(g) for g in known_degrees}
+    r = base_form.rank
+    size = r + len(next(iter(known_degrees)))
+    gram = tuple(tuple(base_form.gram[i][j] if i < r and j < r else Rat(0)
+                       for j in range(size)) for i in range(size))
+
+    def known(g):
+        return g[r:] in known_degrees
+
+    return classify([c + tuple(g) for c, g in roots], SymmetricGroupForm(gram=gram),
+                    known=known)

@@ -123,9 +123,6 @@ class GaussianRational:
             out = out * base
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
 

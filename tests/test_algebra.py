@@ -2,7 +2,8 @@ import pytest
 
 from superlie import (LieSuperalgebra, even_part, verify_eals, verify_form,
                       verify_superalgebra, weight_decomposition)
-from superlie.algebra import NotAWeightBasisError, axiom1_witnesses, t_alpha_vector
+from superlie.affinize import axiom1_witnesses
+from superlie.algebra import NotAWeightBasisError, t_alpha_vector
 from superlie.fixtures import heisenberg, osp12_broken
 from superlie.osp12 import (OSP_LABELS, OSP_PARITY, _SUPER_MATRICES, mat3_mul,
                             mat3_supercomm, mat3_supertrace, osp12_standard)

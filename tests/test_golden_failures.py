@@ -2,7 +2,8 @@
 
 Each case plants a fault (a structure constant, Gram entry or parity of a
 fixture algebra, an asymmetric or broken cocycle, a perturbed affinization
-base, a doubled entry of the order-4 automorphism #) and runs a verifier.
+base, a doubled entry of the order-4 automorphism #, a bracket [x, y]
+given an extra component x) and runs a verifier.
 The golden file holds each report's ``to_json()`` and ``render_text()``, so
 witnesses, check order and skip counts are pinned as well as pass/fail.
 To regenerate it (only when an output change is intended):
@@ -20,7 +21,7 @@ import re
 import pytest
 
 from superlie import affinize as affz
-from superlie import fixtures, matrixsuper, rootsys
+from superlie import fixtures, matrixsuper, rootsys, verify_eals
 from superlie.algebra import verify_form, verify_superalgebra, weight_decomposition
 from superlie.scalars import Rat
 
@@ -54,6 +55,28 @@ def flip_parity(L):
 PLANTS = {"structure": bump_structure, "gram": bump_gram, "parity": flip_parity}
 
 
+def add_component(L, x_label, y_label):
+    """L with 1 added to the x component of [x, y], the weight table kept.
+
+    With y = x, [x, x] = x and ad_x is not nilpotent (axiom 2); with y of
+    the opposite root, [x, y] leaves the Cartan (axiom 1).
+    """
+    x, y = L.basis_labels.index(x_label), L.basis_labels.index(y_label)
+    structure = {pair: dict(c) for pair, c in L.structure.items()}
+    structure[(x, y)] = {**structure.get((x, y), {}), x: Rat(1)}
+    return dataclasses.replace(L, structure=structure)
+
+
+def planted_base(base, x_label, y_label):
+    planted = add_component(base, x_label, y_label)
+    return planted, weight_decomposition(planted)
+
+
+def planted_affinization(base, x_label, y_label):
+    return affz.AffinizedAlgebra(*planted_base(base, x_label, y_label),
+                                 affz.trivial_torus(1))
+
+
 def broken_table_torus():
     """A rank-1 table cocycle (q = 2 on the radius-1 box) with theta(1, 0) = 3."""
     degrees = affz.window_box(1, 1)
@@ -77,6 +100,14 @@ def perturbed_twisted():
     k = sorted(col)[0]
     col[k] = col[k] * 2
     return matrixsuper.TwistedAlgebra(aff, sh)
+
+
+def planted_twisted(y_label):
+    """BC(1,1) over Q(i) with E[1,1~] added to [E[1,1~], y]; E[1,1~] is a
+    -1 eigenvector of #, so it sits at twisted degrees 2 mod 4."""
+    aff = planted_affinization(matrixsuper.sl_superalgebra(BC11, field="Qi"),
+                               "E[1,1~]", y_label)
+    return matrixsuper.TwistedAlgebra(aff, matrixsuper.SharpOperator(BC11, aff))
 
 
 def cli_verify(fmt):
@@ -115,6 +146,17 @@ def _cases():
             lambda samples=samples: matrixsuper.verify_twisted(
                 perturbed_twisted(), BC11, affz.window_box(1, 0), 1,
                 samples=samples, seed=3))
+    # each verifier fails axiom 2 on [x, x] = x and axiom 1 on an
+    # [x_a, x_-a] off the Cartan
+    for plant, osp12_y, bc11_y in (("self-bracket", "E+", "E[1,1~]"),
+                                   ("bracket off the Cartan", "E-", "E[1~,1]")):
+        cases[f"osp12 {plant} eals"] = lambda y=osp12_y: verify_eals(
+            *planted_base(fixtures.osp12_standard(), "E+", y))
+        cases[f"affinized {plant} samples=0"] = lambda y=osp12_y: affz.verify_affinized(
+            planted_affinization(fixtures.osp12_standard(), "E+", y),
+            affz.window_box(1, 1), samples=0)
+        cases[f"twisted {plant} samples=0"] = lambda y=bc11_y: matrixsuper.verify_twisted(
+            planted_twisted(y), BC11, affz.window_box(1, 0), 2, samples=0, seed=3)
     # skip counts of a boundary-carrying system, passing and with S2 broken
     cases["window root system rank 1 radius 2"] = lambda: rootsys.check_axioms(
         window_system())

@@ -14,7 +14,7 @@ from superlie.matrixsuper import (DegenerateFormError, FieldError, GradingError,
                                   pi_root_classes, plain_index_set, sharp,
                                   sharp_eigenspaces, sigma_cartan_matrix,
                                   sl_superalgebra, supertrace, tm_mul,
-                                  tm_supercomm, trace, twisted_affinize,
+                                  tm_supercomm, twisted_affinize,
                                   twisted_weight_spaces, tw_c, tw_d,
                                   verify_twisted)
 from superlie.scalars import IUNIT, Rat
@@ -22,6 +22,15 @@ from superlie.scalars import IUNIT, Rat
 
 BC11 = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
 T0 = CocycleTorus(rank=0, qmatrix=())
+
+
+def trace(x):
+    """The diagonal sum of a torus matrix, a torus element {degree: scalar}."""
+    out = {}
+    for (r, c, deg), v in x.items():
+        if r == c:
+            linalg.add_entry(out, deg, v)
+    return out
 
 
 def rand_matrix(idx, rng, deg=()):
@@ -236,6 +245,19 @@ def test_twisted_rejects_lower_order_automorphism():
     squared = [linalg.mat_vec(sh.columns, c) for c in sh.columns]
     sh.columns = squared  # now an order-2 map
     with pytest.raises(ValueError, match="order"):
+        twisted_affinize(aff, sh)
+
+
+@pytest.mark.parametrize("factor, message", [
+    (IUNIT, "does not preserve the form"),        # (i x, i y) = -(x, y)
+    (Rat(-1), "is not a bracket automorphism"),   # -#[x, y] != [-#x, -#y]
+])
+def test_twisted_rejects_scaled_automorphism(factor, message):
+    aff = matrix_affinization(BC11, trivial_torus(1), field="Qi")
+    sh = SharpOperator(BC11, aff)
+    sh.columns = [linalg.vscale(factor, c) for c in sh.columns]
+    assert sh.order() == 4
+    with pytest.raises(ValueError, match=message):
         twisted_affinize(aff, sh)
 
 

@@ -645,6 +645,12 @@ def test_verify_affinized_rejects_a_window_without_degree_zero():
         verify_affinized(affinized("osp12", "trivial", 1), [(-1,), (1,)], samples=0)
 
 
+def test_verify_affinized_rejects_a_window_not_closed_under_negation():
+    # the axiom-1 search pairs each window root with its opposite in the window
+    with pytest.raises(ValueError, match="closed under negation"):
+        verify_affinized(affinized("osp12", "trivial", 1), [(0,), (1,)], samples=0)
+
+
 @pytest.mark.parametrize("kind", ["trivial", "sign"])
 @pytest.mark.parametrize("rank,radius", [(1, 3), (2, 2)])
 def test_affinized_theta_memo_matches_torus(kind, rank, radius):

@@ -34,13 +34,6 @@ def test_nonzero_elements_invert(a):
     assert sdiv(a, a) == Rat(1)
 
 
-@given(gaussians)
-def test_conjugate_norm(a):
-    n = a * a.conjugate()
-    assert isinstance(n, GaussianRational) and not n.im
-    assert (not n.re) == (not a)
-
-
 def test_negative_powers():
     assert spow(Rat(2), -3) == Rat(1, 8)
     assert spow(GaussianRational(0, 1), -1) == GaussianRational(0, -1)
