@@ -186,7 +186,11 @@ def cmd_twist(args) -> int:
         aff = matrixsuper.matrix_affinization(idx, torus, field="Qi")
     except matrixsuper.DegenerateFormError as exc:
         return _fail(str(exc), args.format)
-    sh = matrixsuper.SharpOperator(idx, aff, star_signs=args.star_signs)
+    try:
+        sh = matrixsuper.SharpOperator(idx, aff, star_signs=args.star_signs)
+    except ValueError as exc:  # a --star-signs count that is not --rank
+        return _error(f"superlie twist: error: argument --star-signs: {exc}",
+                      EXIT_INPUT, args.format)
     tw = matrixsuper.twisted_affinize(aff, sh)
     taus = affz.window_box(args.rank, args.window)
     report = matrixsuper.verify_twisted(tw, idx, taus, args.zwindow,

@@ -30,7 +30,7 @@ from .abelian import gadd, gneg
 from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
                        ThetaDenominatorMiss, d_term, first_sampled_failure, form_failures,
                        jacobi_failures, kernel_part, kernel_values, loop_element,
-                       loop_term, non_nilpotent, v_term, witness_pairs)
+                       non_nilpotent, v_term, witness_pairs)
 from .algebra import LieSuperalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
@@ -168,13 +168,8 @@ def diamond(x: dict, idx: SuperIndexSet, star_signs=None) -> dict:
 
 def sharp(x: dict, idx: SuperIndexSet, star_signs=None) -> dict:
     """The order-4 automorphism: blockwise signed diamond transpose."""
-    out = {}
-    for (r, c, deg), v in x.items():
-        u, w = idx.bar(c), idx.bar(r)
-        sign = 1 if (idx.parity(u) == 0 and idx.parity(w) == 1) else -1
-        coeff = v if star_signs is None else _star_sign(star_signs, deg) * v
-        out[(u, w, deg)] = sign * coeff
-    return out
+    return {(u, w, deg): v if idx.parity(u) == 0 and idx.parity(w) == 1 else -v
+            for (u, w, deg), v in diamond(x, idx, star_signs).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,38 +188,11 @@ def sl_superalgebra(idx: SuperIndexSet, field: str = "Q") -> LieSuperalgebra:
     if ni == nj:
         raise DegenerateFormError(
             f"|I| = |J| = {ni}: the supertrace form is degenerate on sl")
-    zero_deg = ()
-    torus0 = CocycleTorus(rank=0, qmatrix=())
     mats = basis_matrices(idx)
-    labels: list[str] = []
-    parity: list[int] = []
-    for r in order:
-        for c in order:
-            if r != c:
-                labels.append(f"E[{r},{c}]")
-                parity.append((idx.parity(r) + idx.parity(c)) % 2)
-    for k in range(len(order) - 1):
-        labels.append(f"D[{order[k]}|{order[k + 1]}]")
-        parity.append(0)
     cartan = tuple(range(len(order) * (len(order) - 1), len(mats)))
-    width = len(mats)
-    coordinates = _coordinates(mats)
-
-    structure = {}
-    for a in range(width):
-        for b in range(width):
-            comm = tm_supercomm(mats[a], mats[b], idx, torus0)
-            if comm:
-                sol = coordinates(comm)
-                if sol is None:
-                    raise AssertionError("bracket left the supertraceless span")
-                if sol:
-                    structure[(a, b)] = sol
-
-    gram = tuple(
-        tuple(supertrace(tm_mul(mats[a], mats[b], torus0), idx).get(zero_deg, Rat(0))
-              for b in range(width))
-        for a in range(width))
+    labels = [f"E[{r},{c}]" for m in mats[:cartan[0]] for (r, c, _) in m]
+    labels += [f"D[{t}|{u}]" for t, u in zip(order, order[1:])]
+    structure, gram = matrix_structure(mats, idx)
 
     eps = _epsilons(idx, mats, cartan)
     weights = {}
@@ -237,13 +205,34 @@ def sl_superalgebra(idx: SuperIndexSet, field: str = "Q") -> LieSuperalgebra:
 
     return LieSuperalgebra(
         basis_labels=tuple(labels),
-        parity=tuple(parity),
+        parity=tuple(tm_parity(m, idx) for m in mats),
         structure=structure,
         gram=gram,
         cartan=cartan,
         weights=weights,
         field=field,
     )
+
+
+def matrix_structure(mats: list[dict], idx: SuperIndexSet) -> tuple:
+    """(structure, gram) of the superalgebra spanned by degree-0 matrices.
+
+    [a, b] is the supercommutator in coordinates over mats, and the form is
+    the supertrace form (a, b) = str(ab).  Raises AssertionError when a
+    supercommutator leaves the span.
+    """
+    torus0 = CocycleTorus(rank=0, qmatrix=())
+    coordinates = _coordinates(mats)
+    structure = {}
+    for (a, x), (b, y) in itertools.product(enumerate(mats), repeat=2):
+        sol = coordinates(tm_supercomm(x, y, idx, torus0))
+        if sol is None:
+            raise AssertionError("supercommutator left the span of the basis")
+        if sol:
+            structure[(a, b)] = sol
+    gram = tuple(tuple(supertrace(tm_mul(x, y, torus0), idx).get((), Rat(0)) for y in mats)
+                 for x in mats)
+    return structure, gram
 
 
 def _coordinates(mats: list[dict]):
@@ -318,6 +307,9 @@ class SharpOperator:
         self.aff = aff
         self.star_signs = tuple(star_signs) if star_signs is not None \
             else (1,) * aff.rank
+        if len(self.star_signs) != aff.rank:
+            raise ValueError("expected one entry involution sign per torus generator"
+                             f" ({aff.rank}), got {len(self.star_signs)}")
         for s in self.star_signs:
             if s not in (1, -1):
                 raise ValueError("entry involution signs must be +-1")
@@ -707,14 +699,25 @@ def twisted_affinize(aff: AffinizedAlgebra, sh: SharpOperator) -> TwistedAlgebra
     order = sh.order()
     if order != 4:
         raise ValueError(f"# has order {order or '>4'}, expected 4")
-    base, cols = aff.base, sh.columns
-    pairs = list(itertools.product(range(base.dim), repeat=2))
-    if any(base.form(cols[b1], cols[b2]) != base.gram[b1][b2] for b1, b2 in pairs):
+    form_pairs, bracket_pairs = sharp_defects(aff.base, sh.columns)
+    if form_pairs:
         raise ValueError("# does not preserve the form")
-    if any(linalg.mat_vec(cols, base.bracket_basis(b1, b2)) != base.bracket(cols[b1], cols[b2])
-           for b1, b2 in pairs):
+    if bracket_pairs:
         raise ValueError("# is not a bracket automorphism")
     return TwistedAlgebra(aff, sh)
+
+
+def sharp_defects(base: LieSuperalgebra, cols: list[dict]) -> tuple:
+    """(form_pairs, bracket_pairs): the base basis pairs (b1, b2) at which
+    the base matrix cols of # changes the form, resp. fails to commute with
+    the bracket."""
+    pairs = list(itertools.product(range(base.dim), repeat=2))
+    form_pairs = {(b1, b2) for b1, b2 in pairs
+                  if base.form(cols[b1], cols[b2]) != base.gram[b1][b2]}
+    bracket_pairs = {(b1, b2) for b1, b2 in pairs
+                     if linalg.mat_vec(cols, base.bracket_basis(b1, b2))
+                     != base.bracket(cols[b1], cols[b2])}
+    return form_pairs, bracket_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +815,18 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     order = sh.order()
     rep.check("# has order 4", order == 4, {"order": order})
 
+    # # acts on b⊗t^tau as s(tau) (Mb)⊗t^tau, M = sh.columns, s a +-1 character
+    # (s(a + b) = s(a) s(b), s(-a) = s(a)), so the window checks read the base
+    # defects.  At (b1⊗t^tau, b2⊗t^-tau) the forms are theta(tau, -tau) times
+    # f(Mb1, Mb2) and f(b1, b2).  At (b1⊗t^a, b2⊗t^b) the loop parts of #[x, y]
+    # and [#x, #y] are theta(a, b) times M[b1, b2] and [Mb1, Mb2], and for
+    # a + b = 0 the V parts theta(a, b) a times f(b1, b2) and f(Mb1, Mb2).
+    # theta is evaluated first, so a table torus raises where it is undefined.
+    form_defects, bracket_defects = sharp_defects(aff.base, sh.columns)
+
     def form_changes():
         for b1, tau, b2 in itertools.product(range(dim), tau_degrees, range(dim)):
-            x, y = loop_term(b1, tau), loop_term(b2, gneg(tau))
-            if aff.form(sh.apply(x), sh.apply(y)) != aff.form(x, y):
+            if aff.theta(tau, gneg(tau)) and (b1, b2) in form_defects:
                 yield {"pair": [labels[b1], labels[b2]], "tau": tau}
     rep.first_failure("# preserves the form on window basis pairs", form_changes())
 
@@ -823,8 +834,8 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
         for _ in range(samples):
             b1, b2 = rng.randrange(dim), rng.randrange(dim)
             t1, t2 = rng.choice(tau_degrees), rng.choice(tau_degrees)
-            x, y = loop_term(b1, t1), loop_term(b2, t2)
-            if sh.apply(aff.bracket(x, y)) != aff.bracket(sh.apply(x), sh.apply(y)):
+            if aff.theta(t1, t2) and ((b1, b2) in bracket_defects or (
+                    (b1, b2) in form_defects and t1 != zero_deg and t2 == gneg(t1))):
                 yield {"pair": [b1, b2], "taus": [t1, t2]}
     first_sampled_failure(rep, "# is a bracket automorphism (sampled)", samples,
                           automorphism_failures())

@@ -1,10 +1,10 @@
 """The 5-dimensional orthosymplectic superalgebra and its finite modules.
 
 The algebra is built from its defining 3x3 supermatrices (one even index,
-two odd) under the supercommutator, with the supertrace form.  Modules are
-given by the actions of the odd raising/lowering pair e, f and the Cartan
-element h; the even generators act as 2e^2 and 2f^2, so three operator
-identities
+two odd) by the supermatrix builder of ``matrixsuper``, with the supertrace
+form.  Modules are given by the actions of the odd raising/lowering pair
+e, f and the Cartan element h; the even generators act as 2e^2 and 2f^2,
+so three operator identities
 
     he - eh = 2e,   hf - fh = -2f,   ef + fe = h
 
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import LieSuperalgebra
-from .scalars import Rat, is_rat, super_sign
+from .matrixsuper import matrix_structure, plain_index_set
+from .scalars import Rat, is_rat
 
 OSP_LABELS = ("E+", "E-", "H", "F+", "F-")
 OSP_PARITY = (0, 0, 0, 1, 1)
@@ -36,7 +37,6 @@ _SUPER_MATRICES = {
     "E+": ((0, 0, 0), (0, 0, 0), (0, 2, 0)),
     "E-": ((0, 0, 0), (0, 0, -8), (0, 0, 0)),
 }
-_INDEX_PARITY = (0, 1, 1)  # grading of the defining 3-dim superspace
 
 
 class TripleError(ValueError):
@@ -47,51 +47,13 @@ class ModuleError(ValueError):
     """A module violates the representation property or a precondition."""
 
 
-# ---------------------------------------------------------------------------
-# 3x3 matrix oracle
-
-
-def mat3_mul(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                 for i in range(3))
-
-
-def mat3_supercomm(a, pa, b, pb):
-    sign = super_sign(pa, pb)
-    ab, ba = mat3_mul(a, b), mat3_mul(b, a)
-    return tuple(tuple(ab[i][j] - sign * ba[i][j] for j in range(3)) for i in range(3))
-
-
-def mat3_supertrace(a):
-    return sum((-1 if _INDEX_PARITY[i] else 1) * a[i][i] for i in range(3))
-
-
 def osp12_standard() -> LieSuperalgebra:
     """The standard algebra on (E+, E-, H, F+, F-) with the supertrace form."""
-    mats = [_SUPER_MATRICES[l] for l in OSP_LABELS]
-    # rows of the 9x5 coordinate system expressing a 3x3 matrix over the basis
-    rows = []
-    for i in range(3):
-        for j in range(3):
-            rows.append({b: Rat(mats[b][i][j]) for b in range(5) if mats[b][i][j]})
-    solve = linalg.solver(rows, 5)
-    structure = {}
-    for a in range(5):
-        for b in range(5):
-            comm = mat3_supercomm(mats[a], OSP_PARITY[a], mats[b], OSP_PARITY[b])
-            rhs = {}
-            for i in range(3):
-                for j in range(3):
-                    if comm[i][j]:
-                        rhs[3 * i + j] = Rat(comm[i][j])
-            coeffs = solve(rhs)
-            if coeffs is None:
-                raise AssertionError("supercommutator left the span of the basis")
-            if coeffs:
-                structure[(a, b)] = coeffs
-    gram = tuple(
-        tuple(Rat(mat3_supertrace(mat3_mul(mats[a], mats[b]))) for b in range(5))
-        for a in range(5))
+    idx = plain_index_set(1, 2)
+    order = idx.indices()  # 1, 1', 2': graded 0, 1, 1
+    mats = [{(order[i], order[j], ()): Rat(v) for i, row in enumerate(_SUPER_MATRICES[l])
+             for j, v in enumerate(row) if v} for l in OSP_LABELS]
+    structure, gram = matrix_structure(mats, idx)
     h_index = OSP_LABELS.index("H")
     weights = {}
     for b in range(5):

@@ -61,9 +61,6 @@ class RootSupersystem:
         """The roots grouped by the integer lines through them, built on use."""
         return LineIndex(self.roots)
 
-    def pairing(self, a, b):
-        return self.form.eval(a, b)
-
     def cartan_int(self, a, b):
         """2(b,a)/(a,a) for real a; raises for isotropic a."""
         na = self.form.eval(a, a)

@@ -5,9 +5,27 @@ from superlie import (LieSuperalgebra, even_part, verify_eals, verify_form,
 from superlie.affinize import axiom1_witnesses
 from superlie.algebra import NotAWeightBasisError, t_alpha_vector
 from superlie.fixtures import heisenberg, osp12_broken
-from superlie.osp12 import (OSP_LABELS, OSP_PARITY, _SUPER_MATRICES, mat3_mul,
-                            mat3_supercomm, mat3_supertrace, osp12_standard)
-from superlie.scalars import Rat
+from superlie.osp12 import OSP_LABELS, OSP_PARITY, _SUPER_MATRICES, osp12_standard
+from superlie.scalars import Rat, super_sign
+
+# A dense 3x3 oracle for osp(1|2), sharing no code with the sparse
+# supermatrix builder that constructs the algebra.
+_INDEX_PARITY = (0, 1, 1)  # grading of the defining 3-dim superspace
+
+
+def mat3_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+                 for i in range(3))
+
+
+def mat3_supercomm(a, pa, b, pb):
+    sign = super_sign(pa, pb)
+    ab, ba = mat3_mul(a, b), mat3_mul(b, a)
+    return tuple(tuple(ab[i][j] - sign * ba[i][j] for j in range(3)) for i in range(3))
+
+
+def mat3_supertrace(a):
+    return sum((-1 if _INDEX_PARITY[i] else 1) * a[i][i] for i in range(3))
 
 
 def idx(label):

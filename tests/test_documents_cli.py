@@ -329,6 +329,8 @@ CONTRACT = [
     (["twist", "--I", "0", "--J", "0"], 2),
     (["twist", "--I", "-1"], 2),
     (["twist", "--star-signs", "2"], 2),
+    (["twist", "--with-zero", "--rank", "2", "--star-signs", "-1"], 2),
+    (["twist", "--with-zero", "--star-signs", "1", "-1", "1"], 2),
     (["twist", "--q", "1/0"], 2),
     (["bogus"], 2),
 ]

@@ -5,6 +5,10 @@ from the dense numpy implementation that the sparse engine replaced.  To
 regenerate it (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
+
+With ``--diff`` nothing is written: for each entry whose fresh capture
+differs from the stored one, the checks added, removed or changed are
+printed, with the exit code if it moved.
 """
 
 import contextlib
@@ -30,6 +34,9 @@ COMMANDS = tuple(
     [["decompose", f"builtin:{spec}", "--format", "json"] for spec in MODULE_SPECS]
     + [["roots", "builtin:osp12", "--format", "json"],
        ["roots", "builtin:sl12", "--format", "json"],
+       ["verify", "builtin:osp12", "--format", "json"],
+       ["verify", "builtin:sl12", "--format", "json"],
+       ["verify", "builtin:heisenberg", "--format", "json"],
        ["affinize", "--rank", "2", "--window", "2", "--seed", "3", "--format", "json"],
        ["twist", "--with-zero", "--window", "1", "--zwindow", "2", "--seed", "1",
         "--format", "json"]])
@@ -56,12 +63,53 @@ def test_cli_output_matches_golden(args):
     assert out == want["stdout"]
 
 
+def _checks(output: str) -> dict:
+    """{check name: check} of a JSON output; empty when it is no report."""
+    return {check["name"]: check for check in json.loads(output).get("checks", [])}
+
+
+def report_diff(old_json: str, new_json: str) -> list[str]:
+    """The checks removed, added or changed between two JSON outputs, or one
+    line when they differ elsewhere."""
+    old, new = _checks(old_json), _checks(new_json)
+    lines = [f"  - {name}" for name in old if name not in new]
+    lines += [f"  + {name}" for name in new if name not in old]
+    lines += [f"  ~ {name}: {json.dumps(old[name], sort_keys=True)}"
+              f" -> {json.dumps(new[name], sort_keys=True)}"
+              for name in old if name in new and old[name] != new[name]]
+    if not lines and old_json != new_json:
+        lines.append("  output outside the checks changed")
+    return lines
+
+
+def print_diff(stored: dict, fresh: dict, entry_diff) -> None:
+    """Print entry_diff(old, new) under the name of every differing entry."""
+    for name in sorted(stored.keys() | fresh.keys()):
+        if name not in fresh:
+            print(f"{name}: no longer captured")
+        elif name not in stored:
+            print(f"{name}: new entry")
+        elif stored[name] != fresh[name]:
+            print(f"{name}:")
+            for line in entry_diff(stored[name], fresh[name]):
+                print(line)
+
+
+def _cli_entry_diff(old: dict, new: dict) -> list[str]:
+    lines = report_diff(old["stdout"], new["stdout"])
+    if old["code"] != new["code"]:
+        lines.append(f"  exit code: {old['code']} -> {new['code']}")
+    return lines
+
+
 if __name__ == "__main__":
     golden = {}
     for args in COMMANDS:
         code, out = run(args)
         golden[" ".join(args)] = {"code": code, "stdout": out}
-        print(code, " ".join(args), file=sys.stderr)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    if "--diff" in sys.argv[1:]:
+        print_diff(_golden(), golden, _cli_entry_diff)
+    else:
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            json.dump(golden, fh, indent=1, sort_keys=True)
+            fh.write("\n")

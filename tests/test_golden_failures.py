@@ -2,13 +2,18 @@
 
 Each case plants a fault (a structure constant, Gram entry or parity of a
 fixture algebra, an asymmetric or broken cocycle, a perturbed affinization
-base, a doubled entry of the order-4 automorphism #, a bracket [x, y]
-given an extra component x) and runs a verifier.
+base, a doubled entry of the order-4 automorphism #, a doubled Gram pair
+of the twisted base, a bracket [x, y] given an extra component x) and runs
+a verifier.
 The golden file holds each report's ``to_json()`` and ``render_text()``, so
 witnesses, check order and skip counts are pinned as well as pass/fail.
 To regenerate it (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_failures.py
+
+With ``--diff`` nothing is written: for each entry whose fresh capture
+differs from the stored one, the checks added, removed or changed are
+printed, and a move of the verdict.
 """
 
 import contextlib
@@ -17,8 +22,10 @@ import io
 import json
 import os
 import re
+import sys
 
 import pytest
+from test_golden import print_diff, report_diff
 
 from superlie import affinize as affz
 from superlie import fixtures, matrixsuper, rootsys, verify_eals
@@ -92,14 +99,38 @@ def perturbed_affinization():
                                  affz.trivial_torus(1))
 
 
-def perturbed_twisted():
+def perturbed_twisted(torus=affz.trivial_torus(1), star_signs=None):
     """BC(1,1) over Q(i) with the first entry of #'s first column doubled."""
-    aff = matrixsuper.matrix_affinization(BC11, affz.trivial_torus(1), field="Qi")
-    sh = matrixsuper.SharpOperator(BC11, aff)
+    aff = matrixsuper.matrix_affinization(BC11, torus, field="Qi")
+    sh = matrixsuper.SharpOperator(BC11, aff, star_signs)
     col = sh.columns[0]
     k = sorted(col)[0]
     col[k] = col[k] * 2
     return matrixsuper.TwistedAlgebra(aff, sh)
+
+
+def gram_doubled_twisted(torus, star_signs):
+    """BC(1,1) over Q(i) with both (E[1,0], E[0,1]) Gram entries doubled.
+
+    # stays a bracket automorphism of the base but is no longer an
+    isometry, so the sampled automorphism check can fail only through the
+    V part of a bracket at degrees a = -b != 0.
+    """
+    base = matrixsuper.sl_superalgebra(BC11, field="Qi")
+    a, b = base.basis_labels.index("E[1,0]"), base.basis_labels.index("E[0,1]")
+    gram = [list(row) for row in base.gram]
+    gram[a][b], gram[b][a] = 2 * gram[a][b], 2 * gram[b][a]
+    base = dataclasses.replace(base, gram=tuple(tuple(row) for row in gram))
+    aff = affz.AffinizedAlgebra(base, weight_decomposition(base), torus)
+    return matrixsuper.TwistedAlgebra(aff, matrixsuper.SharpOperator(BC11, aff, star_signs))
+
+
+# the tori and entry involutions the # plants run over at nonzero degree
+SHARP_SETTINGS = {
+    "trivial torus": (affz.trivial_torus(1), None),
+    "star signs -1": (affz.trivial_torus(1), (-1,)),
+    "q = 2/3": (affz.CocycleTorus(rank=1, qmatrix=((Rat(2, 3),),)), None),
+}
 
 
 def planted_twisted(y_label):
@@ -146,6 +177,15 @@ def _cases():
             lambda samples=samples: matrixsuper.verify_twisted(
                 perturbed_twisted(), BC11, affz.window_box(1, 0), 1,
                 samples=samples, seed=3))
+    # # broken at nonzero torus degrees; only the doubled Gram pair reaches
+    # the V-part clause of the automorphism check (3,000 samples draw one)
+    for setting, (torus, signs) in SHARP_SETTINGS.items():
+        for plant, build, samples in (("doubled sharp entry", perturbed_twisted, 30),
+                                      ("doubled Gram pair", gram_doubled_twisted, 3000)):
+            cases[f"twisted {plant} tau radius 1 {setting}"] = (
+                lambda build=build, torus=torus, signs=signs, samples=samples:
+                matrixsuper.verify_twisted(build(torus, signs), BC11, affz.window_box(1, 1),
+                                           1, samples=samples, seed=3))
     # each verifier fails axiom 2 on [x, x] = x and axiom 1 on an
     # [x_a, x_-a] off the Cartan
     for plant, osp12_y, bc11_y in (("self-bracket", "E+", "E[1,1~]"),
@@ -215,7 +255,20 @@ def test_golden_reports_fail_where_planted():
         assert json.loads(entry["json"])["passed"] == (name in PASSING), name
 
 
+def _entry_diff(old: dict, new: dict) -> list[str]:
+    lines = report_diff(old["json"], new["json"])
+    if not lines and old["text"] != new["text"]:
+        lines.append("  text rendering changed")
+    passed = [json.loads(entry["json"])["passed"] for entry in (old, new)]
+    if passed[0] != passed[1]:
+        lines.append(f"  passed: {passed[0]} -> {passed[1]}")
+    return lines
+
+
 if __name__ == "__main__":
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(capture(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    if "--diff" in sys.argv[1:]:
+        print_diff(_golden(), capture(), _entry_diff)
+    else:
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            json.dump(capture(), fh, indent=1, sort_keys=True)
+            fh.write("\n")

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -5,14 +7,14 @@ import pytest
 from superlie import linalg
 
 from superlie import trivial_torus, weight_decomposition, window_box
-from superlie.affinize import CocycleTorus, d_term, loop_term
+from superlie.affinize import AffinizedAlgebra, CocycleTorus, d_term, loop_term
 from superlie.matrixsuper import (DegenerateFormError, FieldError, GradingError,
                                   PiForm, SharpOperator, SuperIndexSet,
                                   TwistedElement, diamond,
                                   displayed_pi_families, fixed_cartan_basis,
                                   matrix_affinization, pi_project,
                                   pi_root_classes, plain_index_set, sharp,
-                                  sharp_eigenspaces, sigma_cartan_matrix,
+                                  sharp_defects, sharp_eigenspaces, sigma_cartan_matrix,
                                   sl_superalgebra, supertrace, tm_mul,
                                   tm_supercomm, twisted_affinize,
                                   twisted_weight_spaces, tw_c, tw_d,
@@ -137,6 +139,43 @@ def test_sharp_operator_order_and_commutes_with_derivations():
     lhs = sh.apply(aff.bracket(d_term(0), x))
     rhs = aff.bracket(d_term(0), sh.apply(x))
     assert lhs == rhs
+
+
+def test_sharp_operator_rejects_a_star_sign_count_other_than_the_rank():
+    for rank, signs in ((2, (-1,)), (1, (1, -1, 1)), (1, ())):
+        aff = matrix_affinization(BC11, trivial_torus(rank), field="Qi")
+        with pytest.raises(ValueError, match="one entry involution sign per torus generator"):
+            SharpOperator(BC11, aff, star_signs=signs)
+
+
+@pytest.mark.parametrize("signs, q", [(None, Rat(1)), ((-1,), Rat(1)), (None, Rat(2, 3))])
+def test_sharp_defects_predict_the_window_checks_of_sharp(signs, q):
+    """Brute force over a window against the base defects: with the first
+    entry of #'s first column doubled and the (E[1,0], E[0,1]) Gram entries
+    doubled, (#x, #y) != (x, y) at (b1, tau, b2) exactly at form defects,
+    and #[x, y] != [#x, #y] at (b1, a, b2, b) exactly at bracket defects
+    and, for a = -b != 0, at form defects."""
+    base = sl_superalgebra(BC11, field="Qi")
+    e10, e01 = base.basis_labels.index("E[1,0]"), base.basis_labels.index("E[0,1]")
+    gram = [list(row) for row in base.gram]
+    gram[e10][e01], gram[e01][e10] = 2 * gram[e10][e01], 2 * gram[e01][e10]
+    base = dataclasses.replace(base, gram=tuple(map(tuple, gram)))
+    aff = AffinizedAlgebra(base, weight_decomposition(base),
+                           CocycleTorus(rank=1, qmatrix=((q,),)))
+    sh = SharpOperator(BC11, aff, star_signs=signs)
+    k = sorted(sh.columns[0])[0]
+    sh.columns[0][k] *= 2
+    form_defects, bracket_defects = sharp_defects(base, sh.columns)
+    assert bracket_defects and form_defects - bracket_defects  # both clauses reached
+    taus, dim = window_box(1, 1), base.dim
+    for b1, a, b2, b in itertools.product(range(dim), taus, range(dim), taus):
+        x, y = loop_term(b1, a), loop_term(b2, b)
+        if b == (-a[0],):
+            form_fails = aff.form(sh.apply(x), sh.apply(y)) != aff.form(x, y)
+            assert form_fails == ((b1, b2) in form_defects), (b1, a, b2)
+        bracket_fails = sh.apply(aff.bracket(x, y)) != aff.bracket(sh.apply(x), sh.apply(y))
+        assert bracket_fails == ((b1, b2) in bracket_defects or (
+            (b1, b2) in form_defects and a != (0,) and b == (-a[0],))), (b1, a, b2, b)
 
 
 def test_sharp_preserves_form_on_basis_pairs():
