@@ -11,7 +11,10 @@ extraction is a single reduction pass.
 
 from __future__ import annotations
 
-from .scalars import Rat, sdiv
+import math
+
+from .scalars import (GaussianInt, Rat, common_denominator, integers_over, scalar_over,
+                      sdiv)
 
 
 def vadd(u: dict, v: dict) -> dict:
@@ -117,7 +120,6 @@ class Echelon:
         self._count += 1
         res, combo = self.reduce(v)
         if not res:
-            self._last_combo = combo
             return False
         piv = min(res)
         inv = sdiv(1, res[piv])
@@ -212,19 +214,49 @@ def solver(rows: list[dict], ncols: int):
 def nullspace(rows: list[dict], ncols: int) -> list[tuple[int, dict]]:
     """Kernel basis of M (sparse rows) as (free column, vector) pairs.
 
-    Columns enter the echelon in index order; a column in the span of the
-    earlier ones is free.  Its kernel vector has entry 1 at that column and
-    0 at every other free column, so coordinates over this basis can be
-    read off at the free columns.
+    A free column j has no pivot in the reduced row echelon form R of M.
+    Its kernel vector has entry 1 at j, 0 at every other free column and
+    -R[r][j] at the pivot column of each row r, so coordinates over this
+    basis can be read off at the free columns.  Fraction-free: rows are
+    scaled to (Gaussian) integers, pivots made positive integers, and
+    scalars formed only for the output entries.
     """
-    ech = Echelon(track=True)
-    out = []
-    for j, col in enumerate(columns_of(rows, ncols)):
-        if not ech.add(col, tag=j):
-            null = {j: Rat(1)}
-            null.update((t, -c) for t, c in ech._last_combo.items())
-            out.append((j, null))
-    return out
+    pending = [integers_over(row, common_denominator(row.values()))
+               for row in ({k: c for k, c in row.items() if c} for row in rows) if row]
+    pivots: dict = {}  # pivot column -> integer row, the pivot a positive int
+    free = []
+    for j in range(ncols):
+        found = next((r for r in pending if j in r), None)
+        if found is None:
+            free.append(j)
+            continue
+        p = found[j]
+        if type(p) is GaussianInt:  # times conj(p): the pivot becomes |p|^2
+            at = vscale(GaussianInt(p.re, -p.im), found)
+            at[j] = p.re * p.re + p.im * p.im
+        else:
+            at = vscale(-1, found) if p < 0 else found
+        pending = [r for r in (_eliminate(r, j, at) for r in pending if r is not found) if r]
+        pivots = {q: _eliminate(r, j, at) for q, r in pivots.items()}
+        pivots[j] = at
+    return [(j, {j: Rat(1), **{q: scalar_over(r[j] * -1, r[q])
+                                for q, r in pivots.items() if j in r}}) for j in free]
+
+
+def _eliminate(row: dict, j, pivot_row: dict) -> dict:
+    """The integer row cleared at column j by the pivot row and divided by
+    the gcd of its integer parts (real and imaginary)."""
+    c = row.get(j)
+    if not c:
+        return row
+    out = vscale(pivot_row[j], row)
+    vaxpy_inplace(out, c * -1, pivot_row)
+    g = math.gcd(*[n for x in out.values()
+                   for n in ((x.re, x.im) if type(x) is GaussianInt else (x,))])
+    if g < 2:  # 0 for an empty row
+        return out
+    return {k: GaussianInt(x.re // g, x.im // g) if type(x) is GaussianInt else x // g
+            for k, x in out.items()}
 
 
 def dense_to_rows(mat: list[list]) -> list[dict]:

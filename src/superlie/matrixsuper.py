@@ -21,7 +21,9 @@ of #.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -34,7 +36,8 @@ from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
 from .algebra import LieSuperalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
-from .scalars import IUNIT, Rat, common_denominator, integer_over, scalar_over, super_sign
+from .scalars import (IUNIT, Rat, common_denominator, integer_over, integers_over, scalar_over,
+                      super_sign)
 
 
 class DegenerateFormError(ValueError):
@@ -145,12 +148,8 @@ def supertrace(x: dict, idx: SuperIndexSet) -> dict:
     return out
 
 
-def _star_sign(signs, deg):
-    out = Rat(1)
-    for s, d in zip(signs, deg):
-        if d % 2 and s == -1:
-            out = -out
-    return out
+def _star_sign(signs, deg) -> int:
+    return -1 if sum(1 for s, d in zip(signs, deg) if d % 2 and s == -1) % 2 else 1
 
 
 def diamond(x: dict, idx: SuperIndexSet, star_signs=None) -> dict:
@@ -337,17 +336,8 @@ class SharpOperator:
                 return power
         return 0
 
-    def apply(self, x: GradedLoopElement) -> GradedLoopElement:
-        out_loop: dict = {}
-        for (b, deg), c in x.loop.items():
-            coeff = c * self.degree_sign(deg)
-            for k, v in self.columns[b].items():
-                add_entry(out_loop, (k, deg), coeff * v)
-        return GradedLoopElement(loop=out_loop, v=dict(x.v), d=dict(x.d))
 
-
-def _zeta_power(i: int):
-    return IUNIT ** (i % 4)
+_ZETA = (Rat(1), IUNIT, Rat(-1), -IUNIT)  # zeta^k for k = 0..3, zeta = i
 
 
 def _eigenvectors(rows: list[dict], z) -> list[dict]:
@@ -363,7 +353,7 @@ def _eigenbases(rows: list[dict]) -> list[list[dict]]:
     leaves the elimination unchanged, so the zeta^k eigenvectors at sign s
     are entry _eigenclass(s, k) of these four bases, for every degree.
     """
-    return [_eigenvectors(rows, _zeta_power(k)) for k in range(4)]
+    return [_eigenvectors(rows, z) for z in _ZETA]
 
 
 def _eigenclass(sign, k: int) -> int:
@@ -415,15 +405,15 @@ def sigma_cartan_matrix(aff: AffinizedAlgebra, sh: SharpOperator) -> tuple:
 
 
 def pi_project(sigma: tuple, root) -> tuple:
-    """Average of a weight over the # orbit: (a + a∘s + a∘s² + a∘s³) / 4."""
-    m = len(root)
-    vals = [tuple(root)]
-    cur = tuple(root)
+    """Average of a weight over the # orbit: (a + a∘s + a∘s² + a∘s³) / 4,
+    on integer numerators: sigma over T, the root over R, the sum over 4RT³."""
+    T, R = common_denominator([c for row in sigma for c in row]), common_denominator(root)
+    cols = list(zip(*[[integer_over(c, T) for c in row] for row in sigma]))
+    cur = total = [integer_over(a, R) for a in root]
     for _ in range(3):
-        cur = tuple(sum(sigma[k][l] * cur[k] for k in range(m)) for l in range(m))
-        vals.append(cur)
-    quarter = Rat(1, 4)
-    return tuple(quarter * sum(v[l] for v in vals) for l in range(m))
+        cur = [sum(map(operator.mul, col, cur)) for col in cols]
+        total = [T * t + c for t, c in zip(total, cur)]
+    return tuple(scalar_over(n, 4 * R * T ** 3) for n in total)
 
 
 def pi_root_classes(aff: AffinizedAlgebra, sigma: tuple) -> dict:
@@ -443,78 +433,36 @@ def displayed_pi_families(idx: SuperIndexSet, aff: AffinizedAlgebra) -> set:
     distinct indices inside each block.
     """
     eps = _epsilons(idx, basis_matrices(idx), aff.base.cartan)
-
-    def u(t: str) -> tuple:
-        return tuple(x - y for x, y in zip(eps[t], eps[idx.bar(t)]))
-
-    half = Rat(1, 2)
-
-    def halfdiff(a: tuple, b: tuple) -> tuple:
-        return tuple(half * (x - y) for x, y in zip(a, b))
-
-    fams = {aff.datum.zero}
-    iset, jset = idx.i_indices(), idx.j_indices()
-    for a, b in itertools.permutations(iset, 2):
-        fams.add(halfdiff(u(a), u(b)))
-    for a, b in itertools.permutations(jset, 2):
-        fams.add(halfdiff(u(a), u(b)))
-    for a in iset:
-        for b in jset:
-            fams.add(halfdiff(u(a), u(b)))
-            fams.add(halfdiff(u(b), u(a)))
-    return fams
+    u = {t: tuple(x - y for x, y in zip(eps[t], eps[idx.bar(t)])) for t in idx.indices()}
+    # the ordered pairs inside each block and across them: all ordered pairs
+    return {aff.datum.zero} | {tuple(Rat(1, 2) * (x - y) for x, y in zip(u[a], u[b]))
+                               for a, b in itertools.permutations(idx.indices(), 2)}
 
 
 def fixed_cartan_basis(aff: AffinizedAlgebra, sigma: tuple) -> list[dict]:
     """Basis of the #-fixed part of the Cartan, in Cartan coordinates."""
-    rows = [{l: c for l, c in enumerate(r) if c} for r in sigma]
-    return _eigenvectors(rows, Rat(1))
+    return _eigenvectors([{l: c for l, c in enumerate(r) if c} for r in sigma], Rat(1))
 
 
 class PiForm:
     """The transferred form on averaged weights, via the fixed Cartan."""
 
     def __init__(self, aff: AffinizedAlgebra, sigma: tuple):
-        self.aff = aff
         self.fixed = fixed_cartan_basis(aff, sigma)
-        cartan = aff.base.cartan
-        g = aff.base.gram
-        k = len(self.fixed)
-        gram_rows = []
-        for a in range(k):
-            row = {}
-            for b in range(k):
-                val = Rat(0)
-                for p, x in self.fixed[a].items():
-                    for q, y in self.fixed[b].items():
-                        val = val + x * y * g[cartan[p]][cartan[q]]
-                if val:
-                    row[b] = val
-            gram_rows.append(row)
-        self.k = k
-        self.solve = linalg.solver(gram_rows, k)
+        vecs = [{aff.base.cartan[l]: c for l, c in v.items()} for v in self.fixed]
+        gram = [{b: f for b, w in enumerate(vecs) if (f := aff.base.form(v, w))} for v in vecs]
+        self.solve = linalg.solver(gram, len(vecs))
 
     def restrict(self, p: tuple) -> dict:
-        out = {}
-        for a in range(self.k):
-            val = Rat(0)
-            for l, c in self.fixed[a].items():
-                val = val + c * p[l]
-            if val:
-                out[a] = val
-        return out
+        return {a: val for a, v in enumerate(self.fixed)
+                if (val := sum((c * p[l] for l, c in v.items()), Rat(0)))}
 
     def eval(self, p: tuple, q: tuple):
         t = self.solve(self.restrict(p))
         if t is None:
             raise ValueError("averaged weight is not representable on the fixed Cartan")
         rq = self.restrict(q)
-        val = Rat(0)
-        for a, c in t.items():
-            x = rq.get(a)
-            if x:
-                val = val + c * x
-        return val
+        return sum((c * rq[a] for a, c in t.items() if a in rq), Rat(0))
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +488,13 @@ class TwistedElement:
 
     def plus(self, other: "TwistedElement") -> "TwistedElement":
         parts = dict(self.parts)
-        for i, p in other.parts.items():
-            _add_part(parts, i, p)
+        for i, p in other.parts.items():  # a degree whose sum is zero drops out
+            merged = parts[i].plus(p) if i in parts else p
+            if merged:
+                parts[i] = merged
+            else:
+                parts.pop(i, None)
         return TwistedElement(parts, self.c + other.c, self.d + other.d)
-
-
-def _add_part(parts: dict, i: int, x: GradedLoopElement) -> None:
-    """parts[i] += x, dropping degree i when the sum is zero."""
-    if not x:
-        return
-    cur = parts.get(i)
-    merged = x if cur is None else cur.plus(x)
-    if merged:
-        parts[i] = merged
-    else:
-        parts.pop(i, None)
 
 
 def tw_loop(i: int, x: GradedLoopElement) -> TwistedElement:
@@ -576,9 +516,27 @@ class TwistedAlgebra:
         self.aff = aff
         self.sh = sh
 
+    @functools.cached_property
+    def defects(self) -> tuple:
+        """sharp_defects of the base and #'s base matrix, computed on first use."""
+        return sharp_defects(self.aff.base, self.sh.columns)
+
+    @functools.cached_property
+    def sharp_columns(self) -> tuple:
+        """#'s base matrix in the kernel, computed on first use (see _integer_columns)."""
+        return _integer_columns(self.sh.columns)
+
+    def sharp_scales(self, x: GradedLoopElement, z) -> bool:
+        """Whether # x = z x, compared in the kernel (z is 1, i, -1 or -i)."""
+        (loop, v, d), _ = self.aff.kernel(x)
+        (C, S), sign, z = self.sharp_columns, self.sh.degree_sign, integer_over(z, 1)
+        return (z == 1 or not (v or d)) and linalg.vsum(
+            ((k, deg), sign(deg) * n * c) for (b, deg), n in loop.items()
+            for k, c in C[b].items()) == {key: S * n * z for key, n in loop.items()}
+
     def check_element(self, x: TwistedElement) -> None:
         for i, part in x.parts.items():
-            if self.sh.apply(part) != part.scaled(_zeta_power(i)):
+            if not self.sharp_scales(part, _ZETA[i % 4]):
                 raise GradingError(f"component at degree {i} is not a zeta^{i % 4} "
                                    "eigenvector of #")
 
@@ -684,7 +642,7 @@ class TwistedAlgebra:
                 return False
             if not self.aff.in_cartan(part):
                 return False
-            if self.sh.apply(part) != part:
+            if not self.sharp_scales(part, 1):
                 return False
         return True
 
@@ -699,24 +657,38 @@ def twisted_affinize(aff: AffinizedAlgebra, sh: SharpOperator) -> TwistedAlgebra
     order = sh.order()
     if order != 4:
         raise ValueError(f"# has order {order or '>4'}, expected 4")
-    form_pairs, bracket_pairs = sharp_defects(aff.base, sh.columns)
+    tw = TwistedAlgebra(aff, sh)
+    form_pairs, bracket_pairs = tw.defects
     if form_pairs:
         raise ValueError("# does not preserve the form")
     if bracket_pairs:
         raise ValueError("# is not a bracket automorphism")
-    return TwistedAlgebra(aff, sh)
+    return tw
+
+
+def _integer_columns(cols: list[dict]) -> tuple:
+    """(C, S): sparse columns as integer columns C over one denominator S."""
+    S = common_denominator([c for col in cols for c in col.values()])
+    return [integers_over(col, S) for col in cols], S
 
 
 def sharp_defects(base: LieSuperalgebra, cols: list[dict]) -> tuple:
     """(form_pairs, bracket_pairs): the base basis pairs (b1, b2) at which
     the base matrix cols of # changes the form, resp. fails to commute with
-    the bracket."""
+    the bracket.  With cols = C / S and base.integer_tables over D, compares
+    f(Cb1, Cb2) with S² f(b1, b2), and S C[b1, b2] with [Cb1, Cb2], times D.
+    """
+    rows, gram, _ = base.integer_tables
+    C, S = _integer_columns(cols)
     pairs = list(itertools.product(range(base.dim), repeat=2))
     form_pairs = {(b1, b2) for b1, b2 in pairs
-                  if base.form(cols[b1], cols[b2]) != base.gram[b1][b2]}
+                  if sum(x * y * gram[i][j] for i, x in C[b1].items() for j, y in C[b2].items())
+                  != S * S * gram[b1][b2]}
     bracket_pairs = {(b1, b2) for b1, b2 in pairs
-                     if linalg.mat_vec(cols, base.bracket_basis(b1, b2))
-                     != base.bracket(cols[b1], cols[b2])}
+                     if linalg.vsum((l, S * n * x) for k, n in rows[b1][b2]
+                                    for l, x in C[k].items())
+                     != linalg.vsum((l, x * y * n) for i, x in C[b1].items()
+                                    for j, y in C[b2].items() for l, n in rows[i][j])}
     return form_pairs, bracket_pairs
 
 
@@ -750,7 +722,7 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     for b in range(dim):
         slices.setdefault((pi_of_basis[b], aff.base.parity[b]), []).append(b)
 
-    spaces: dict = {}
+    out: dict = {}
     for (p, par), idxs in sorted(slices.items(), key=lambda kv: str(kv[0])):
         inside = set(idxs)
         if any(not sh.columns[b].keys() <= inside for b in idxs):
@@ -765,11 +737,7 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
                     continue
                 for i in z_window:
                     if i % 4 == i0:
-                        key = (p, tau, i)
-                        spaces.setdefault(key, []).extend(vecs)
-    out: dict = {}
-    for (p, tau, i), vecs in spaces.items():
-        out[(p, tau, i)] = [tw_loop(i, v) for v in vecs]
+                        out.setdefault((p, tau, i), []).extend(tw_loop(i, v) for v in vecs)
     zero_key = (datum.zero, zero_deg, 0)
     if zero_key in out or 0 in z_window:
         extra = [tw_c(), tw_d()]
@@ -822,7 +790,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     # and [#x, #y] are theta(a, b) times M[b1, b2] and [Mb1, Mb2], and for
     # a + b = 0 the V parts theta(a, b) a times f(b1, b2) and f(Mb1, Mb2).
     # theta is evaluated first, so a table torus raises where it is undefined.
-    form_defects, bracket_defects = sharp_defects(aff.base, sh.columns)
+    form_defects, bracket_defects = tw.defects
 
     def form_changes():
         for b1, tau, b2 in itertools.product(range(dim), tau_degrees, range(dim)):
@@ -856,12 +824,12 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     opposites = {(p, t, i): (tuple(-a for a in p), gneg(t), -i) for p, t, i in kernels}
 
     def pairing_failures():
-        for key1, basis1 in kernels.items():
+        for (key1, basis1), opposite_key in zip(kernels.items(), opposites.values()):
             for key2, basis2 in kernels.items():
                 nonzero = any(tw.kernel_form(X, Y)[0] for X, _ in basis1 for Y, _ in basis2)
                 classes = (key1[2] % 4, key2[2] % 4)
                 pair_seen[classes] = pair_seen.get(classes, False) or nonzero
-                opposite = key2 == opposites[key1]
+                opposite = key2 == opposite_key
                 if nonzero and not opposite:
                     yield {"at": [*key1, *key2],
                            "reason": "pairing off opposite weights"}

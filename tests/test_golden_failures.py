@@ -2,9 +2,9 @@
 
 Each case plants a fault (a structure constant, Gram entry or parity of a
 fixture algebra, an asymmetric or broken cocycle, a perturbed affinization
-base, a doubled entry of the order-4 automorphism #, a doubled Gram pair
-of the twisted base, a bracket [x, y] given an extra component x) and runs
-a verifier.
+base, a doubled entry of the order-4 automorphism #, # scaled by i, a
+doubled Gram pair of the twisted base, a bracket [x, y] given an extra
+component x) and runs a verifier.
 The golden file holds each report's ``to_json()`` and ``render_text()``, so
 witnesses, check order and skip counts are pinned as well as pass/fail.
 To regenerate it (only when an output change is intended):
@@ -26,6 +26,7 @@ import sys
 
 import pytest
 from test_golden import print_diff, report_diff
+from test_sharp_layer import times_i_twisted
 
 from superlie import affinize as affz
 from superlie import fixtures, matrixsuper, rootsys, verify_eals
@@ -177,6 +178,8 @@ def _cases():
             lambda samples=samples: matrixsuper.verify_twisted(
                 perturbed_twisted(), BC11, affz.window_box(1, 0), 1,
                 samples=samples, seed=3))
+    cases["twisted sharp times i tau radius 1"] = lambda: matrixsuper.verify_twisted(
+        times_i_twisted(), BC11, affz.window_box(1, 1), 1, samples=30, seed=3)
     # # broken at nonzero torus degrees; only the doubled Gram pair reaches
     # the V-part clause of the automorphism check (3,000 samples draw one)
     for setting, (torus, signs) in SHARP_SETTINGS.items():

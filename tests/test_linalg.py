@@ -4,7 +4,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from superlie import linalg
-from superlie.scalars import GaussianRational, Rat
+from superlie.scalars import IUNIT, GaussianRational, Rat
 
 
 def dense(rows):
@@ -65,6 +65,81 @@ def test_nullspace_annihilates():
         cols = linalg.columns_of(rows, m)
         rank = linalg.span_rank(cols)
         assert rank + len(basis) == m
+
+
+# ---------------------------------------------------------------------------
+# the Echelon-based nullspace that the fraction-free elimination replaced,
+# kept as the reference: it must give the same basis, value for value and
+# type for type, once Q(i) values with a zero i part are read as rationals
+# (the kernel's output convention)
+
+
+def ref_nullspace(rows, ncols):
+    ech = linalg.Echelon(track=True)
+    out = []
+    for j, col in enumerate(linalg.columns_of(rows, ncols)):
+        res, combo = ech.reduce(col)
+        if res:
+            ech.add(col, tag=j)
+        else:
+            null = {j: Rat(1)}
+            null.update((t, -c) for t, c in combo.items())
+            out.append((j, null))
+    return out
+
+
+def canonical(x):
+    return x.re if isinstance(x, GaussianRational) and not x.im else x
+
+
+def typed(basis):
+    """The basis with each value tagged by its type."""
+    return [(j, {k: (type(c), c) for k, c in v.items()}) for j, v in basis]
+
+
+def assert_same_nullspace(rows, ncols):
+    got = linalg.nullspace(rows, ncols)
+    want = [(j, {k: canonical(c) for k, c in v.items()}) for j, v in ref_nullspace(rows, ncols)]
+    assert typed(got) == typed(want), (rows, ncols)
+    assert all(type(c) is type(Rat(1)) or (isinstance(c, GaussianRational) and c.im)
+               for _, v in got for c in v.values())
+    return got
+
+
+def random_scalar(rng, gaussian):
+    x = Rat(rng.randint(-4, 4), rng.randint(1, 6))
+    if gaussian and rng.random() < 0.6:
+        # a third of the Gaussian entries carry a zero i part
+        return GaussianRational(x, rng.choice([0, Rat(rng.randint(-3, 3), rng.randint(1, 4))]))
+    return x
+
+
+def test_nullspace_matches_reference_on_seeded_matrices():
+    rng = random.Random(15)
+    shapes = {"gaussian": 0, "empty row": 0, "wide": 0, "deficient": 0}
+    for trial in range(400):
+        gaussian = trial % 2 == 1
+        n, m = rng.randint(0, 6), rng.randint(0, 7)
+        rows = [{j: c for j in range(m) if rng.random() < 0.5
+                 and (c := random_scalar(rng, gaussian))} for _ in range(n)]
+        if n >= 2 and rng.random() < 0.4:  # a combination of two rows
+            rows.append(linalg.vadd(rows[0], linalg.vscale(random_scalar(rng, gaussian)
+                                                           or Rat(1), rows[1])))
+        basis = assert_same_nullspace(rows, m)
+        shapes["gaussian"] += any(isinstance(c, GaussianRational) for _, v in basis
+                                  for c in v.values())
+        shapes["empty row"] += any(not row for row in rows)
+        shapes["wide"] += m > len(rows)
+        shapes["deficient"] += len(basis) > max(0, m - len(rows))
+    assert all(shapes.values()), shapes
+
+
+def test_nullspace_of_large_entries_and_explicit_zeros():
+    rows = [{0: Rat(10 ** 12, 7), 1: Rat(3, 10 ** 9), 2: Rat(0)},
+            {0: Rat(-2), 2: GaussianRational(Rat(1, 3), 0)},
+            {},
+            {1: GaussianRational(0, Rat(5, 2)), 3: IUNIT}]
+    assert len(assert_same_nullspace(rows, 5)) == 2
 
 
 def test_echelon_coords_track():
@@ -186,6 +261,12 @@ def sympy_solution(rows, ncols, rhs):
     except ValueError:  # no solution
         return None
     return sparse(sol.subs({t: 0 for t in params}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_nullspace_matches_reference_on_drawn_systems(system):
+    assert_same_nullspace(*system[:2])
 
 
 @settings(max_examples=60, deadline=None)

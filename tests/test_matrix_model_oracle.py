@@ -8,6 +8,8 @@ entry, including the cocycle twist and the central V-valued term.
 
 import itertools
 
+from test_sharp_layer import sharp_apply
+
 from superlie import CocycleTorus, trivial_torus
 from superlie.affinize import loop_term
 from superlie.matrixsuper import (SharpOperator, SuperIndexSet, basis_matrices,
@@ -62,7 +64,7 @@ def check_algebra(idx, torus, degs, star_signs=None, field="Q"):
         sh = SharpOperator(idx, aff, star_signs=star_signs)
         for b in range(aff.base.dim):
             for deg in degs:
-                image = sh.apply(loop_term(b, deg))
+                image = sharp_apply(sh, loop_term(b, deg))
                 assert realize(mats, image) == sharp(lift(mats, b, deg), idx,
                                                      star_signs=star_signs)
 
