@@ -163,12 +163,10 @@ def cmd_affinize(args) -> int:
     torus = _torus(args)
     degrees = affz.window_box(args.rank, args.window)
     combined = Report(title=f"affinize {args.base} rank={args.rank}",
-                      seed=args.seed, window={"radius": args.window})
-    combined.extend(affz.verify_cocycle(torus, degrees, samples=args.samples,
-                                        seed=args.seed))
+                      window={"radius": args.window})
+    combined.extend(affz.verify_cocycle(torus, degrees))
     alg = affz.AffinizedAlgebra(L, datum, torus)
-    combined.extend(affz.verify_affinized(alg, degrees, samples=args.samples,
-                                          seed=args.seed))
+    combined.extend(affz.verify_affinized(alg, degrees))
     # the window roots verify_affinized certified: every base root at every degree
     roots = [(r, d) for d in degrees for r in datum.roots]
     combined.note("window roots", {
@@ -287,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="builtin:osp12")
     p.add_argument("--rank", type=nonnegative_int, default=1)
     p.add_argument("--window", type=nonnegative_int, default=3)
-    p.add_argument("--samples", type=nonnegative_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    ignored = "ignored: every check of the loop algebra is exact"
+    p.add_argument("--samples", type=nonnegative_int, default=500, help=ignored)
+    p.add_argument("--seed", type=int, default=0, help=ignored)
     p.add_argument("--q", type=nonzero_scalar, default=None,
                    help="off-diagonal cocycle value")
     common(p)

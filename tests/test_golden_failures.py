@@ -2,8 +2,8 @@
 
 Each case plants a fault (a structure constant, Gram entry or parity of a
 fixture algebra, an asymmetric or broken cocycle, a perturbed affinization
-base, a doubled entry of the order-4 automorphism #, # scaled by i, a
-doubled Gram pair of the twisted base, a bracket [x, y] given an extra
+base, a doubled entry of the order-4 automorphism #, # scaled by i or by
+-1, a doubled Gram pair of the twisted base, a bracket [x, y] given an extra
 component x) and runs a verifier.
 The golden file holds each report's ``to_json()`` and ``render_text()``, so
 witnesses, check order and skip counts are pinned as well as pass/fail.
@@ -26,7 +26,7 @@ import sys
 
 import pytest
 from test_golden import print_diff, report_diff
-from test_sharp_layer import times_i_twisted
+from test_sharp_layer import scaled_twisted, times_i_twisted
 
 from superlie import affinize as affz
 from superlie import fixtures, matrixsuper, rootsys, verify_eals
@@ -114,7 +114,7 @@ def gram_doubled_twisted(torus, star_signs):
     """BC(1,1) over Q(i) with both (E[1,0], E[0,1]) Gram entries doubled.
 
     # stays a bracket automorphism of the base but is no longer an
-    isometry, so the sampled automorphism check can fail only through the
+    isometry, so the automorphism check can fail only through the
     V part of a bracket at degrees a = -b != 0.
     """
     base = matrixsuper.sl_superalgebra(BC11, field="Qi")
@@ -180,8 +180,10 @@ def _cases():
                 samples=samples, seed=3))
     cases["twisted sharp times i tau radius 1"] = lambda: matrixsuper.verify_twisted(
         times_i_twisted(), BC11, affz.window_box(1, 1), 1, samples=30, seed=3)
-    # # broken at nonzero torus degrees; only the doubled Gram pair reaches
-    # the V-part clause of the automorphism check (3,000 samples draw one)
+    cases["twisted sharp times -1 tau radius 1"] = lambda: matrixsuper.verify_twisted(
+        scaled_twisted(Rat(-1)), BC11, affz.window_box(1, 1), 1, samples=30, seed=3)
+    # # broken at nonzero torus degrees; the doubled Gram pair fails only
+    # the V-part clause of the automorphism check
     for setting, (torus, signs) in SHARP_SETTINGS.items():
         for plant, build, samples in (("doubled sharp entry", perturbed_twisted, 30),
                                       ("doubled Gram pair", gram_doubled_twisted, 3000)):

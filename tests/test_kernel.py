@@ -24,7 +24,7 @@ from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard,
                       trivial_torus, verify_affinized, verify_twisted,
                       weight_decomposition, window_box)
 from superlie.abelian import gadd
-from superlie.affinize import (GradedLoopElement, _sample_element, ad_nilpotent_on,
+from superlie.affinize import (GradedLoopElement, ad_nilpotent_on,
                                d_term, loop_term, v_term)
 from superlie.linalg import add_entry
 from superlie.matrixsuper import (SharpOperator, SuperIndexSet, TwistedAlgebra,
@@ -184,6 +184,20 @@ def assert_same_tw_form(tw, x, y):
     assert_scalar(got)
 
 
+def sample_element(alg, rng, degrees):
+    """A random homogeneous monomial of the window: a loop term, or a V or
+    V* term, with a coefficient from a fixed list."""
+    coeffs = [Rat(1), Rat(-1), Rat(2), Rat(1, 2), Rat(-3, 2)]
+    kind = rng.random()
+    if kind < 0.7 or alg.rank == 0:
+        b = rng.randrange(alg.base.dim)
+        deg = rng.choice(degrees)
+        return loop_term(b, deg, rng.choice(coeffs))
+    if kind < 0.85:
+        return v_term(rng.randrange(alg.rank), rng.choice(coeffs))
+    return d_term(rng.randrange(alg.rank), rng.choice(coeffs))
+
+
 def sign_torus(rank):
     return CocycleTorus(rank=rank, qmatrix=tuple(
         tuple(Rat(-1) for _ in range(rank)) for _ in range(rank)))
@@ -267,7 +281,7 @@ def test_affinized_kernel_matches_reference_on_criterion_6_windows():
             assert_same_bracket(alg, x, y)
             assert_same_form(alg, x, y)
         for _ in range(60):
-            x, y, z = (_sample_element(alg, rng, degrees) for _ in range(3))
+            x, y, z = (sample_element(alg, rng, degrees) for _ in range(3))
             xy = assert_same_bracket(alg, x, y)
             assert_same_bracket(alg, xy, z)
             assert_same_form(alg, xy, z)
@@ -452,7 +466,7 @@ def test_no_float_in_kernel_results_or_reports():
     alg = AFFINIZED["sl12 q=2/3"]
     degrees = window_box(2, 1)
     for _ in range(50):
-        x, y = (_sample_element(alg, rng, degrees) for _ in range(2))
+        x, y = (sample_element(alg, rng, degrees) for _ in range(2))
         X, Y = alg.kernel(x), alg.kernel(y)
         assert_no_float([X, Y, alg.kernel_bracket(X[0], Y[0]), alg.kernel_form(X[0], Y[0]),
                          alg.bracket(x, y), alg.form(x, y)])

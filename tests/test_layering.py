@@ -1,4 +1,5 @@
-"""Sparse-vector arithmetic stays inside ``superlie.linalg``.
+"""Layering guards: sparse-vector arithmetic stays inside ``superlie.linalg``,
+and the loop verifiers draw no samples.
 
 A sparse vector is a dict of nonzero scalars, and a sum drops the keys that
 cancel.  Only linalg's accumulators (vadd, vsub, vaxpy_inplace, add_entry
@@ -7,6 +8,7 @@ is a second copy of the format decision.
 """
 
 import ast
+import json
 import pathlib
 import re
 
@@ -35,3 +37,48 @@ def test_linalg_accumulates_only_in_its_accumulators():
                 owner[n] = node.name
     found = {owner.get(n) for n in accumulate_lines(path)}
     assert found == ACCUMULATORS
+
+
+def test_affinize_imports_no_random():
+    """The loop verifiers draw no samples: affinize.py imports no random."""
+    tree = ast.parse((SRC / "affinize.py").read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "random" not in imported
+
+
+def _loop_reports(samples, seed):
+    from superlie import (AffinizedAlgebra, CocycleTorus, fixtures, trivial_torus,
+                          verify_affinized, verify_cocycle, weight_decomposition,
+                          window_box)
+    from superlie.scalars import Rat
+    reports = []
+    for base in (fixtures.osp12_standard(), fixtures.osp12_broken()):
+        alg = AffinizedAlgebra(base, weight_decomposition(base), trivial_torus(1))
+        reports.append(verify_affinized(alg, window_box(1, 1), samples=samples, seed=seed))
+    asymmetric = CocycleTorus(rank=2, qmatrix=((Rat(1), Rat(2)), (Rat(3), Rat(1))))
+    for torus in (trivial_torus(2), asymmetric):
+        reports.append(verify_cocycle(torus, window_box(2, 1), samples=samples, seed=seed))
+    return [rep.to_json() for rep in reports]
+
+
+def test_loop_reports_do_not_depend_on_samples_or_seed():
+    """samples and seed are kept as parameters but change nothing, on a
+    passing and a failing input of each verifier."""
+    first = _loop_reports(0, 0)
+    assert [json.loads(r)["passed"] for r in first] == [True, False, True, False]
+    for samples, seed in ((0, 7), (500, 0), (500, 7)):
+        assert _loop_reports(samples, seed) == first
+
+
+def test_affinize_cli_prints_the_same_json_for_any_samples_and_seed(capsys):
+    from superlie.cli import main
+    outputs = []
+    for flags in (["--samples", "0"], ["--samples", "40", "--seed", "12"]):
+        assert main(["affinize", "--rank", "1", "--window", "1", "--format", "json",
+                     *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "seed" not in json.loads(outputs[0])

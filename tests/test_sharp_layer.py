@@ -30,6 +30,7 @@ from superlie.matrixsuper import (GradingError, SharpOperator, SuperIndexSet, Tw
                                   TwistedElement, matrix_affinization, pi_project,
                                   sharp_defects, sigma_cartan_matrix, twisted_affinize,
                                   twisted_weight_spaces, verify_twisted)
+from superlie.reports import jsonable
 from superlie.scalars import IUNIT, GaussianRational, Rat, common_denominator
 
 BC11 = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
@@ -247,8 +248,75 @@ def test_verify_twisted_reports_a_sharp_scaled_by_i():
     failed = {c.name for c in rep.failures()}
     assert not rep.passed
     assert {"# preserves the form on window basis pairs",
-            "# is a bracket automorphism (sampled)"} <= failed
+            "# is a bracket automorphism on window basis pairs"} <= failed
     assert "# has order 4" not in failed
+
+
+def automorphism_witness(tw, taus):
+    """The first (b1, b2, t1, t2) in product order at which # breaks the
+    bracket on the window: a bracket defect, or a form defect in the V
+    part at t2 = -t1 != 0, where theta(t1, t2) != 0."""
+    form_pairs, bracket_pairs = tw.defects
+    zero = (0,) * tw.aff.rank
+    return next(({"pair": [b1, b2], "taus": [t1, t2]}
+                 for b1, b2, t1, t2 in itertools.product(
+                     range(tw.aff.base.dim), range(tw.aff.base.dim), taus, taus)
+                 if tw.aff.theta(t1, t2) and ((b1, b2) in bracket_pairs or (
+                     (b1, b2) in form_pairs and t1 != zero and t2 == tuple(-t for t in t1)))),
+                None)
+
+
+@pytest.mark.parametrize("plant", ["doubled sharp entry", "doubled Gram pair"])
+def test_bracket_automorphism_check_is_exhaustive_over_the_window(plant):
+    """The first failing basis pair and tau pair in product order, at any
+    samples and seed; the doubled Gram pair fails only in the V part."""
+    from test_golden_failures import gram_doubled_twisted, perturbed_twisted
+    build = perturbed_twisted if plant == "doubled sharp entry" else gram_doubled_twisted
+    tw = build(affz.trivial_torus(1), None)
+    taus = affz.window_box(1, 1)
+    want = automorphism_witness(tw, taus)
+    assert want is not None
+    for samples, seed in ((0, 0), (5, 3), (500, 8)):
+        rep = verify_twisted(tw, BC11, taus, 1, samples=samples, seed=seed)
+        check = next(c for c in rep.checks
+                     if c.name == "# is a bracket automorphism on window basis pairs")
+        assert (check.status, check.witness) == ("fail", jsonable(want))
+
+
+def scaled_twisted(factor):
+    """BC(1,1) over Q(i) with every column of # multiplied by factor."""
+    aff, sh = sharp_of(BC11)
+    sh.columns = scaled_columns(sh.columns, factor)
+    return TwistedAlgebra(aff, sh)
+
+
+@pytest.mark.parametrize("factor", [Rat(-1), Rat(2), 2 * IUNIT, 1 + IUNIT],
+                         ids=["-1", "2", "2i", "1+i"])
+def test_verify_twisted_reports_a_sharp_that_mixes_the_weight_slices(factor):
+    """Scaling # changes the averaged weights, so # no longer keeps their
+    slices: a failed check with the slice and the column, and every check
+    on the twisted weight spaces skipped, never an AssertionError."""
+    tw = scaled_twisted(factor)
+    with pytest.raises(AssertionError, match="mixes averaged-weight slices"):
+        twisted_weight_spaces(tw, affz.window_box(1, 1), range(-1, 2))
+    rep = verify_twisted(tw, BC11, affz.window_box(1, 1), 1, samples=20, seed=3)
+    checks = {c.name: c for c in rep.checks}
+    mixed = checks["# preserves the averaged-weight slices"]
+    assert mixed.status == "fail" and set(mixed.witness) == {"slice", "column"}
+    assert mixed.witness["column"] in tw.aff.base.basis_labels
+    assert {name for name, c in checks.items() if c.status == "skip"} \
+        == set(matrixsuper.WEIGHT_SPACE_CHECKS)
+
+
+def test_weight_space_checks_are_the_checks_after_the_slice_check():
+    """WEIGHT_SPACE_CHECKS names exactly the checks a passing report lists
+    after the slice check, but the closing type label."""
+    aff, sh = sharp_of(BC11)
+    rep = verify_twisted(twisted_affinize(aff, sh), BC11, affz.window_box(1, 1), 1,
+                         samples=5, seed=3)
+    names = [c.name for c in rep.checks]
+    after = names[names.index("# preserves the averaged-weight slices") + 1:-1]
+    assert tuple(after) == matrixsuper.WEIGHT_SPACE_CHECKS
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,427 @@
+"""The exact window certificate of verify_affinized against its references.
+
+verify_affinized tests the code once, with a table of every ordered pair of
+window basis elements, and derives each identity from the base reports.
+The checks it replaced are kept here as references, unchanged: the sampled
+anti-supercommutativity, Jacobi and form checks, "bracket adds degrees",
+the window-block Gram rank, the t_alpha normal form of the witnesses, the
+windowed ad-nilpotency, and the sampled cocycle loop of verify_cocycle.
+Every derived check must give the verdict of its reference: on the 16
+{osp12, sl12} x {trivial, sign} x rank 1-2 x radius 1-2 windows with
+sampled draws, and on hypothesis mutations of one base structure constant,
+one Gram entry, or entries of a table torus (zeros included) with the
+references run exhaustively over the window basis.  Faults planted in the
+kernel (theta or its denominator doubled, or a degree moved, at one
+degree pair; the pairing of V with V* doubled) must fail the pair table,
+with that pair as the witness, whatever the samples and seed.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard, trivial_torus,
+                      verify_affinized, verify_cocycle, weight_decomposition, window_box)
+from superlie import linalg
+from superlie.abelian import gadd, gneg
+from superlie.affinize import (GradedLoopElement, _cocycle_identity, _symmetric,
+                               ad_nilpotent_on, affinized_roots, axiom1_witnesses,
+                               d_term, loop_term, v_term)
+from superlie.algebra import t_alpha_vector
+from superlie.matrixsuper import (first_sampled_failure, form_failures, jacobi_failures,
+                                  plain_index_set, sl_superalgebra, _vanishes)
+from superlie.reports import Report
+from superlie.scalars import Rat, sdiv, super_sign
+from test_kernel import sample_element
+
+# ---------------------------------------------------------------------------
+# the references: the checks verify_affinized and verify_cocycle replaced
+
+
+def antisymmetry_failures(alg, draw, samples: int):
+    """Sampled (x, y) with [x, y] + (-1)^{|x||y|} [y, x] != 0."""
+    for _ in range(samples):
+        x, y = draw(), draw()
+        sign = super_sign(alg.parity_of(x), alg.parity_of(y))
+        X, Y = alg.kernel(x)[0], alg.kernel(y)[0]
+        if not _vanishes(alg, [(1, alg.kernel_bracket(X, Y)),
+                               (sign, alg.kernel_bracket(Y, X))]):
+            yield x, y
+
+
+def grading_failures(alg, degrees):
+    """"bracket adds degrees": the first and last three window degrees."""
+    base, zero_deg = alg.base, (0,) * alg.rank
+    ends = degrees[:3] + degrees[-3:]
+    for b1, b2, deg1, deg2 in itertools.product(range(base.dim), range(base.dim),
+                                                ends, ends):
+        loop, v, _ = alg.kernel_bracket(({(b1, deg1): 1}, {}, {}),
+                                        ({(b2, deg2): 1}, {}, {}))[0]
+        target = gadd(deg1, deg2)
+        if any(deg != target for (_, deg) in loop):
+            yield {"pair": [b1, b2], "degrees": [deg1, deg2]}
+        elif v and target != zero_deg:
+            yield {"pair": [b1, b2], "reason": "central part off degree 0"}
+
+
+def window_gram_rank(alg, degrees):
+    base = alg.base
+    basis_elems = [(b, deg) for deg in degrees for b in range(base.dim)]
+    index = {key: i for i, key in enumerate(basis_elems)}
+    nb = len(basis_elems)
+    rows = []
+    for (b1, d1) in basis_elems:
+        row = {}
+        negd = gneg(d1)
+        th = alg.theta(d1, negd)
+        for b2 in range(base.dim):
+            fval = base.gram[b1][b2]
+            if fval and th:  # a sparse row holds no zero (theta may vanish)
+                row[index[(b2, negd)]] = th * fval
+        rows.append(row)
+    for i in range(alg.rank):
+        rows.append({nb + alg.rank + i: Rat(1)})
+    for i in range(alg.rank):
+        rows.append({nb + i: Rat(1)})
+    return linalg.span_rank(rows), nb + 2 * alg.rank
+
+
+def t_alpha_failures(alg, degrees):
+    base, zero_root, zero_deg = alg.base, alg.datum.zero, (0,) * alg.rank
+    base_witnesses = axiom1_witnesses(base, alg.datum)
+    for deg, root in itertools.product(degrees, alg.datum.roots):
+        par_pair = base_witnesses.get((root, 0)) or base_witnesses.get((root, 1))
+        if root == zero_root or par_pair is None:
+            continue
+        b1, b2 = par_pair
+        pairing = base.form({b1: Rat(1)}, {b2: Rat(1)})
+        th = alg.theta(deg, gneg(deg))
+        got = alg.bracket(loop_term(b1, deg),
+                          loop_term(b2, gneg(deg), sdiv(1, pairing * th)))
+        want = GradedLoopElement(
+            loop={(h, zero_deg): c for h, c in t_alpha_vector(alg.datum, root).items()},
+            v={i: Rat(di) for i, di in enumerate(deg) if di}, d={})
+        if got != want:
+            yield {"root": root, "degree": deg, "got": str(got), "want": str(want)}
+
+
+def windowed_axiom2_failures(alg, degrees):
+    spaces = affinized_roots(alg, degrees)
+    base = alg.base
+    targets = [loop_term(b, deg) for deg in degrees for b in range(base.dim)]
+    targets += [v_term(i) for i in range(alg.rank)] + [d_term(i) for i in range(alg.rank)]
+    targets = [alg.kernel(y)[0] for y in targets]
+    for root, deg in itertools.product(alg.datum.roots, degrees):
+        if alg.datum.is_real(root):
+            for x in spaces[(root, deg)]:
+                if not ad_nilpotent_on(alg, x, targets, base.dim + 2):
+                    yield {"root": root, "degree": deg}
+
+
+def sampled_cocycle_failures(torus, degrees, samples, seed):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a, b, c = (rng.choice(degrees) for _ in range(3))
+        if not _symmetric(torus, a, b):
+            yield {"pair": [a, b]}
+        elif not _cocycle_identity(torus, a, b, c):
+            yield {"triple": [a, b, c]}
+
+
+def window_basis(alg, degrees):
+    return ([loop_term(b, a) for a in degrees for b in range(alg.base.dim)]
+            + [v_term(k) for k in range(alg.rank)] + [d_term(k) for k in range(alg.rank)])
+
+
+def exhaustive_draw(basis, arity):
+    """draw() and a sample count that run a sampled reference on every
+    arity-tuple of the basis, in product order."""
+    it = itertools.chain.from_iterable(itertools.product(basis, repeat=arity))
+    return (lambda: next(it)), len(basis) ** arity
+
+
+IDENTITIES = {  # derived check -> (reference name, arity, failures)
+    "anti-supercommutativity (from the base)":
+        ("anti-supercommutativity (sampled)", 2, antisymmetry_failures),
+    "graded Jacobi identity (from the base)":
+        ("graded Jacobi identity (sampled)", 3, jacobi_failures),
+    "form supersymmetry/evenness/invariance (from the base)":
+        ("form supersymmetry/evenness/invariance (sampled)", 3, form_failures),
+}
+DIRECT = {  # derived check -> reference
+    "window-block nondegeneracy (from the base)": "window-block nondegeneracy",
+    "axiom 1 witnesses match t_alpha + degree (from the base)":
+        "axiom 1 witnesses match t_alpha + degree",
+    "axiom 2: windowed ad-nilpotency at real roots (from the base)":
+        "axiom 2: windowed ad-nilpotency at real roots",
+    "pair table: kernel bracket and form match the loop formula": "bracket adds degrees",
+}
+
+
+def reference_report(alg, degrees, samples=100, seed=0, exhaustive=False, direct=True,
+                     axiom2=True):
+    """The replaced checks of verify_affinized, sampled (or, with
+    exhaustive, run on every tuple of window basis elements); direct adds
+    the exhaustive ones but axiom 2, axiom2 adds axiom 2."""
+    degrees = [tuple(d) for d in degrees]
+    rep = Report(title="reference")
+    rng = random.Random(seed)
+    for reference, arity, failures in IDENTITIES.values():
+        if exhaustive:
+            draw, count = exhaustive_draw(window_basis(alg, degrees), arity)
+        else:
+            def draw():
+                return sample_element(alg, rng, degrees)
+            count = samples
+        first_sampled_failure(rep, reference, count, failures(alg, draw, count))
+    if direct:
+        rep.first_failure("bracket adds degrees", grading_failures(alg, degrees))
+        rank, size = window_gram_rank(alg, degrees)
+        rep.check("window-block nondegeneracy", rank == size, {"rank": rank})
+        try:
+            rep.first_failure("axiom 1 witnesses match t_alpha + degree",
+                              t_alpha_failures(alg, degrees))
+        except ZeroDivisionError:  # (x, y) theta(a, -a) = 0: no normal form
+            rep.check("axiom 1 witnesses match t_alpha + degree", False)
+    if axiom2:
+        rep.first_failure("axiom 2: windowed ad-nilpotency at real roots",
+                          windowed_axiom2_failures(alg, degrees))
+    return rep
+
+
+def statuses(rep):
+    return {c.name: c.status for c in rep.checks}
+
+
+def assert_same_verdicts(alg, degrees, **kwargs):
+    got = statuses(verify_affinized(alg, degrees))
+    want = statuses(reference_report(alg, degrees, **kwargs))
+    pairs = {**{k: v[0] for k, v in IDENTITIES.items()}, **DIRECT}
+    compared = {name: (got[name], want[ref]) for name, ref in pairs.items() if ref in want}
+    assert all(g == w for g, w in compared.values()), compared
+    return compared
+
+
+# ---------------------------------------------------------------------------
+# the inputs
+
+
+def sign_torus(rank):
+    return CocycleTorus(rank=rank, qmatrix=tuple(tuple(Rat(-1) for _ in range(rank))
+                                                 for _ in range(rank)))
+
+
+def base_algebra(name):
+    return osp12_standard() if name == "osp12" else sl_superalgebra(plain_index_set(1, 2))
+
+
+def affinized(name, kind, rank):
+    L = base_algebra(name)
+    torus = trivial_torus(rank) if kind == "trivial" else sign_torus(rank)
+    return AffinizedAlgebra(L, weight_decomposition(L), torus)
+
+
+class PlantedTheta(AffinizedAlgebra):
+    """The kernel's memo entry of one ordered degree pair replaced: theta
+    doubled there, its denominator doubled, or its degree sum moved by one
+    step in the last coordinate."""
+
+    def __init__(self, *args, at, plant="double"):
+        super().__init__(*args)
+        self.at, self.plant = at, plant
+
+    def _theta_entry(self, a, b):
+        fresh = (a, b) not in self._theta
+        num, den, deg = super()._theta_entry(a, b)
+        if fresh and (a, b) == self.at:
+            self._theta[(a, b)] = {"double": (2 * num, den, deg),
+                                   "halve": (num, 2 * den, deg),
+                                   "shift": (num, den, deg[:-1] + (deg[-1] + 1,))}[self.plant]
+        return self._theta[(a, b)]
+
+
+class DoubledDualPairing(AffinizedAlgebra):
+    """The kernel form pairs V with V* twice over."""
+
+    def form_terms(self, X, Y, terms):
+        return 2 * super().form_terms(X, Y, terms)
+
+
+# ---------------------------------------------------------------------------
+# the tests
+
+
+TABLE = "pair table: kernel bracket and form match the loop formula"
+
+
+def table_witness(rep):
+    failed = {c.name: c.witness for c in rep.failures()}
+    assert list(failed) == [TABLE], failed
+    return failed[TABLE]
+
+
+def test_planted_single_pair_theta_fault_fails_at_every_seed():
+    """theta doubled at the single ordered degree pair ((1,2), (2,-1)): the
+    pair table names that pair, and samples and seed change nothing."""
+    L = osp12_standard()
+    alg = PlantedTheta(L, weight_decomposition(L), trivial_torus(2), at=((1, 2), (2, -1)))
+    witness = table_witness(verify_affinized(alg, window_box(2, 3), samples=500, seed=0))
+    assert witness == {"pair": ["E+", "E-"], "degrees": [[1, 2], [2, -1]]}
+    reports = [verify_affinized(alg, window_box(2, 2), samples=500, seed=seed)
+               for seed in range(20)]
+    assert len({rep.to_json() for rep in reports}) == 1
+    assert table_witness(reports[0])["degrees"] == [[1, 2], [2, -1]]
+
+
+def test_pair_table_catches_a_degree_fault_inside_the_window():
+    """A bracket moved to the wrong degree at a pair of inner window
+    degrees: "bracket adds degrees" read only the first and last three."""
+    L = osp12_standard()
+    alg = PlantedTheta(L, weight_decomposition(L), trivial_torus(2), at=((1, 0), (0, 1)),
+                       plant="shift")
+    assert table_witness(verify_affinized(alg, window_box(2, 2)))["degrees"] == [[1, 0], [0, 1]]
+    assert next(grading_failures(alg, window_box(2, 2)), None) is None
+
+
+def test_pair_table_reports_a_theta_denominator_the_kernel_does_not_expect():
+    """A memo denominator that does not divide the torus's makes bracket_terms
+    raise ThetaDenominatorMiss; the table reports the pair instead."""
+    L = osp12_standard()
+    alg = PlantedTheta(L, weight_decomposition(L), trivial_torus(2), at=((1, 0), (0, 1)),
+                       plant="halve")
+    assert table_witness(verify_affinized(alg, window_box(2, 1)))["degrees"] == [[1, 0], [0, 1]]
+
+
+def test_pair_table_checks_the_pairs_with_v_and_vstar():
+    L = osp12_standard()
+    alg = DoubledDualPairing(L, weight_decomposition(L), trivial_torus(1))
+    assert table_witness(verify_affinized(alg, window_box(1, 1))) == {
+        "pair": ["v0", "d0"], "degrees": [None, None]}
+
+
+@pytest.mark.parametrize("name", ["osp12", "sl12"])
+@pytest.mark.parametrize("kind", ["trivial", "sign"])
+@pytest.mark.parametrize("rank,radius", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_derived_checks_match_the_references_on_the_windows(name, kind, rank, radius):
+    compared = assert_same_verdicts(affinized(name, kind, rank), window_box(rank, radius),
+                                    samples=60, seed=rank * 10 + radius)
+    assert {g for g, _ in compared.values()} == {"pass"}
+
+
+def bumped_structure(L, pick, delta):
+    """L with its pick-th nonzero structure constant plus delta."""
+    keys = sorted((pair, k) for pair, row in L.structure.items() for k in row)
+    pair, k = keys[pick % len(keys)]
+    structure = {p: dict(row) for p, row in L.structure.items()}
+    structure[pair][k] = structure[pair][k] + delta
+    return dataclasses.replace(L, structure=structure)
+
+
+def bumped_gram(L, pick, delta):
+    """L with its pick-th Gram entry (row-major) plus delta."""
+    i, j = divmod(pick % (L.dim * L.dim), L.dim)
+    gram = [list(row) for row in L.gram]
+    gram[i][j] = gram[i][j] + delta
+    return dataclasses.replace(L, gram=tuple(tuple(row) for row in gram))
+
+
+DELTAS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(1, 2)])
+
+
+def verifiable(L, torus):
+    """The affinization of L over torus, or None where verify_affinized
+    raises: the weight table fails (NotAWeightBasisError, or an
+    eigen-relation in affinized_roots), or the base root form is not
+    symmetric (check_axioms)."""
+    try:
+        alg = AffinizedAlgebra(L, weight_decomposition(L), torus)
+        verify_affinized(alg, [(0,)])
+        affinized_roots(alg, window_box(1, 1))
+    except ValueError:
+        return None
+    return alg
+
+
+def assert_same_on_mutated_base(L, torus):
+    alg = verifiable(L, torus)
+    assume(alg is not None)
+    assert_same_verdicts(alg, window_box(1, 1), exhaustive=True)
+
+
+MUTATED = dict(name=st.sampled_from(["osp12", "sl12"]), kind=st.sampled_from(["trivial", "sign"]),
+               pick=st.integers(0, 10 ** 6), delta=DELTAS)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(**MUTATED)
+def test_derived_checks_match_on_a_mutated_structure_constant(name, kind, pick, delta):
+    torus = trivial_torus(1) if kind == "trivial" else sign_torus(1)
+    assert_same_on_mutated_base(bumped_structure(base_algebra(name), pick, delta), torus)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(**MUTATED)
+def test_derived_checks_match_on_a_mutated_gram_entry(name, kind, pick, delta):
+    torus = trivial_torus(1) if kind == "trivial" else sign_torus(1)
+    assert_same_on_mutated_base(bumped_gram(base_algebra(name), pick, delta), torus)
+
+
+def table_torus(q, changes):
+    """The rank-1 table of q^(ab) on the radius-2 box (so that the nested
+    brackets of the radius-1 window stay inside it), with changes applied."""
+    box = window_box(1, 2)
+    table = {(a, b): Rat(q) ** (a[0] * b[0]) for a in box for b in box}
+    table.update(changes)
+    return CocycleTorus(rank=1, table=table)
+
+
+BOX = window_box(1, 2)
+CHANGES = st.lists(st.tuples(st.sampled_from(BOX), st.sampled_from(BOX),
+                             st.sampled_from([Rat(0), Rat(-1), Rat(2), Rat(3)]),
+                             st.booleans()), min_size=1, max_size=2)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(q=st.sampled_from([1, -1, 2]), changes=CHANGES)
+def test_derived_checks_match_on_table_torus_entries(q, changes):
+    """Entries changed one-sidedly or in symmetric pairs, zeros included."""
+    table = {}
+    for a, b, value, both in changes:
+        table[(a, b)] = value
+        if both:
+            table[(b, a)] = value
+    alg = verifiable(osp12_standard(), table_torus(q, table))
+    assume(alg is not None)
+    # the windowed ad-nilpotency reference reads theta far outside the table
+    assert_same_verdicts(alg, window_box(1, 1), exhaustive=True, axiom2=False)
+
+
+def test_derived_checks_match_on_the_planted_bases():
+    """A self-bracket [x, x] = x breaks axiom 2, and a bracket [x, y] with an
+    extra component x breaks the axiom 1 normal form and the identities."""
+    from test_golden_failures import planted_affinization
+    for y in ("E+", "E-"):
+        alg = planted_affinization(osp12_standard(), "E+", y)
+        compared = assert_same_verdicts(alg, window_box(1, 1), exhaustive=True)
+        assert "fail" in {g for g, _ in compared.values()}
+
+
+@pytest.mark.parametrize("torus", [trivial_torus(2), sign_torus(2),
+                                   CocycleTorus(rank=2, qmatrix=((Rat(1), Rat(2)),
+                                                                 (Rat(3), Rat(1))))])
+def test_cocycle_identity_of_a_bimultiplicative_torus_holds_where_the_loop_sampled(torus):
+    """The sampled loop of verify_cocycle failed only on asymmetric pairs,
+    which the q-symmetry check reports."""
+    degrees = window_box(2, 2)
+    rep = verify_cocycle(torus, degrees)
+    sampled = next(sampled_cocycle_failures(torus, degrees, 400, 5), None)
+    assert (sampled is None) == rep.passed
+    assert all("pair" in w for w in sampled_cocycle_failures(torus, degrees, 400, 5))
+
+
+def test_window_without_a_nonzero_degree_derives_only_the_loop_parts():
+    alg = affinized("osp12", "trivial", 1)
+    assert_same_verdicts(alg, [(0,)], exhaustive=True)
