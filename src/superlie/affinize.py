@@ -288,12 +288,8 @@ class AffinizedAlgebra:
                           for key in itertools.product(degrees1, degrees2)))
 
     def parity_of(self, x: GradedLoopElement):
-        seen = {self.base.parity[b] for (b, _) in x.loop}
-        if x.v or x.d:
-            seen.add(0)
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        seen = {self.base.parity[b] for (b, _) in x.loop} | ({0} if x.v or x.d else set())
+        return seen.pop() if len(seen) == 1 else None
 
     def kernel(self, x: GradedLoopElement) -> tuple:
         """(K, s): x as the kernel element K over the denominator s."""
@@ -648,6 +644,29 @@ def pair_table_failures(alg: AffinizedAlgebra, degrees, theta: dict):
             yield {"pair": [lx, ly], "degrees": [a, b]}
 
 
+# base checks making the cyclic pairings s_i T_i agree (loop V part, twisted c part)
+CENTRAL_CHECKS = ["bracket grading", "anti-supercommutativity", "supersymmetry", "evenness",
+                  "invariance"]
+
+
+def loop_identities(theta: dict, degrees, at) -> list:
+    """(identity, premises, transfers) of the three identities derived in
+    verify_affinized; at(*degrees) places a base witness in the window."""
+    zero = (0,) * len(degrees[0])
+    t0, e = theta[zero, zero], next((d for d in degrees if d != zero), None)
+    te = e and theta[e, gneg(e)]
+    return [("anti-supercommutativity", ["theta(a, b) = theta(b, a)"],
+             [(["anti-supercommutativity"], at(zero, zero), t0),
+              (["supersymmetry"], e and at(e, gneg(e)), te)]),
+            ("graded Jacobi identity", ["theta products agree"],
+             [(["graded Jacobi identity", "anti-supercommutativity"], at(zero, zero, zero), t0),
+              (CENTRAL_CHECKS, e and at(e, zero, gneg(e)), te and te * theta[e, zero])]),
+            ("form supersymmetry/evenness/invariance",
+             ["theta(a, -a) = theta(-a, a)", "cocycle identity"],
+             [(["supersymmetry", "evenness"], at(zero, zero), t0),
+              (["invariance"], at(zero, zero, zero), t0)])]
+
+
 def _products_agree(torus: CocycleTorus, a, b, c) -> bool:
     """theta(a,b) theta(a+b,c) = theta(c,a) theta(c+a,b) = theta(b,c) theta(b+c,a)."""
     p, q, r = (torus.theta(x, y) * torus.theta(gadd(x, y), z)
@@ -673,6 +692,23 @@ def theta_premises(torus: CocycleTorus, degrees, theta: dict) -> dict:
                 [a, b, c] for a, b in itertools.product(degrees, repeat=2)
                 if (c := gneg(gadd(a, b))) in degrees and not _cocycle_identity(torus, a, b, c)),
                 None) if table else None}
+
+
+def derived(rep: Report, premises: dict, checks: dict):
+    """derive(name, premise_names, *transfers) adds check name to rep, failed
+    at each of premise_names with an instance in premises, and per failed
+    check of checks in a transfer (names, at, factor) with its witness and
+    the degrees in at; an at of None does not apply, a zero factor leaves
+    the premise unmet."""
+    def derive(name, premise_names, *transfers):
+        rep.first_failure(name, itertools.chain(
+            ({"premise": p, "degrees": premises[p]} for p in premise_names
+             if premises[p] is not None),
+            ({"base check": n, "base witness": checks[n].witness, **at,
+              **({} if factor else {"premise": "nonzero theta factor"})}
+             for names, at, factor in transfers if at is not None
+             for n in names if checks[n].status == FAIL)))
+    return derive
 
 
 def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
@@ -745,36 +781,17 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     theta = {(a, b): alg.torus.theta(a, b) for a, b in itertools.product(degrees, repeat=2)}
     rep.first_failure("pair table: kernel bracket and form match the loop formula",
                       pair_table_failures(alg, degrees, theta))
-    base_checks = {c.name: c for r in (verify_superalgebra(base), verify_form(base),
-                                       verify_eals(base, datum)) for c in r.checks}
-    premises = theta_premises(alg.torus, degrees, theta)
+    derive = derived(rep, theta_premises(alg.torus, degrees, theta), {
+        c.name: c for r in (verify_superalgebra(base), verify_form(base),
+                            verify_eals(base, datum)) for c in r.checks})
     t0 = theta[zero, zero]
-    e = next((d for d in degrees if d != zero), None)
-    te = e and theta[e, gneg(e)]
 
-    def derived(name, premise_names, *transfers):
-        """Fail at each broken premise, and per failed base check named in a
-        transfer (names, degrees, theta factor), with its witness at those
-        degrees; a zero factor leaves the premise unmet there."""
-        rep.first_failure(name, itertools.chain(
-            ({"premise": p, "degrees": premises[p]} for p in premise_names
-             if premises[p] is not None),
-            ({"base check": n, "base witness": base_checks[n].witness, "degrees": degrees,
-              **({} if factor else {"premise": "nonzero theta factor"})}
-             for names, degrees, factor in transfers if degrees is not None
-             for n in names if base_checks[n].status == FAIL)))
-    derived("anti-supercommutativity (from the base)", ["theta(a, b) = theta(b, a)"],
-            (["anti-supercommutativity"], [zero, zero], t0),
-            (["supersymmetry"], e and [e, gneg(e)], te))
-    derived("graded Jacobi identity (from the base)", ["theta products agree"],
-            (["graded Jacobi identity", "anti-supercommutativity"], [zero] * 3, t0),
-            (["bracket grading", "anti-supercommutativity", "supersymmetry", "evenness",
-              "invariance"], e and [e, zero, gneg(e)], te and te * theta[e, zero]))
-    derived("form supersymmetry/evenness/invariance (from the base)",
-            ["theta(a, -a) = theta(-a, a)", "cocycle identity"],
-            (["supersymmetry", "evenness"], [zero, zero], t0), (["invariance"], [zero] * 3, t0))
-    derived("window-block nondegeneracy (from the base)", ["theta(a, -a) != 0"],
-            (["nondegeneracy"], [zero, zero], 1))
+    def at(*degrees):
+        return {"degrees": list(degrees)}
+    for name, premise_names, transfers in loop_identities(theta, degrees, at):
+        derive(name + " (from the base)", premise_names, *transfers)
+    derive("window-block nondegeneracy (from the base)", ["theta(a, -a) != 0"],
+           (["nondegeneracy"], at(zero, zero), 1))
 
     # the nonzero window roots, even vectors first as in the base search
     nonzero = {key: sorted(basis, key=alg.parity_of) for key, basis in spaces.items()
@@ -796,13 +813,18 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
         "sample": [{"root": root, "degree": deg, "parity": alg.parity_of(x),
                     "pair": [base.basis_labels[_index(x)], base.basis_labels[_index(y)]]}
                    for (root, deg), (x, y) in sample]})
-    derived("axiom 1 witnesses match t_alpha + degree (from the base)", ["theta(a, -a) != 0"],
-            (["witness brackets equal (x,y) t_alpha"], [zero], t0))
-    derived("axiom 2: windowed ad-nilpotency at real roots (from the base)", [],
-            (["axiom 2: ad-nilpotency at real roots"], [zero, zero], t0))
+    derive("axiom 1 witnesses match t_alpha + degree (from the base)", ["theta(a, -a) != 0"],
+           (["witness brackets equal (x,y) t_alpha"], at(zero), t0))
+    derive("axiom 2: windowed ad-nilpotency at real roots (from the base)", [],
+           (["axiom 2: ad-nilpotency at real roots"], at(zero, zero), t0))
 
     # the window system fails exactly the base system's axioms (docstring)
-    ears = rootsys.check_axioms(rootsys.from_root_datum(datum))
+    try:
+        ears = rootsys.check_axioms(rootsys.from_root_datum(datum))
+    except ValueError:  # a Cartan block that is not symmetric
+        rep.skip("windowed roots form a root supersystem", {
+            "reason": "the root form is not symmetric", "base check": "supersymmetry"})
+        return rep
     rep.check("windowed roots form a root supersystem", ears.passed,
               {"failures": [c.name for c in ears.failures()]})
     return rep

@@ -23,7 +23,7 @@ from . import linalg
 from .linalg import vaxpy_inplace
 from .reports import Report
 from .scalars import (Rat, as_scalar, common_denominator, integer_over, scalar_key,
-                      scalar_to_string, super_sign)
+                      scalar_to_string, scalars_over, super_sign)
 
 
 class NotAWeightBasisError(ValueError):
@@ -99,9 +99,7 @@ class LieSuperalgebra:
     def parity_of(self, v: dict):
         """0 or 1 for homogeneous nonzero v, None for zero or mixed."""
         seen = {self.parity[i] for i in v}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        return seen.pop() if len(seen) == 1 else None
 
     def label_vector(self, v: dict) -> str:
         terms = []
@@ -143,13 +141,29 @@ class RootDatum:
         return tuple(Rat(0) for _ in self.cartan)
 
 
-def _jacobi_residual(L: LieSuperalgebra, i: int, j: int, k: int) -> dict:
-    pi, pj, pk = L.parity[i], L.parity[j], L.parity[k]
-    res: dict = {}
-    vaxpy_inplace(res, super_sign(pi, pk), L.bracket(L.bracket_basis(i, j), {k: Rat(1)}))
-    vaxpy_inplace(res, super_sign(pk, pj), L.bracket(L.bracket_basis(k, i), {j: Rat(1)}))
-    vaxpy_inplace(res, super_sign(pj, pi), L.bracket(L.bracket_basis(j, k), {i: Rat(1)}))
-    return res
+def _antisymmetry_failure(L: LieSuperalgebra):
+    """The least (i, j), i <= j, with [b_i, b_j] != -(-1)^{|i||j|} [b_j, b_i].
+    This search and the two below run on L.integer_tables over the nonzero
+    entries, and the least failure is the first in itertools order; only
+    its witness is evaluated in scalars."""
+    rows, parity = L.integer_tables[0], L.parity
+    return min(((i, j) for i, j in {(min(p), max(p)) for p in L.structure}
+                if dict(rows[i][j]) != {k: -super_sign(parity[i], parity[j]) * n
+                                        for k, n in rows[j][i]}), default=None)
+
+
+def _jacobi_failure(L: LieSuperalgebra):
+    """The least triple i <= j <= k with a nonzero cyclic Jacobi sum (module
+    docstring) and that sum times D², or None: each nonzero term s [[a, b], c],
+    s = (-1)^{|a||c|}, goes to the sorted one of (a, b, c), (b, c, a), (c, a, b)."""
+    rows, parity = L.integer_tables[0], L.parity
+    sums = linalg.vsum(((t, k), super_sign(parity[a], parity[c]) * n * m)
+                       for (a, b) in L.structure for l, n in rows[a][b]
+                       for c, row in enumerate(rows[l]) if row
+                       for t in ((a, b, c), (b, c, a), (c, a, b)) if t[0] <= t[1] <= t[2]
+                       for k, m in row)
+    bad = min((t for t, _ in sums), default=None)
+    return bad and (bad, {k: n for (t, k), n in sums.items() if t == bad})
 
 
 def verify_superalgebra(L: LieSuperalgebra) -> Report:
@@ -161,21 +175,30 @@ def verify_superalgebra(L: LieSuperalgebra) -> Report:
         for (i, j), c in L.structure.items() for k, x in c.items()
         if x and parity[k] != (parity[i] + parity[j]) % 2))
 
-    def antisymmetry_failures():
-        for i, j in itertools.combinations_with_replacement(range(L.dim), 2):
-            lhs = L.bracket_basis(i, j)
-            rhs = linalg.vscale(-super_sign(parity[i], parity[j]), L.bracket_basis(j, i))
-            if lhs != rhs:
-                yield {"pair": (labels[i], labels[j]),
-                       "residual": L.label_vector(linalg.vsub(lhs, rhs))}
-    rep.first_failure("anti-supercommutativity", antisymmetry_failures())
+    bad = _antisymmetry_failure(L)
+    rep.check("anti-supercommutativity", bad is None, bad and {
+        "pair": (labels[bad[0]], labels[bad[1]]),
+        "residual": L.label_vector(linalg.vsub(L.bracket_basis(*bad), linalg.vscale(
+            -super_sign(parity[bad[0]], parity[bad[1]]), L.bracket_basis(*bad[::-1]))))})
 
-    residuals = ((t, _jacobi_residual(L, *t))
-                 for t in itertools.combinations_with_replacement(range(L.dim), 3))
-    rep.first_failure("graded Jacobi identity", (
-        {"triple": [labels[t] for t in triple], "residual": L.label_vector(res)}
-        for triple, res in residuals if res))
+    bad = _jacobi_failure(L)
+    rep.check("graded Jacobi identity", bad is None, bad and {
+        "triple": [labels[t] for t in bad[0]],
+        "residual": L.label_vector(scalars_over(bad[1], L.integer_tables[2] ** 2))})
     return rep
+
+
+def _invariance_failure(L: LieSuperalgebra):
+    """The least (i, j, k) with f([b_i, b_j], b_k) != f(b_i, [b_j, b_k]): each
+    c_ab^l times the nonzero Gram row of l goes to (a, b, k), less times the
+    nonzero Gram column of l to (h, a, b)."""
+    rows, gram, _ = L.integer_tables
+    gram_rows = [[(k, g) for k, g in enumerate(row) if g] for row in gram]
+    gram_cols = [[(h, -1 * g) for h, g in enumerate(col) if g] for col in zip(*gram)]
+    return min(linalg.vsum(term for (a, b) in L.structure for l, n in rows[a][b]
+                           for term in itertools.chain(
+                               (((a, b, k), n * g) for k, g in gram_rows[l]),
+                               (((h, a, b), g * n) for h, g in gram_cols[l]))), default=None)
 
 
 def verify_form(L: LieSuperalgebra) -> Report:
@@ -183,22 +206,20 @@ def verify_form(L: LieSuperalgebra) -> Report:
     if L.gram is None:
         raise ValueError("algebra has no bilinear form to verify")
     rep = Report(title="bilinear form")
-    labels, parity, g = L.basis_labels, L.parity, L.gram
-    pairs = list(itertools.product(range(L.dim), repeat=2))
+    labels, parity, g, gram = L.basis_labels, L.parity, L.gram, L.integer_tables[1]
+    nonzero = sorted({(i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x})
     rep.first_failure("supersymmetry", (
-        {"pair": (labels[i], labels[j])} for i, j in pairs
-        if g[i][j] != super_sign(parity[i], parity[j]) * g[j][i]))
+        {"pair": (labels[i], labels[j])}
+        for i, j in sorted(set(nonzero) | {(j, i) for i, j in nonzero})
+        if gram[i][j] != super_sign(parity[i], parity[j]) * gram[j][i]))
     rep.first_failure("evenness", (
-        {"pair": (labels[i], labels[j])} for i, j in pairs
-        if parity[i] != parity[j] and g[i][j]))
+        {"pair": (labels[i], labels[j])} for i, j in nonzero if parity[i] != parity[j]))
 
-    def invariance_failures():
-        for i, j, k in itertools.product(range(L.dim), repeat=3):
-            lhs = L.form(L.bracket_basis(i, j), {k: Rat(1)})
-            rhs = L.form({i: Rat(1)}, L.bracket_basis(j, k))
-            if lhs != rhs:
-                yield {"triple": (labels[i], labels[j], labels[k]), "lhs": lhs, "rhs": rhs}
-    rep.first_failure("invariance", invariance_failures())
+    bad = _invariance_failure(L)
+    rep.check("invariance", bad is None, bad and {
+        "triple": tuple(labels[t] for t in bad),
+        "lhs": L.form(L.bracket_basis(bad[0], bad[1]), {bad[2]: Rat(1)}),
+        "rhs": L.form({bad[0]: Rat(1)}, L.bracket_basis(bad[1], bad[2]))})
 
     rep.check("nondegeneracy", linalg.gram_nondegenerate([list(r) for r in g]), None)
 
@@ -210,8 +231,8 @@ def verify_form(L: LieSuperalgebra) -> Report:
     if L.weights is not None and L.cartan is not None:
         w = L.weights
         rep.first_failure("weight spaces pair only across opposite weights", (
-            {"pair": (labels[i], labels[j]), "weights": (w[i], w[j])} for i, j in pairs
-            if any(a + b for a, b in zip(w[i], w[j])) and g[i][j]))
+            {"pair": (labels[i], labels[j]), "weights": (w[i], w[j])}
+            for i, j in nonzero if any(a + b for a, b in zip(w[i], w[j]))))
     return rep
 
 

@@ -20,7 +20,7 @@ from .algebra import (NotAWeightBasisError, even_part, structural_root_checks,
                       verify_form, verify_superalgebra, weight_decomposition)
 from .osp12 import ModuleError, decompose
 from .reports import Report
-from .scalars import Rat, scalar_from_string
+from .scalars import scalar_from_string
 from .matrixsuper import SuperIndexSet
 
 EXIT_PASS = 0
@@ -191,8 +191,7 @@ def cmd_twist(args) -> int:
                       EXIT_INPUT, args.format)
     tw = matrixsuper.twisted_affinize(aff, sh)
     taus = affz.window_box(args.rank, args.window)
-    report = matrixsuper.verify_twisted(tw, idx, taus, args.zwindow,
-                                        samples=args.samples, seed=args.seed)
+    report = matrixsuper.verify_twisted(tw, idx, taus, args.zwindow)
     if args.format == "text":
         sys.stdout.write(f"type: {idx.type_label()}\n")
     return _emit(report, args.format, started)
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="builtin:osp12")
     p.add_argument("--rank", type=nonnegative_int, default=1)
     p.add_argument("--window", type=nonnegative_int, default=3)
-    ignored = "ignored: every check of the loop algebra is exact"
+    ignored = "ignored: every check is exact"
     p.add_argument("--samples", type=nonnegative_int, default=500, help=ignored)
     p.add_argument("--seed", type=int, default=0, help=ignored)
     p.add_argument("--q", type=nonzero_scalar, default=None,
@@ -300,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=nonnegative_int, default=1)
     p.add_argument("--window", type=nonnegative_int, default=2, help="torus degree radius")
     p.add_argument("--zwindow", type=nonnegative_int, default=4, help="Z-grading radius")
-    p.add_argument("--samples", type=nonnegative_int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=nonnegative_int, default=500, help=ignored)
+    p.add_argument("--seed", type=int, default=0, help=ignored)
     p.add_argument("--q", type=nonzero_scalar, default=None)
     p.add_argument("--star-signs", type=unit_sign, nargs="*", default=None)
     common(p)

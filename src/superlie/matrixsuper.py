@@ -23,17 +23,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
-import random
 from dataclasses import dataclass, field
 
 from . import linalg, rootsys
 from .abelian import gadd, gneg
-from .affinize import (AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       ThetaDenominatorMiss, d_term, kernel_part, kernel_values, loop_element,
-                       non_nilpotent, v_term, witness_pairs)
-from .algebra import LieSuperalgebra, weight_decomposition
+from .affinize import (CENTRAL_CHECKS, AffinizedAlgebra, CocycleTorus, GradedLoopElement,
+                       ThetaDenominatorMiss, d_term, derived, kernel_part, kernel_values,
+                       loop_element, loop_identities, non_nilpotent, pair_table_failures,
+                       theta_premises, v_term, witness_pairs)
+from .algebra import LieSuperalgebra, verify_form, verify_superalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
 from .scalars import (IUNIT, Rat, common_denominator, integer_over, integers_over, scalar_over,
@@ -114,14 +113,15 @@ def plain_index_set(i_dot: int, j_dot: int) -> SuperIndexSet:
 # matrices with torus-element entries: {(row, col, degree): scalar}
 
 
-def tm_mul(x: dict, y: dict, torus: CocycleTorus) -> dict:
+def tm_mul(x: dict, y: dict) -> dict:
+    """The matrix product, entry degrees added (the untwisted torus)."""
     out: dict = {}
     ycols: dict = {}
     for (r, c, deg), v in y.items():
         ycols.setdefault(r, []).append((c, deg, v))
     for (r, c, deg), v in x.items():
         for (c2, deg2, v2) in ycols.get(c, ()):
-            add_entry(out, (r, c2, gadd(deg, deg2)), v * v2 * torus.theta(deg, deg2))
+            add_entry(out, (r, c2, gadd(deg, deg2)), v * v2)
     return out
 
 
@@ -130,12 +130,12 @@ def tm_parity(x: dict, idx: SuperIndexSet):
     return seen.pop() if len(seen) == 1 else None
 
 
-def tm_supercomm(x: dict, y: dict, idx: SuperIndexSet, torus: CocycleTorus) -> dict:
+def tm_supercomm(x: dict, y: dict, idx: SuperIndexSet) -> dict:
     px, py = tm_parity(x, idx), tm_parity(y, idx)
     if px is None or py is None:
         raise ValueError("supercommutator needs parity-homogeneous matrices")
-    out = tm_mul(x, y, torus)
-    linalg.vaxpy_inplace(out, -super_sign(px, py), tm_mul(y, x, torus))
+    out = tm_mul(x, y)
+    linalg.vaxpy_inplace(out, -super_sign(px, py), tm_mul(y, x))
     return out
 
 
@@ -220,16 +220,15 @@ def matrix_structure(mats: list[dict], idx: SuperIndexSet) -> tuple:
     the supertrace form (a, b) = str(ab).  Raises AssertionError when a
     supercommutator leaves the span.
     """
-    torus0 = CocycleTorus(rank=0, qmatrix=())
     coordinates = _coordinates(mats)
     structure = {}
     for (a, x), (b, y) in itertools.product(enumerate(mats), repeat=2):
-        sol = coordinates(tm_supercomm(x, y, idx, torus0))
+        sol = coordinates(tm_supercomm(x, y, idx))
         if sol is None:
             raise AssertionError("supercommutator left the span of the basis")
         if sol:
             structure[(a, b)] = sol
-    gram = tuple(tuple(supertrace(tm_mul(x, y, torus0), idx).get((), Rat(0)) for y in mats)
+    gram = tuple(tuple(supertrace(tm_mul(x, y), idx).get((), Rat(0)) for y in mats)
                  for x in mats)
     return structure, gram
 
@@ -486,16 +485,6 @@ class TwistedElement:
         return TwistedElement({i: p.scaled(k) for i, p in self.parts.items()},
                               k * self.c, k * self.d)
 
-    def plus(self, other: "TwistedElement") -> "TwistedElement":
-        parts = dict(self.parts)
-        for i, p in other.parts.items():  # a degree whose sum is zero drops out
-            merged = parts[i].plus(p) if i in parts else p
-            if merged:
-                parts[i] = merged
-            else:
-                parts.pop(i, None)
-        return TwistedElement(parts, self.c + other.c, self.d + other.d)
-
 
 def tw_loop(i: int, x: GradedLoopElement) -> TwistedElement:
     return TwistedElement(parts={i: x}) if x else TwistedElement()
@@ -541,14 +530,7 @@ class TwistedAlgebra:
                                    "eigenvector of #")
 
     def parity_of(self, x: TwistedElement):
-        seen = set()
-        for part in x.parts.values():
-            p = self.aff.parity_of(part)
-            if p is None:
-                return None
-            seen.add(p)
-        if x.c or x.d:
-            seen.add(0)
+        seen = {self.aff.parity_of(p) for p in x.parts.values()} | ({0} if x.c or x.d else set())
         return seen.pop() if len(seen) == 1 else None
 
     def kernel(self, x: TwistedElement) -> tuple:
@@ -637,14 +619,8 @@ class TwistedAlgebra:
 
     def in_cartan(self, x: TwistedElement) -> bool:
         """Support inside (h^sigma ⊗ 1) ⊕ Fc ⊕ Fd."""
-        for i, part in x.parts.items():
-            if i != 0:
-                return False
-            if not self.aff.in_cartan(part):
-                return False
-            if not self.sharp_scales(part, 1):
-                return False
-        return True
+        return all(i == 0 and self.aff.in_cartan(part) and self.sharp_scales(part, 1)
+                   for i, part in x.parts.items())
 
 
 def twisted_affinize(aff: AffinizedAlgebra, sh: SharpOperator) -> TwistedAlgebra:
@@ -770,68 +746,50 @@ def twisted_window_root_system(tw: TwistedAlgebra, spaces: dict,
 
 
 # ---------------------------------------------------------------------------
-# sampled identities of the twisted algebra, in the kernel: an element is
-# K / s with s dropped, as every term of an identity carries the same
-# denominators.  A generator draws only when asked for its next failure.
+# the window certificate of the twisted algebra
 
 
-def _vanishes(alg, terms) -> bool:
-    """Whether sum sign K / s vanishes over the (sign, (K, s)) of terms."""
-    S = math.lcm(*(s for _, (_, s) in terms))
-    return not linalg.vsum((key, sign * (S // s) * n) for sign, (K, s) in terms
-                           for key, n in alg.kernel_entries(K))
+def _twisted_formula(aff: AffinizedAlgebra, X: tuple, Y: tuple) -> tuple:
+    """(([X, Y], s), ((X, Y), t)): the formula's bracket K / s and form n / t
+    for kernel elements X, Y of one part each, or c or d."""
+    (xp, xc, xd), (yp, yc, yd) = X, Y
+    if xp and yp:
+        (i, P), (j, Q) = *xp.items(), *yp.items()
+        (Z, s), (n, t) = aff.kernel_bracket(P, Q), aff.kernel_form(P, Q)
+        c = i * n * s if i and i == -j else 0
+        return (({i + j: tuple(linalg.vscale(t, z) for z in Z)}, c, 0), s * t), (n * (i == -j), t)
+    j, Q = next(iter((yp or xp).items()), (0, ()))
+    k = j * (xd if yp else -yd)
+    return (({j: tuple(linalg.vscale(k, q) for q in Q)}, 0, 0), 1), (xc * yd + xd * yc, 1)
 
 
-def _nested(alg, X, Y, Z) -> tuple:
-    """[[X, Y], Z] in the kernel, over the product of both denominators."""
-    XY, s = alg.kernel_bracket(X, Y)
-    R, t = alg.kernel_bracket(XY, Z)
-    return R, s * t
-
-
-def jacobi_failures(alg, draw, samples: int):
-    """Sampled (x, y, z) breaking the cyclic graded Jacobi identity."""
-    for _ in range(samples):
-        x, y, z = draw(), draw(), draw()
-        px, py, pz = alg.parity_of(x), alg.parity_of(y), alg.parity_of(z)
-        X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
-        if not _vanishes(alg, [(super_sign(px, pz), _nested(alg, X, Y, Z)),
-                               (super_sign(pz, py), _nested(alg, Z, X, Y)),
-                               (super_sign(py, px), _nested(alg, Y, Z, X))]):
-            yield x, y, z
-
-
-def form_failures(alg, draw, samples: int):
-    """Sampled (reason, elements) breaking the form's supersymmetry, evenness
-    or invariance; the elements are (x, y), or (x, y, z) for invariance."""
-    for _ in range(samples):
-        x, y, z = draw(), draw(), draw()
-        px, py = alg.parity_of(x), alg.parity_of(y)
-        X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
-        (n, s), (m, t) = alg.kernel_form(X, Y), alg.kernel_form(Y, X)
-        if n * t != super_sign(px, py) * m * s:
-            yield "supersymmetry", (x, y)
-        elif px != py and n:
-            yield "evenness", (x, y)
-        else:
-            (XY, a), (YZ, b) = alg.kernel_bracket(X, Y), alg.kernel_bracket(Y, Z)
-            (n, a2), (m, b2) = alg.kernel_form(XY, Z), alg.kernel_form(X, YZ)
-            if n * b * b2 != m * a * a2:
-                yield "invariance", (x, y, z)
-
-
-def first_sampled_failure(rep: Report, name: str, samples: int, failures) -> None:
-    """rep.first_failure(name, failures), or a skip when sampling is disabled."""
-    if samples:
-        rep.first_failure(name, failures)
-    else:
-        rep.skip(name, {"reason": "sampling disabled"})
-
-
-def _sample_twisted(pool, rng: random.Random):
-    coeffs = [Rat(1), Rat(-1), Rat(2), Rat(1, 2)]
-    x = rng.choice(pool)
-    return x.scaled(rng.choice(coeffs))
+def twisted_table_failures(tw: TwistedAlgebra, tau_degrees, z_window):
+    """Witnesses (labels, tau and z degrees) where the twisted kernel and
+    the formula disagree.  The twisted layer reads its parts only through
+    aff.bracket_terms and aff.form_terms (pair_table_failures certifies them
+    on the tau window) and scales them for d, so every branch runs on the
+    part pairs (x⊗t^e, y⊗t^-e) with [x, y], f(x, y) != 0 where the base has
+    such x, y (e the first nonzero tau), (x⊗t^e, v_0) and (v_0, d_0) at each
+    ordered pair of z-degrees, and on c and d against x⊗t^e and each other."""
+    aff = tw.aff
+    (rows, gram, _), labels, zero = aff.base.integer_tables, aff.base.basis_labels, aff._zero
+    e = next((t for t in tau_degrees if t != zero), zero)
+    b1, b2 = next(((i, j) for i, j in itertools.product(range(aff.base.dim), repeat=2)
+                   if rows[i][j] and gram[i][j]), (0, 0))
+    x, v = (labels[b1], e, ({(b1, e): 1}, {}, {})), ("v0", None, ({}, {0: 1}, {}))
+    pairs = [(x, (labels[b2], gneg(e), ({(b2, gneg(e)): 1}, {}, {})))]
+    pairs += [(x, v), (v, ("d0", None, ({}, {}, {0: 1})))][:2 * bool(aff.rank)]
+    table = [((lp, a, i, ({i: P}, 0, 0)), (lq, b, j, ({j: Q}, 0, 0)))
+             for (lp, a, P), (lq, b, Q) in pairs for i, j in itertools.product(z_window, repeat=2)]
+    xs = [(x[0], e, i, ({i: x[2]}, 0, 0)) for i in z_window]
+    cd = [("c", None, None, ({}, 1, 0)), ("d", None, None, ({}, 0, 1))]
+    table += [*itertools.product(cd, xs + cd), *itertools.product(xs, cd)]
+    for (lx, a, i, X), (ly, b, j, Y) in table:
+        (want, s), (m, t) = _twisted_formula(aff, X, Y)
+        (got, u), (n, w) = tw.kernel_bracket(X, Y), tw.kernel_form(X, Y)
+        if n * t != m * w or linalg.vsum((k, s * c) for k, c in tw.kernel_entries(got)) \
+                != linalg.vsum((k, u * c) for k, c in tw.kernel_entries(want)):
+            yield {"pair": [lx, ly], "tau degrees": [a, b], "z degrees": [i, j]}
 
 
 # the checks of verify_twisted that read the twisted weight spaces
@@ -839,25 +797,44 @@ WEIGHT_SPACE_CHECKS = (
     "pairing only between opposite twisted weights",
     "eigenspace pairing vanishes unless i+j = 0 mod 4",
     "each occupied eigenspace pairs with its opposite",
-    "twisted bracket: grading and anti-supercommutativity (sampled)",
-    "twisted graded Jacobi identity (sampled)",
-    "twisted form supersymmetry/evenness/invariance (sampled)",
     "twisted window-block nondegeneracy", "twisted weight labels match the Cartan eigenvalues",
     "the (0,0) weight space is the fixed Cartan plus c and d",
     "axiom 1: twisted witnesses at every nonzero window root", "axiom 1 twisted witness count",
     "axiom 2: windowed ad-nilpotency at real twisted roots",
     "windowed twisted roots form a root supersystem")
+AUTOMORPHISM = "# is a bracket automorphism on window basis pairs"
 
 
 def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
                    z_radius: int, samples: int = 500, seed: int = 0) -> Report:
-    """Windowed verification of the twisted extended affine structure."""
+    """Exact windowed verification of the twisted extended affine structure.
+
+    Two tables test the code: pair_table_failures on the tau window and
+    twisted_table_failures on the z window.  The identities are derived for
+    the formula from the base reports, theta_premises and the automorphism
+    check, as in verify_affinized (witnesses at tau and z degrees).  The
+    tau window must hold 0 and -tau for each tau; samples and seed do nothing.
+
+    With each x_i a zeta^i-eigenvector of #, the algebra lies in L = aff ⊗
+    F[t, t^-1] ⊕ Fc ⊕ Fd, [x⊗t^i, y⊗t^j] = [x,y]⊗t^{i+j} + i delta_{i,-j}
+    (x,y) c, d acting by i.  If # is an automorphism of aff (its check
+    counts the form defects at opposite tau: the V part (x,y) a, which #
+    fixes), [x,y] is a zeta^{i+j}-eigenvector, and the identities pass from
+    L; a base failure shows at the z-degrees of its eigencomponents, in
+    every class mod 4 when # has order 4.  In L:
+    - [X, Y] + s[Y, X] = ([x,y] + s[y,x])⊗t^{i+j} + i((x,y) - s(y,x)) c at
+      j = -i: aff anti-supercommutativity and supersymmetry (z 1, -1);
+    - the Jacobi sum is aff's, plus at i+j+k = 0 the c part -(k s1 T1 +
+      j s2 T2 + i s3 T3), T1 = ([x,y],z) and its cyclic shifts, zero where
+      the s_i T_i agree (CENTRAL_CHECKS at z 1, 0, -1);
+    - (x⊗t^i, y⊗t^-i) = (x,y) and ([X, Y], Z) = ([x,y], z): aff's form.
+    aff's identities follow from the base as in verify_affinized.
+    """
     aff, sh = tw.aff, tw.sh
     tau_degrees = sorted(tuple(d) for d in tau_degrees)
     z_window = list(range(-z_radius, z_radius + 1))
-    rep = Report(title="twisted affinization (windowed)", seed=seed,
+    rep = Report(title="twisted affinization (windowed)",
                  window={"tau_degrees": len(tau_degrees), "z_radius": z_radius})
-    rng = random.Random(seed)
     zero_deg = (0,) * aff.rank
     dim, labels = aff.base.dim, aff.base.basis_labels
 
@@ -878,11 +855,13 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
         {"pair": [labels[b1], labels[b2]], "tau": tau}
         for b1, tau, b2 in itertools.product(range(dim), tau_degrees, range(dim))
         if aff.theta(tau, gneg(tau)) and (b1, b2) in form_defects))
-    rep.first_failure("# is a bracket automorphism on window basis pairs", (
+    rep.first_failure(AUTOMORPHISM, (
         {"pair": [b1, b2], "taus": [t1, t2]} for (b1, b2), t1, t2 in itertools.product(
             sorted(bracket_defects | form_defects), tau_degrees, tau_degrees)
         if aff.theta(t1, t2) and ((b1, b2) in bracket_defects
                                   or t1 != zero_deg and t2 == gneg(t1))))
+    checks = {c.name: c for r in (verify_superalgebra(aff.base), verify_form(aff.base), rep)
+              for c in r.checks}  # rep holds the automorphism check
 
     sigma = sigma_cartan_matrix(aff, sh)
     actual = set(pi_root_classes(aff, sigma))
@@ -892,9 +871,31 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
               {"missing": sorted(expected - actual, key=str)[:4],
                "extra": sorted(actual - expected, key=str)[:4]})
 
-    cd_ok = (tw.form(tw_c(), tw_d()) == 1 and tw.form(tw_d(), tw_c()) == 1
-             and not tw.form(tw_c(), tw_c()) and not tw.form(tw_d(), tw_d()))
-    rep.check("(c,d) = 1 and (c,c) = (d,d) = 0", cd_ok, None)
+    theta = {(a, b): aff.torus.theta(a, b) for a, b in itertools.product(tau_degrees, repeat=2)}
+    rep.first_failure("pair table on the tau window: kernel bracket and form match the loop"
+                      " formula", pair_table_failures(aff, tau_degrees, theta))
+    rep.first_failure("twisted table: z-degrees, central term, c and d match the formula",
+                      twisted_table_failures(tw, tau_degrees, z_window))
+    derive = derived(rep, theta_premises(aff.torus, tau_degrees, theta), checks)
+    t0 = theta[zero_deg, zero_deg]
+
+    def at(taus, zs):
+        return {"tau degrees": list(taus), "z degrees": zs} if z_radius or not any(zs) else None
+    central = {  # each loop identity's twisted check, and what c and # add to it
+        "anti-supercommutativity": (
+            "twisted bracket: grading and anti-supercommutativity",
+            ["theta(a, -a) = theta(-a, a)"],
+            [(["supersymmetry"], at([zero_deg] * 2, [1, -1]), t0), ([AUTOMORPHISM], {}, 1)]),
+        "graded Jacobi identity": (
+            "twisted graded Jacobi identity",
+            ["theta(a, b) = theta(b, a)", "theta(a, -a) = theta(-a, a)", "cocycle identity"],
+            [(CENTRAL_CHECKS, at([zero_deg] * 3, [1, 0, -1]), t0)]),
+        "form supersymmetry/evenness/invariance": (
+            "twisted form supersymmetry/evenness/invariance", [], [])}
+    for name, premise_names, transfers in loop_identities(
+            theta, tau_degrees, lambda *taus: at(taus, [0] * len(taus))):
+        check, more_premises, more = central[name]
+        derive(check, premise_names + more_premises, *transfers, *more)
 
     # the weight spaces split each slice into eigenspaces of #, so # must
     # keep every slice; otherwise the checks on them are skipped
@@ -935,34 +936,6 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
         for c1 in range(4) if not pair_seen.get((c1, (-c1) % 4))
         and any(i1 % 4 == c1 for (_, _, i1) in spaces)))
 
-    all_vectors = [x for basis in spaces.values() for x in basis]
-
-    def draw():
-        return _sample_twisted(all_vectors, rng)
-
-    def grading_failures():
-        """Sampled brackets off their eigenspaces, then anti-supercommutativity."""
-        for _ in range(samples):
-            x, y = draw(), draw()
-            br = tw.bracket(x, y)
-            try:
-                tw.check_element(br)
-            except GradingError as exc:
-                yield {"detail": str(exc)}
-                continue
-            sign = super_sign(tw.parity_of(x), tw.parity_of(y))
-            if br.plus(tw.bracket(y, x).scaled(sign)):
-                yield {"reason": "anti-supercommutativity"}
-    first_sampled_failure(
-        rep, "twisted bracket: grading and anti-supercommutativity (sampled)", samples,
-        grading_failures())
-    first_sampled_failure(rep, "twisted graded Jacobi identity (sampled)", samples, (
-        {"reason": "jacobi"} for _ in jacobi_failures(tw, draw, samples)))
-
-    first_sampled_failure(
-        rep, "twisted form supersymmetry/evenness/invariance (sampled)", samples,
-        ({"reason": reason} for reason, _ in form_failures(tw, draw, samples)))
-
     all_kernels = [k for basis in kernels.values() for k in basis]
     rows = []
     for X, sx in all_kernels:
@@ -973,34 +946,23 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
                 row[b] = scalar_over(n, sx * sy * s)
         rows.append(row)
     rank = linalg.span_rank(rows)
-    rep.check("twisted window-block nondegeneracy", rank == len(all_vectors),
-              {"rank": rank, "size": len(all_vectors)})
+    rep.check("twisted window-block nondegeneracy", rank == len(all_kernels),
+              {"rank": rank, "size": len(all_kernels)})
 
     # eigen-relations: every space is labeled by its joint eigenvalue on the
     # twisted Cartan (fixed Cartan vectors, V, the dual derivations, c, d)
-    fixed = fixed_cartan_basis(aff, sigma)
-    cartan = aff.base.cartan
-    gens = []
-    for vec in fixed:
-        loop = {(cartan[l], zero_deg): vec[l] for l in sorted(vec)}
-        gens.append(("h", vec, tw_loop(0, GradedLoopElement(loop=loop))))
-    for k in range(aff.rank):
-        gens.append(("v", k, tw_loop(0, v_term(k))))
-        gens.append(("dk", k, tw_loop(0, d_term(k))))
-    gens.append(("c", None, tw_c()))
-    gens.append(("d", None, tw_d()))
+    fixed, cartan = fixed_cartan_basis(aff, sigma), aff.base.cartan
+    gens = [("h", vec, tw_loop(0, GradedLoopElement(
+        loop={(cartan[l], zero_deg): vec[l] for l in sorted(vec)}))) for vec in fixed]
+    gens += [(kind, k, tw_loop(0, term(k))) for k in range(aff.rank)
+             for kind, term in (("v", v_term), ("dk", d_term))]
+    gens += [("c", None, tw_c()), ("d", None, tw_d())]
 
     def label_failures():
         for (p, tau, i), basis in ordered:
             for kind, data, gen in gens:
-                if kind == "h":
-                    val = sum(c * p[l] for l, c in data.items())
-                elif kind == "dk":
-                    val = Rat(tau[data])
-                elif kind == "d":
-                    val = Rat(i)
-                else:
-                    val = Rat(0)
+                val = (sum(c * p[l] for l, c in data.items()) if kind == "h" else
+                       Rat(tau[data]) if kind == "dk" else Rat(i) if kind == "d" else Rat(0))
                 # c and d themselves (no loop part) commute with the Cartan
                 if any(x.parts and tw.bracket(gen, x) != x.scaled(val) for x in basis):
                     yield {"root": [p, tau, i], "generator": kind}

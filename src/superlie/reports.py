@@ -1,8 +1,8 @@
 """Check results and verification reports.
 
 A Report is an ordered collection of named checks, each pass/fail/skip with
-an optional witness payload.  Reports are deterministic for identical inputs
-and seeds; wall-clock timing is carried for the human-readable rendering but
+an optional witness payload.  Reports are deterministic for identical
+inputs; wall-clock timing is carried for the human-readable rendering but
 left out of the machine-readable form.
 """
 
@@ -48,7 +48,6 @@ class Check:
 class Report:
     title: str
     checks: list[Check] = field(default_factory=list)
-    seed: int | None = None
     window: dict | None = None
     elapsed: float | None = None
 
@@ -89,8 +88,6 @@ class Report:
             "passed": self.passed,
             "checks": [c.as_dict() for c in sorted(self.checks, key=lambda c: c.name)],
         }
-        if self.seed is not None:
-            d["seed"] = self.seed
         if self.window is not None:
             d["window"] = self.window
         return d
@@ -100,8 +97,6 @@ class Report:
 
     def render_text(self) -> str:
         lines = [f"== {self.title} =="]
-        if self.seed is not None:
-            lines.append(f"seed: {self.seed}")
         if self.window is not None:
             lines.append(f"window: {self.window}")
         for c in self.checks:

@@ -1,5 +1,5 @@
 """Layering guards: sparse-vector arithmetic stays inside ``superlie.linalg``,
-and the loop verifiers draw no samples.
+and no verifier draws a sample.
 
 A sparse vector is a dict of nonzero scalars, and a sum drops the keys that
 cancel.  Only linalg's accumulators (vadd, vsub, vaxpy_inplace, add_entry
@@ -39,22 +39,37 @@ def test_linalg_accumulates_only_in_its_accumulators():
     assert found == ACCUMULATORS
 
 
-def test_affinize_imports_no_random():
-    """The loop verifiers draw no samples: affinize.py imports no random."""
-    tree = ast.parse((SRC / "affinize.py").read_text(encoding="utf-8"))
+def imports(path: pathlib.Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {alias.name.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)}
-    assert "random" not in imported
+    return imported | {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)}
+
+
+def test_affinize_imports_no_random():
+    """No verifier draws a sample: only osp12.py, whose scramble makes seeded
+    test modules, imports random."""
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "random" in imports(path)] == ["osp12.py"]
 
 
 def _loop_reports(samples, seed):
     from superlie import (AffinizedAlgebra, CocycleTorus, fixtures, trivial_torus,
-                          verify_affinized, verify_cocycle, weight_decomposition,
-                          window_box)
+                          verify_affinized, verify_cocycle, verify_twisted,
+                          weight_decomposition, window_box)
+    from superlie.matrixsuper import SharpOperator, SuperIndexSet, TwistedAlgebra
+    from superlie.matrixsuper import matrix_affinization
     from superlie.scalars import Rat
     reports = []
+    bc11 = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
+    aff = matrix_affinization(bc11, trivial_torus(1), field="Qi")
+    sh = SharpOperator(bc11, aff)
+    reports.append(verify_twisted(TwistedAlgebra(aff, sh), bc11, window_box(1, 0), 2,
+                                  samples=samples, seed=seed))
+    sh.columns[0] = {b: 2 * c for b, c in sh.columns[0].items()}  # # breaks
+    reports.append(verify_twisted(TwistedAlgebra(aff, sh), bc11, window_box(1, 0), 2,
+                                  samples=samples, seed=seed))
     for base in (fixtures.osp12_standard(), fixtures.osp12_broken()):
         alg = AffinizedAlgebra(base, weight_decomposition(base), trivial_torus(1))
         reports.append(verify_affinized(alg, window_box(1, 1), samples=samples, seed=seed))
@@ -68,17 +83,29 @@ def test_loop_reports_do_not_depend_on_samples_or_seed():
     """samples and seed are kept as parameters but change nothing, on a
     passing and a failing input of each verifier."""
     first = _loop_reports(0, 0)
-    assert [json.loads(r)["passed"] for r in first] == [True, False, True, False]
+    assert [json.loads(r)["passed"] for r in first] == [True, False, True, False, True, False]
     for samples, seed in ((0, 7), (500, 0), (500, 7)):
         assert _loop_reports(samples, seed) == first
 
 
-def test_affinize_cli_prints_the_same_json_for_any_samples_and_seed(capsys):
+def cli_outputs(capsys, command):
+    """The JSON output of command under several --samples and --seed."""
     from superlie.cli import main
     outputs = []
-    for flags in (["--samples", "0"], ["--samples", "40", "--seed", "12"]):
-        assert main(["affinize", "--rank", "1", "--window", "1", "--format", "json",
-                     *flags]) == 0
+    for flags in (["--samples", "0"], ["--samples", "500"], ["--seed", "7"],
+                  ["--samples", "500", "--seed", "7"]):
+        assert main([*command, "--format", "json", *flags]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_affinize_cli_prints_the_same_json_for_any_samples_and_seed(capsys):
+    outputs = cli_outputs(capsys, ["affinize", "--rank", "1", "--window", "1"])
+    assert len(set(outputs)) == 1
+    assert "seed" not in json.loads(outputs[0])
+
+
+def test_twist_cli_prints_the_same_json_for_any_samples_and_seed(capsys):
+    outputs = cli_outputs(capsys, ["twist", "--with-zero", "--window", "0", "--zwindow", "2"])
+    assert len(set(outputs)) == 1
     assert "seed" not in json.loads(outputs[0])

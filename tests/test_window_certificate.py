@@ -1,11 +1,15 @@
-"""The exact window certificate of verify_affinized against its references.
+"""The exact window certificates of verify_affinized and verify_twisted
+against their references.
 
 verify_affinized tests the code once, with a table of every ordered pair of
-window basis elements, and derives each identity from the base reports.
-The checks it replaced are kept here as references, unchanged: the sampled
-anti-supercommutativity, Jacobi and form checks, "bracket adds degrees",
-the window-block Gram rank, the t_alpha normal form of the witnesses, the
-windowed ad-nilpotency, and the sampled cocycle loop of verify_cocycle.
+window basis elements, and derives each identity from the base reports;
+verify_twisted adds a table over the z window and derives its identities
+the same way.  The checks they replaced are kept here as references,
+unchanged: the sampled anti-supercommutativity, Jacobi and form checks
+(the twisted ones with their draws from the window's eigenvectors),
+"bracket adds degrees", the window-block Gram rank, the t_alpha normal form
+of the witnesses, the windowed ad-nilpotency, and the sampled cocycle loop
+of verify_cocycle.
 Every derived check must give the verdict of its reference: on the 16
 {osp12, sl12} x {trivial, sign} x rank 1-2 x radius 1-2 windows with
 sampled draws, and on hypothesis mutations of one base structure constant,
@@ -13,15 +17,17 @@ one Gram entry, or entries of a table torus (zeros included) with the
 references run exhaustively over the window basis.  Faults planted in the
 kernel (theta or its denominator doubled, or a degree moved, at one
 degree pair; the pairing of V with V* doubled) must fail the pair table,
-with that pair as the witness, whatever the samples and seed.
+with that pair as the witness, whatever the samples and seed; so must a
+central term doubled at z-degrees +-2 of the twisted kernel fail its table.
 """
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard, trivial_torus,
                       verify_affinized, verify_cocycle, weight_decomposition, window_box)
@@ -31,14 +37,93 @@ from superlie.affinize import (GradedLoopElement, _cocycle_identity, _symmetric,
                                ad_nilpotent_on, affinized_roots, axiom1_witnesses,
                                d_term, loop_term, v_term)
 from superlie.algebra import t_alpha_vector
-from superlie.matrixsuper import (first_sampled_failure, form_failures, jacobi_failures,
-                                  plain_index_set, sl_superalgebra, _vanishes)
+from superlie.matrixsuper import (GradingError, SharpOperator, SuperIndexSet, TwistedAlgebra,
+                                  plain_index_set, sl_superalgebra, twisted_affinize,
+                                  twisted_weight_spaces, verify_twisted)
 from superlie.reports import Report
 from superlie.scalars import Rat, sdiv, super_sign
 from test_kernel import sample_element
+from test_sharp_layer import twisted_sum
 
 # ---------------------------------------------------------------------------
-# the references: the checks verify_affinized and verify_cocycle replaced
+# the references: the checks verify_affinized, verify_cocycle and
+# verify_twisted replaced.  The sampled identities run in the kernel: an
+# element is K / s with s dropped, as every term of an identity carries the
+# same denominators.  A generator draws only when asked for its next failure.
+
+
+def _vanishes(alg, terms) -> bool:
+    """Whether sum sign K / s vanishes over the (sign, (K, s)) of terms."""
+    S = math.lcm(*(s for _, (_, s) in terms))
+    return not linalg.vsum((key, sign * (S // s) * n) for sign, (K, s) in terms
+                           for key, n in alg.kernel_entries(K))
+
+
+def _nested(alg, X, Y, Z) -> tuple:
+    """[[X, Y], Z] in the kernel, over the product of both denominators."""
+    XY, s = alg.kernel_bracket(X, Y)
+    R, t = alg.kernel_bracket(XY, Z)
+    return R, s * t
+
+
+def jacobi_failures(alg, draw, samples: int):
+    """Sampled (x, y, z) breaking the cyclic graded Jacobi identity."""
+    for _ in range(samples):
+        x, y, z = draw(), draw(), draw()
+        px, py, pz = alg.parity_of(x), alg.parity_of(y), alg.parity_of(z)
+        X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
+        if not _vanishes(alg, [(super_sign(px, pz), _nested(alg, X, Y, Z)),
+                               (super_sign(pz, py), _nested(alg, Z, X, Y)),
+                               (super_sign(py, px), _nested(alg, Y, Z, X))]):
+            yield x, y, z
+
+
+def form_failures(alg, draw, samples: int):
+    """Sampled (reason, elements) breaking the form's supersymmetry, evenness
+    or invariance; the elements are (x, y), or (x, y, z) for invariance."""
+    for _ in range(samples):
+        x, y, z = draw(), draw(), draw()
+        px, py = alg.parity_of(x), alg.parity_of(y)
+        X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
+        (n, s), (m, t) = alg.kernel_form(X, Y), alg.kernel_form(Y, X)
+        if n * t != super_sign(px, py) * m * s:
+            yield "supersymmetry", (x, y)
+        elif px != py and n:
+            yield "evenness", (x, y)
+        else:
+            (XY, a), (YZ, b) = alg.kernel_bracket(X, Y), alg.kernel_bracket(Y, Z)
+            (n, a2), (m, b2) = alg.kernel_form(XY, Z), alg.kernel_form(X, YZ)
+            if n * b * b2 != m * a * a2:
+                yield "invariance", (x, y, z)
+
+
+def first_sampled_failure(rep: Report, name: str, samples: int, failures) -> None:
+    """rep.first_failure(name, failures), or a skip when sampling is disabled."""
+    if samples:
+        rep.first_failure(name, failures)
+    else:
+        rep.skip(name, {"reason": "sampling disabled"})
+
+
+def _sample_twisted(pool, rng: random.Random):
+    coeffs = [Rat(1), Rat(-1), Rat(2), Rat(1, 2)]
+    x = rng.choice(pool)
+    return x.scaled(rng.choice(coeffs))
+
+
+def twisted_grading_failures(tw, draw, samples: int):
+    """Sampled brackets off their eigenspaces, then anti-supercommutativity."""
+    for _ in range(samples):
+        x, y = draw(), draw()
+        br = tw.bracket(x, y)
+        try:
+            tw.check_element(br)
+        except GradingError as exc:
+            yield {"detail": str(exc)}
+            continue
+        sign = super_sign(tw.parity_of(x), tw.parity_of(y))
+        if twisted_sum(br, tw.bracket(y, x).scaled(sign)):
+            yield {"reason": "anti-supercommutativity"}
 
 
 def antisymmetry_failures(alg, draw, samples: int):
@@ -334,8 +419,8 @@ DELTAS = st.sampled_from([Rat(1), Rat(-1), Rat(2), Rat(1, 2)])
 def verifiable(L, torus):
     """The affinization of L over torus, or None where verify_affinized
     raises: the weight table fails (NotAWeightBasisError, or an
-    eigen-relation in affinized_roots), or the base root form is not
-    symmetric (check_axioms)."""
+    eigen-relation in affinized_roots).  A Cartan block that is not
+    symmetric is reported, not raised."""
     try:
         alg = AffinizedAlgebra(L, weight_decomposition(L), torus)
         verify_affinized(alg, [(0,)])
@@ -364,6 +449,9 @@ def test_derived_checks_match_on_a_mutated_structure_constant(name, kind, pick, 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(**MUTATED)
+@example(name="sl12", kind="trivial", pick=55, delta=Rat(1, 2))  # the Cartan block
+@example(name="sl12", kind="trivial", pick=62, delta=Rat(1, 2))
+@example(name="sl12", kind="sign", pick=62, delta=Rat(-1))
 def test_derived_checks_match_on_a_mutated_gram_entry(name, kind, pick, delta):
     torus = trivial_torus(1) if kind == "trivial" else sign_torus(1)
     assert_same_on_mutated_base(bumped_gram(base_algebra(name), pick, delta), torus)
@@ -425,3 +513,112 @@ def test_cocycle_identity_of_a_bimultiplicative_torus_holds_where_the_loop_sampl
 def test_window_without_a_nonzero_degree_derives_only_the_loop_parts():
     alg = affinized("osp12", "trivial", 1)
     assert_same_verdicts(alg, [(0,)], exhaustive=True)
+
+
+# ---------------------------------------------------------------------------
+# the twisted certificate
+
+
+BC11 = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
+TAU_TABLE = "pair table on the tau window: kernel bracket and form match the loop formula"
+Z_TABLE = "twisted table: z-degrees, central term, c and d match the formula"
+TWISTED_IDENTITIES = ("twisted bracket: grading and anti-supercommutativity",
+                      "twisted graded Jacobi identity",
+                      "twisted form supersymmetry/evenness/invariance")
+
+
+def bc11_twisted(base=None, cls=TwistedAlgebra, aff_class=AffinizedAlgebra, **kwargs):
+    """BC(1,1) over Q(i) (or base) with the trivial rank-1 torus and its #."""
+    L = base or sl_superalgebra(BC11, field="Qi")
+    aff = aff_class(L, weight_decomposition(L), trivial_torus(1), **kwargs)
+    return cls(aff, SharpOperator(BC11, aff))
+
+
+class DoubledCentralTerm(TwistedAlgebra):
+    """The central term i (x, y) c counted twice at z-degrees i = -j = +-2."""
+
+    def _kernel_bracket(self, X, Y, L):
+        (parts, c, d), s = super()._kernel_bracket(X, Y, L)
+        for i, xp in X[0].items():
+            if abs(i) == 2 and -i in Y[0]:
+                c += i * self.aff.bracket_terms(xp, Y[0][-i], L, [], [])
+        return (parts, c, d), s
+
+
+def failed(rep):
+    return {c.name: c.witness for c in rep.failures()}
+
+
+def test_planted_central_term_fault_fails_the_twisted_table_at_every_seed():
+    """At 100 samples the sampled checks passed this fault for 18 of the
+    seeds 0-19; the table names the z-degrees, and samples and seed change
+    nothing."""
+    tw = bc11_twisted(cls=DoubledCentralTerm)
+    reports = [verify_twisted(tw, BC11, window_box(1, 1), 2, samples=100, seed=seed)
+               for seed in range(20)]
+    assert len({rep.to_json() for rep in reports}) == 1
+    assert failed(reports[0])[Z_TABLE]["z degrees"] == [-2, 2]
+    assert not set(TWISTED_IDENTITIES) & set(failed(reports[0]))
+
+
+def test_planted_theta_fault_fails_the_tau_table_with_that_pair():
+    tw = bc11_twisted(aff_class=PlantedTheta, at=((1,), (0,)))
+    rep = verify_twisted(tw, BC11, window_box(1, 1), 1)
+    assert failed(rep)[TAU_TABLE]["degrees"] == [[1], [0]]
+    assert Z_TABLE not in failed(rep)
+
+
+def test_a_perturbed_structure_constant_fails_derived_checks_naming_the_base_check():
+    L = sl_superalgebra(BC11, field="Qi")
+    keys = sorted((pair, k) for pair, row in L.structure.items() for k in row)
+    pick = next(n for n, ((i, j), _) in enumerate(keys)
+                if i not in L.cartan and j not in L.cartan)
+    rep = verify_twisted(bc11_twisted(bumped_structure(L, pick, Rat(1))), BC11,
+                         window_box(1, 1), 2)
+    witnesses = failed(rep)
+    assert witnesses[TWISTED_IDENTITIES[0]]["base check"] == "anti-supercommutativity"
+    assert witnesses[TWISTED_IDENTITIES[1]]["base check"] in (
+        "graded Jacobi identity", "anti-supercommutativity")
+    assert {TAU_TABLE, Z_TABLE}.isdisjoint(witnesses)
+
+
+def twisted_reference(tw, taus, z_radius, samples, seed):
+    """The sampled identity checks verify_twisted replaced, drawing scaled
+    basis vectors of the window's twisted weight spaces."""
+    spaces = twisted_weight_spaces(tw, taus, range(-z_radius, z_radius + 1))
+    pool = [x for basis in spaces.values() for x in basis]
+    rng = random.Random(seed)
+
+    def draw():
+        return _sample_twisted(pool, rng)
+    rep = Report(title="reference")
+    rep.first_failure(TWISTED_IDENTITIES[0], twisted_grading_failures(tw, draw, samples))
+    rep.first_failure(TWISTED_IDENTITIES[1], (
+        {"reason": "jacobi"} for _ in jacobi_failures(tw, draw, samples)))
+    rep.first_failure(TWISTED_IDENTITIES[2], (
+        {"reason": reason} for reason, _ in form_failures(tw, draw, samples)))
+    return rep
+
+
+def twisted_cases():
+    from test_golden_failures import gram_doubled_twisted, perturbed_twisted, planted_twisted
+    L = sl_superalgebra(BC11, field="Qi")
+    return {
+        "BC(1,1)": lambda: twisted_affinize(*(lambda tw: (tw.aff, tw.sh))(bc11_twisted())),
+        "doubled sharp entry": perturbed_twisted,
+        "doubled Gram pair": lambda: gram_doubled_twisted(trivial_torus(1), None),
+        "self-bracket": lambda: planted_twisted("E[1,1~]"),
+        "bracket off the Cartan": lambda: planted_twisted("E[1~,1]"),
+        "perturbed Gram entry": lambda: bc11_twisted(bumped_gram(L, 3, Rat(1))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(twisted_cases()))
+def test_derived_twisted_checks_fail_where_the_sampled_references_fail(case):
+    tw = twisted_cases()[case]()
+    got = statuses(verify_twisted(tw, BC11, window_box(1, 1), 2))
+    want = statuses(twisted_reference(tw, window_box(1, 1), 2, samples=150, seed=3))
+    assert all(got[name] == "fail" for name, status in want.items() if status == "fail"), \
+        (got, want)
+    if case == "BC(1,1)":
+        assert set(got.values()) == {"pass"}
