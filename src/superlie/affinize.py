@@ -173,11 +173,6 @@ class GradedLoopElement:
                                  {k: c * x for k, x in self.v.items()},
                                  {k: c * x for k, x in self.d.items()})
 
-    def plus(self, other: "GradedLoopElement") -> "GradedLoopElement":
-        return GradedLoopElement(linalg.vadd(self.loop, other.loop),
-                                 linalg.vadd(self.v, other.v),
-                                 linalg.vadd(self.d, other.d))
-
 
 def loop_term(b: int, deg, c=None) -> GradedLoopElement:
     return GradedLoopElement(loop={(b, tuple(deg)): Rat(1) if c is None else c})

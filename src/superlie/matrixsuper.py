@@ -30,7 +30,7 @@ from . import linalg, rootsys
 from .abelian import gadd, gneg
 from .affinize import (CENTRAL_CHECKS, AffinizedAlgebra, CocycleTorus, GradedLoopElement,
                        ThetaDenominatorMiss, d_term, derived, kernel_part, kernel_values,
-                       loop_element, loop_identities, non_nilpotent, pair_table_failures,
+                       loop_element, loop_identities, pair_table_failures,
                        theta_premises, v_term, witness_pairs)
 from .algebra import LieSuperalgebra, verify_form, verify_superalgebra, weight_decomposition
 from .linalg import add_entry
@@ -45,10 +45,6 @@ class DegenerateFormError(ValueError):
 
 class FieldError(ValueError):
     """The operation needs a fourth primitive root of unity (field Qi)."""
-
-
-class GradingError(ValueError):
-    """A twisted component is not in the matching eigenspace of #."""
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +519,6 @@ class TwistedAlgebra:
             ((k, deg), sign(deg) * n * c) for (b, deg), n in loop.items()
             for k, c in C[b].items()) == {key: S * n * z for key, n in loop.items()}
 
-    def check_element(self, x: TwistedElement) -> None:
-        for i, part in x.parts.items():
-            if not self.sharp_scales(part, _ZETA[i % 4]):
-                raise GradingError(f"component at degree {i} is not a zeta^{i % 4} "
-                                   "eigenvector of #")
-
-    def parity_of(self, x: TwistedElement):
-        seen = {self.aff.parity_of(p) for p in x.parts.values()} | ({0} if x.c or x.d else set())
-        return seen.pop() if len(seen) == 1 else None
-
     def kernel(self, x: TwistedElement) -> tuple:
         """(K, s): x as the kernel element K = (parts, c, d) over the
         denominator s, with parts = {i: affinized kernel element}."""
@@ -801,7 +787,9 @@ WEIGHT_SPACE_CHECKS = (
     "the (0,0) weight space is the fixed Cartan plus c and d",
     "axiom 1: twisted witnesses at every nonzero window root", "axiom 1 twisted witness count",
     "axiom 2: windowed ad-nilpotency at real twisted roots",
-    "windowed twisted roots form a root supersystem")
+    "twisted weight-space keys follow the eigenclass rule",
+    "windowed twisted roots form a root supersystem",
+    "averaged roots p and their eigenclasses E_p")
 AUTOMORPHISM = "# is a bracket automorphism on window basis pairs"
 
 
@@ -812,8 +800,8 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     Two tables test the code: pair_table_failures on the tau window and
     twisted_table_failures on the z window.  The identities are derived for
     the formula from the base reports, theta_premises and the automorphism
-    check, as in verify_affinized (witnesses at tau and z degrees).  The
-    tau window must hold 0 and -tau for each tau; samples and seed do nothing.
+    check, as in verify_affinized (witnesses at tau and z degrees), and so
+    are axiom 2 and the root axioms (below).  samples and seed do nothing.
 
     With each x_i a zeta^i-eigenvector of #, the algebra lies in L = aff ⊗
     F[t, t^-1] ⊕ Fc ⊕ Fd, [x⊗t^i, y⊗t^j] = [x,y]⊗t^{i+j} + i delta_{i,-j}
@@ -829,6 +817,24 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
       the s_i T_i agree (CENTRAL_CHECKS at z 1, 0, -1);
     - (x⊗t^i, y⊗t^-i) = (x,y) and ([X, Y], Z) = ([x,y], z): aff's form.
     aff's identities follow from the base as in verify_affinized.
+
+    Axiom 2: a real key (p, tau, i) has p != 0 (PiForm(0, 0) = 0) and its
+    X = x⊗t^i, x = x̄⊗t^tau, x̄ of averaged weight p.  The weight table
+    (checked by weight_decomposition), base Jacobi and anti-supercommutativity
+    give [g_a, g_b] ⊆ g_{a+b}, so ad x̄ adds p to averaged weights, of which
+    the base has at most dim: (ad x̄)^dim = 0.  c and V are central, [X, d] =
+    -iX, [X, d_k] = -tau_k X, and the loop part of (ad X)^k Y is a multiple
+    of (ad x̄)^k ȳ: every window target dies within dim + 2 steps.
+
+    The root axioms: the keys are (0, 0, 0) and {(p, tau, i) : phi(tau, i)
+    in E_p}, phi(tau, i) = i + 2[s(tau) = -1] mod 4 additive, E_p the
+    classes of the other keys at p ("the eigenclass rule" checks this), so
+    rootsys.class_window_failures reads the window system from R̄ (the
+    averaged weights of the keys under PiForm) and the E_p, 0 added to E_0:
+    a real or nonradical isotropic root needs PiForm != 0, so a fixed Cartan
+    vector, which makes (0, g) a key at each g with phi(g) = 0; without one
+    only S1 and S2 have instances, and class 0 at p = 0 adds none to them.
+    Raises ValueError for a tau window without 0 or not closed under negation.
     """
     aff, sh = tw.aff, tw.sh
     tau_degrees = sorted(tuple(d) for d in tau_degrees)
@@ -836,6 +842,8 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     rep = Report(title="twisted affinization (windowed)",
                  window={"tau_degrees": len(tau_degrees), "z_radius": z_radius})
     zero_deg = (0,) * aff.rank
+    if zero_deg not in tau_degrees or any(gneg(t) not in tau_degrees for t in tau_degrees):
+        raise ValueError("the tau window must contain degree 0 and be closed under negation")
     dim, labels = aff.base.dim, aff.base.basis_labels
 
     order = sh.order()
@@ -957,14 +965,22 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     gens += [(kind, k, tw_loop(0, term(k))) for k in range(aff.rank)
              for kind, term in (("v", v_term), ("dk", d_term))]
     gens += [("c", None, tw_c()), ("d", None, tw_d())]
+    gens = [(kind, data, tw.kernel(gen)) for kind, data, gen in gens]
+
+    def scaled_entries(K, n):
+        return linalg.vsum((key, n * c) for key, c in tw.kernel_entries(K))
 
     def label_failures():
-        for (p, tau, i), basis in ordered:
-            for kind, data, gen in gens:
+        # [G / g, X / x] = Z / (s g x) equals val X / x iff Z = val s g X
+        for (p, tau, i), _ in ordered:
+            for kind, data, (G, g) in gens:
                 val = (sum(c * p[l] for l, c in data.items()) if kind == "h" else
                        Rat(tau[data]) if kind == "dk" else Rat(i) if kind == "d" else Rat(0))
+                den = common_denominator([val])
                 # c and d themselves (no loop part) commute with the Cartan
-                if any(x.parts and tw.bracket(gen, x) != x.scaled(val) for x in basis):
+                if any(X[0] and scaled_entries(Z, den) != scaled_entries(X, integer_over(
+                        val, den) * s * g) for X, _ in kernels[p, tau, i]
+                       for Z, s in [tw.kernel_bracket(G, X)]):
                     yield {"root": [p, tau, i], "generator": kind}
     rep.first_failure("twisted weight labels match the Cartan eigenvalues",
                       label_failures())
@@ -989,17 +1005,31 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     rep.first_failure("axiom 1: twisted witnesses at every nonzero window root",
                       missing_witnesses())
     rep.note("axiom 1 twisted witness count", {"count": len(witnessed)})
+    derive("axiom 2: windowed ad-nilpotency at real twisted roots", [],
+           (["anti-supercommutativity", "graded Jacobi identity"], {}, 1))
 
-    pform = PiForm(aff, sigma)
-    cap = aff.base.dim + 4
-    targets = [X for X, _ in all_kernels] + [tw.kernel(y)[0] for y in (tw_c(), tw_d())]
-    rep.first_failure("axiom 2: windowed ad-nilpotency at real twisted roots", (
-        {"root": list(key)} for key, _ in non_nilpotent(
-            tw, nonzero, lambda key: pform.eval(key[0], key[0]), targets, cap)))
-
-    ears = rootsys.check_axioms(
-        twisted_window_root_system(tw, spaces, tau_degrees, z_window))
-    rep.check("windowed twisted roots form a root supersystem", ears.passed,
-              None if ears.passed else {"failures": [c.name for c in ears.failures()]})
+    # the root axioms, from the averaged weights and their eigenclasses (docstring)
+    def phi(g):
+        return (g[-1] + 2 * (sh.degree_sign(g[:-1]) == -1)) % 4
+    window = [tau + (i,) for tau in tau_degrees for i in z_window]
+    pis = sorted({p for p, _, _ in spaces}, key=str)
+    coords, form = rootsys.rebase_rational_tuples(pis, PiForm(aff, sigma).eval)
+    classes = {coords[p]: set() for p in pis}
+    for p, tau, i in spaces.keys() - {zero_key}:
+        classes[coords[p]].add(phi(tau + (i,)))
+    rule = {(p, g[:-1], g[-1]) for p in pis for g in window
+            if phi(g) in classes[coords[p]]} | {zero_key}
+    rep.first_failure("twisted weight-space keys follow the eigenclass rule", (
+        {"key": list(key)} for key in sorted(rule ^ set(spaces), key=str)))
+    classes[coords[aff.datum.zero]].add(0)
+    rbar = rootsys.classify(list(coords.values()), form)
+    finite = rootsys.check_axioms(rbar)
+    failures = rootsys.class_window_failures(rbar, finite, classes, window, phi)
+    rep.check("windowed twisted roots form a root supersystem", not failures,
+              {"failures": failures})
+    rep.note("averaged roots p and their eigenclasses E_p", {
+        "S_p": "(tau, i) with i + 2[s(tau) = -1] mod 4 in E_p",
+        "E_p": [[p, classes[coords[p]]] for p in pis],
+        "failures on the finite system": [c.name for c in finite.failures()]})
     rep.note("type label", {"label": idx.type_label()})
     return rep

@@ -12,8 +12,9 @@ would have to live there is reported as skipped rather than decided.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Callable
 
@@ -37,6 +38,9 @@ class BrokenStringError(ValueError):
 
 class RatioViolationError(ValueError):
     """k*alpha in R for k outside {0, ±1, ±2, ±1/2}."""
+
+
+RATIOS = frozenset({Rat(0), Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)})
 
 
 @dataclass(frozen=True)
@@ -267,9 +271,8 @@ def ratio_check(system: RootSupersystem, alpha):
         raise NonRealRootError(f"root {alpha} is isotropic")
     ds, m = system.lines.steps(alpha, (0,) * len(alpha))
     ks = {Rat(d, m) for d in ds}
-    allowed = {Rat(0), Rat(1), Rat(-1), Rat(2), Rat(-2), Rat(1, 2), Rat(-1, 2)}
-    if not ks <= allowed:
-        bad = sorted(ks - allowed)
+    if not ks <= RATIOS:
+        bad = sorted(ks - RATIOS)
         raise RatioViolationError(f"ratios {[str(k) for k in bad]} for root {alpha}")
     return ks
 
@@ -389,6 +392,72 @@ def check_axioms(system: RootSupersystem) -> Report:
     check_skipping("reflections preserve the root set",
                    "reflections landing outside the known region", reflection_failures)
     return rep
+
+
+def class_window_failures(system: RootSupersystem, report: Report, classes: dict,
+                          window, phi) -> list[str]:
+    """The axioms check_axioms fails on the window system {(p, g) : g in
+    window, phi(g) in classes[p] mod 4} (form zero on the degrees, membership
+    known on the window), from system, report = check_axioms(system) and the
+    classes.  phi is additive, the window closed under negation with (0, 0)
+    a root, system.roots the keys of classes, each class phi of some g.
+
+    With (a, g) real or isotropic, (b, h) a root, u = phi(g) and v = phi(h),
+    (b, h) + k(a, g) at a known degree is a root iff v + ku is in classes[b +
+    ka]; so an instance over (a, u, b, v) fails iff the class rule fails it
+    and some g, h of classes u, v know the degrees h + kg it reads (realized):
+    S2 reads -g (always known), S3 none, S4 (uncapped, with no gap) k in
+    [-k-, k+] for the first k+, k- >= 1 off the class rule at b ± ka, v ± ku,
+    S5 k = ±1, and the reflection by n = 2(a,b)/(a,a) k = -n.  The ratio
+    k(a, g), k outside RATIOS, needs a known kg of a class in classes[ka];
+    report has every such k."""
+    table, known, byclass = PairingTable(system), set(window), {}
+    for g in window:
+        byclass.setdefault(phi(g) % 4, []).append(g)
+    failed = {c.name for c in report.failures()}
+
+    @cache
+    def realized(u, v, ks) -> bool:
+        return any(all(gadd(h, gscale(k, g)) in known for k in ks)
+                   for g in byclass.get(u, ()) for h in byclass.get(v, ()))
+
+    def member(p, u) -> bool:
+        return u % 4 in classes.get(p, ())
+
+    def run(a, u, b, v, step) -> int:
+        k = 1
+        while member(gadd(b, gscale(step * k, a)), v + step * k * u):
+            k += 1
+        return k
+
+    def instances():  # (axiom, u, v, the steps k whose degrees it reads)
+        for p, us in classes.items():
+            yield from (("S2:", u, u, ()) for u in us if not member(gneg(p), -u))
+        for a, b in itertools.product(sorted(system.real_roots), system.roots):
+            na, t = table.norm[a], 2 * table.pair(a, b)
+            for u, v in itertools.product(classes[a], classes[b]):
+                lo, hi = run(a, u, b, v, -1), run(a, u, b, v, 1)
+                if t % na:
+                    yield "S3:", u, v, ()
+                elif not member(gadd(b, gscale(-(t // na), a)), v - t // na * u):
+                    yield "reflections", u, v, (-(t // na),)
+                if t != (lo - hi) * na:
+                    yield "S4:", u, v, range(-lo, hi + 1)
+        for a, b in itertools.product(system.nonsingular_roots, system.roots):
+            if table.pair(a, b):
+                yield from (("S5:", u, v, (-1, 1)) for u in classes[a] for v in classes[b]
+                            if not member(gadd(b, a), v + u)
+                            and not member(gadd(b, gneg(a)), v - u))
+        if "ratio restriction at real roots" in failed:
+            for a in system.real_roots:
+                ds, m = system.lines.steps(a, (0,) * system.rank)
+                yield from (("ratio", u, u, ()) for d in ds if Rat(d, m) not in RATIOS
+                            for u in classes[a] for g in byclass.get(u, ())
+                            if not any(x * d % m for x in g)
+                            and (kg := tuple(x * d // m for x in g)) in known
+                            and member(tuple(x * d // m for x in a), phi(kg)))
+    bad = {name for name, u, v, ks in instances() if realized(u, v, tuple(ks))}
+    return [c.name for c in report.checks if c.name.split()[0] in bad]
 
 
 def rebase_rational_tuples(tuples, form_fn):

@@ -54,6 +54,24 @@ def test_affinize_imports_no_random():
             if "random" in imports(path)] == ["osp12.py"]
 
 
+def calls_in(path: pathlib.Path, function: str) -> set:
+    """The names that function calls, directly or as attributes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(body) if isinstance(node, ast.Call)}
+
+
+def test_verify_twisted_scans_no_window_for_axiom_2_or_the_root_axioms():
+    """Axiom 2 and the root axioms are derived: verify_twisted iterates no
+    ad-nilpotency and builds no window root system."""
+    called = calls_in(SRC / "matrixsuper.py", "verify_twisted")
+    assert "derived" in called and "class_window_failures" in called
+    assert not called & {"non_nilpotent", "ad_nilpotent_on", "twisted_window_root_system",
+                         "graded_system"}
+
+
 def _loop_reports(samples, seed):
     from superlie import (AffinizedAlgebra, CocycleTorus, fixtures, trivial_torus,
                           verify_affinized, verify_cocycle, verify_twisted,

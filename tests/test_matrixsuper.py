@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from test_sharp_layer import sharp_apply
+from test_sharp_layer import GradingError, check_element, sharp_apply
 
 from superlie import linalg
 
 from superlie import trivial_torus, weight_decomposition, window_box
 from superlie.affinize import AffinizedAlgebra, CocycleTorus, d_term, loop_term
-from superlie.matrixsuper import (DegenerateFormError, FieldError, GradingError,
+from superlie.matrixsuper import (DegenerateFormError, FieldError,
                                   PiForm, SharpOperator, SuperIndexSet,
-                                  TwistedElement, diamond,
+                                  TwistedAlgebra, TwistedElement, diamond,
                                   displayed_pi_families, fixed_cartan_basis,
                                   matrix_affinization, pi_project,
                                   pi_root_classes, plain_index_set, sharp,
@@ -240,7 +240,7 @@ def test_twisted_weight_spaces_are_eigenspaces_at_both_degree_signs():
     spaces = twisted_weight_spaces(tw, taus, range(-4, 5))
     for (p, tau, i), basis in spaces.items():
         for x in basis:
-            tw.check_element(x)
+            check_element(tw, x)
     for tau in taus:
         assert sum(len(b) for (_, t, i), b in spaces.items()
                    if t == tau and 0 <= i < 4) == aff.base.dim + (4 if tau == (0,) else 0)
@@ -351,7 +351,7 @@ def test_twisted_grading_error():
             break
     bad = TwistedElement(parts={2: vec})
     with pytest.raises(GradingError):
-        tw.check_element(bad)
+        check_element(tw, bad)
 
 
 def test_twisted_zero_space_is_fixed_cartan_plus_c_d():
@@ -465,3 +465,38 @@ def test_bc11_twisted_multiplicity_pattern():
             assert dims == {0: 1, 1: 0, 2: 1, 3: 0}, (p, dims)
         elif norm == Rat(-1, 2):
             assert dims == {0: 0, 1: 1, 2: 0, 3: 1}, (p, dims)
+
+
+@pytest.mark.parametrize("taus", [[(0,), (1,)], [(-1,), (1,)]])
+def test_verify_twisted_rejects_a_tau_window_without_zero_or_negatives(taus):
+    tw, aff, sh = build_twisted()
+    with pytest.raises(ValueError, match="tau window"):
+        verify_twisted(tw, BC11, taus, 1)
+
+
+# the size ladder: the next twisted bases after BC(1,1), each verified end to
+# end and failing the expected check under one planted structure constant
+LADDER = {"BC(2,1)": SuperIndexSet(i_dot=2, j_dot=1, with_zero_i=True),
+          "BC(1,2)": SuperIndexSet(i_dot=1, j_dot=2, with_zero_i=True)}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_twisted_size_ladder_verifies_and_fails_a_planted_constant(name):
+    from test_window_certificate import bumped_structure
+    idx = LADDER[name]
+    aff = matrix_affinization(idx, trivial_torus(1), field="Qi")
+    rep = verify_twisted(twisted_affinize(aff, SharpOperator(idx, aff)), idx,
+                         window_box(1, 1), 2)
+    assert rep.passed, [c.name for c in rep.failures()]
+    assert {c.witness["label"] for c in rep.checks if c.name == "type label"} == {name}
+    L = aff.base
+    keys = sorted((pair, k) for pair, row in L.structure.items() for k in row)
+    pick = next(n for n, ((i, j), _) in enumerate(keys)
+                if i not in L.cartan and j not in L.cartan)
+    base = bumped_structure(L, pick, Rat(1))
+    planted = AffinizedAlgebra(base, weight_decomposition(base), trivial_torus(1))
+    rep = verify_twisted(TwistedAlgebra(planted, SharpOperator(idx, planted)), idx,
+                         window_box(1, 1), 2)
+    failed = {c.name: c.witness for c in rep.failures()}
+    assert failed["twisted bracket: grading and anti-supercommutativity"]["base check"] \
+        == "anti-supercommutativity"

@@ -11,10 +11,12 @@ from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard, trivial_to
                       verify_affinized, weight_decomposition, window_box)
 from superlie.abelian import SymmetricGroupForm, gadd, gneg, gscale
 from superlie.affinize import window_root_system
+from superlie.rootsys import graded_system
 from superlie.matrixsuper import plain_index_set, sl_superalgebra
 from superlie.reports import Report
 from superlie.rootsys import (BrokenStringError, NonIntegralReflectionError,
-                              NonRealRootError, RatioViolationError, _member_ks)
+                              NonRealRootError, RatioViolationError, _member_ks,
+                              class_window_failures)
 from superlie.scalars import Rat
 
 
@@ -605,6 +607,75 @@ def test_window_products_of_mutated_bases_fail_exactly_their_axioms(
     if base is None:
         return  # no real roots
     assert failing_names(window_product(base, PRODUCT_WINDOWS[window])) == failing_names(base)
+
+
+# ---------------------------------------------------------------------------
+# the class lemma behind verify_twisted's root-system check: a finite system
+# whose roots p carry classes mod 4, on a window of degrees (tau, i) with
+# phi(tau, i) = i + 2 tau mod 4 (tau odd plays a degree of sign -1), is the
+# window system {p + g : phi(g) in classes[p]}; class_window_failures reads
+# its failing axioms from the finite system and the classes
+
+
+CLASS_WINDOWS = [[(t, i) for t in range(-tr, tr + 1) for i in range(-zr, zr + 1)]
+                 for tr, zr in ((0, 0), (0, 1), (1, 1), (0, 3), (1, 2), (2, 1))]
+
+
+def class_phi(g):
+    return (g[1] + 2 * g[0]) % 4
+
+
+def class_window_system(finite, classes, window):
+    """The window system itself: base_form zero on the degree block,
+    membership known on the window."""
+    roots = [(p, g) for p in finite.roots for g in window if class_phi(g) in classes[p]]
+    return graded_system(roots, finite.form, window)
+
+
+CLASSES = st.lists(st.sets(st.integers(0, 3)), min_size=40, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(which=st.sampled_from(BASE_INDICES), window=st.sampled_from(range(len(CLASS_WINDOWS))),
+       drawn=CLASSES, **MUTATIONS)
+def test_class_window_failures_match_the_window_system(which, window, drawn, mutation, pick,
+                                                        factor, offset):
+    """On the finite fixtures and their mutations, with drawn classes (0 at
+    the zero root, each class met by the window, roots with no class left
+    out), the lemma's failures are check_axioms' on the window system."""
+    base = mutated_system(which, mutation, pick, factor, offset)
+    if base is None:
+        return
+    degrees = CLASS_WINDOWS[window]
+    met = {class_phi(g) for g in degrees}
+    zero = (0,) * base.rank
+    classes = {p: (drawn[n % len(drawn)] | ({0} if p == zero else set())) & met
+               for n, p in enumerate(base.roots)}
+    classes = {p: c for p, c in classes.items() if c}
+    if zero not in classes:
+        return
+    finite = classify(list(classes), base.form)
+    want = failing_names(class_window_system(finite, classes, degrees))
+    assert class_window_failures(finite, check_axioms(finite), classes, degrees,
+                                 class_phi) == want
+
+
+def test_class_window_failures_cover_every_axiom_they_read():
+    """Each axiom class_window_failures decides fails on some fixture, the
+    ratio restriction and S3 among them."""
+    seen = set()
+    for which in BASE_INDICES:
+        base = SMALL_SYSTEMS[which]
+        for degrees in CLASS_WINDOWS:
+            met = {class_phi(g) for g in degrees}
+            for drop in range(4):
+                classes = {p: {u for u in met if u != drop or not any(p)}
+                           for p in base.roots}
+                got = class_window_failures(base, check_axioms(base), classes, degrees,
+                                            class_phi)
+                assert got == failing_names(class_window_system(base, classes, degrees))
+                seen.update(name.split()[0] for name in got)
+    assert seen >= {"S2:", "S4:", "ratio", "reflections"}
 
 
 ROOT_CHECK = "windowed roots form a root supersystem"

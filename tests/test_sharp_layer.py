@@ -11,9 +11,9 @@ over the q = 2/3 torus, on a doubled Gram pair), the same # on a basis
 rescaled by rational and Gaussian factors (fractional tables and columns),
 and hypothesis-drawn perturbations and averaging matrices over Q and Q(i).
 
-check_element and in_cartan compare # images in the kernel; the scalar
-action of # on elements they replaced (sharp_apply) is their reference, on
-weight-space elements and drawn ones, for the same #s.
+check_element (a test helper) and in_cartan compare # images in the kernel;
+the scalar action of # on elements they replaced (sharp_apply) is their
+reference, on weight-space elements and drawn ones, for the same #s.
 """
 
 import dataclasses
@@ -21,12 +21,12 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_kernel import twisted_elements
+from test_kernel import loop_sum, twisted_elements
 
 from superlie import affinize as affz
 from superlie.affinize import GradedLoopElement
 from superlie import linalg, matrixsuper
-from superlie.matrixsuper import (GradingError, SharpOperator, SuperIndexSet, TwistedAlgebra,
+from superlie.matrixsuper import (SharpOperator, SuperIndexSet, TwistedAlgebra,
                                   TwistedElement, matrix_affinization, pi_project,
                                   sharp_defects, sigma_cartan_matrix, twisted_affinize,
                                   twisted_weight_spaces, verify_twisted)
@@ -336,6 +336,19 @@ def sharp_apply(sh, x):
     return GradedLoopElement(loop=out_loop, v=dict(x.v), d=dict(x.d))
 
 
+class GradingError(ValueError):
+    """A twisted component is not in the matching eigenspace of #."""
+
+
+def check_element(tw, x):
+    """Raise GradingError unless every component x_i is a zeta^i eigenvector
+    of #, compared in the kernel."""
+    for i, part in x.parts.items():
+        if not tw.sharp_scales(part, IUNIT ** (i % 4)):
+            raise GradingError(f"component at degree {i} is not a zeta^{i % 4} "
+                               "eigenvector of #")
+
+
 def ref_check_element(tw, x):
     for i, part in x.parts.items():
         if sharp_apply(tw.sh, part) != part.scaled(IUNIT ** (i % 4)):
@@ -375,7 +388,7 @@ GRADED = {
 
 
 def assert_same_grading(tw, x):
-    assert grading_verdict(TwistedAlgebra.check_element, tw, x) \
+    assert grading_verdict(check_element, tw, x) \
         == grading_verdict(ref_check_element, tw, x)
     assert tw.in_cartan(x) == ref_in_cartan(tw, x)
     return grading_verdict(ref_check_element, tw, x) is None
@@ -385,7 +398,7 @@ def twisted_sum(x, y):
     """x + y for twisted elements; a degree whose sum is zero drops out."""
     parts = dict(x.parts)
     for i, p in y.parts.items():
-        merged = parts[i].plus(p) if i in parts else p
+        merged = loop_sum(parts[i], p) if i in parts else p
         if merged:
             parts[i] = merged
         else:

@@ -19,6 +19,14 @@ kernel (theta or its denominator doubled, or a degree moved, at one
 degree pair; the pairing of V with V* doubled) must fail the pair table,
 with that pair as the witness, whatever the samples and seed; so must a
 central term doubled at z-degrees +-2 of the twisted kernel fail its table.
+
+verify_twisted also derives axiom 2 and reads its root axioms from the
+averaged weights and their eigenclasses.  The direct window checks it
+replaced (ad-nilpotency iterated at every real key, check_axioms on
+twisted_window_root_system) are references here: the root check must match
+them, failures list included, on the BC(1,1), C(1,2), BC(2,1), C(2,1) and
+BC(1,2) windows and on hypothesis mutations of #, the base and the torus,
+and the derived axiom 2 must fail wherever the direct one does.
 """
 
 import dataclasses
@@ -29,27 +37,40 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from superlie import (AffinizedAlgebra, CocycleTorus, osp12_standard, trivial_torus,
-                      verify_affinized, verify_cocycle, weight_decomposition, window_box)
+from superlie import (AffinizedAlgebra, CocycleTorus, check_axioms, osp12_standard,
+                      trivial_torus, verify_affinized, verify_cocycle, weight_decomposition,
+                      window_box)
 from superlie import linalg
 from superlie.abelian import gadd, gneg
 from superlie.affinize import (GradedLoopElement, _cocycle_identity, _symmetric,
                                ad_nilpotent_on, affinized_roots, axiom1_witnesses,
-                               d_term, loop_term, v_term)
+                               d_term, loop_term, non_nilpotent, v_term)
 from superlie.algebra import t_alpha_vector
-from superlie.matrixsuper import (GradingError, SharpOperator, SuperIndexSet, TwistedAlgebra,
-                                  plain_index_set, sl_superalgebra, twisted_affinize,
-                                  twisted_weight_spaces, verify_twisted)
+from superlie.matrixsuper import (PiForm, SharpOperator, SuperIndexSet, TwistedAlgebra,
+                                  averaged_weight_slices, fixed_cartan_basis,
+                                  matrix_affinization,
+                                  plain_index_set, sigma_cartan_matrix, sl_superalgebra,
+                                  tw_c, tw_d, tw_loop, twisted_affinize, twisted_weight_spaces,
+                                  twisted_window_root_system, verify_twisted)
 from superlie.reports import Report
-from superlie.scalars import Rat, sdiv, super_sign
+from superlie.scalars import IUNIT, Rat, sdiv, super_sign
 from test_kernel import sample_element
-from test_sharp_layer import twisted_sum
+from test_sharp_layer import GradingError, check_element, twisted_sum
 
 # ---------------------------------------------------------------------------
 # the references: the checks verify_affinized, verify_cocycle and
 # verify_twisted replaced.  The sampled identities run in the kernel: an
 # element is K / s with s dropped, as every term of an identity carries the
 # same denominators.  A generator draws only when asked for its next failure.
+
+
+def parity(alg, x):
+    """The parity of a homogeneous element of alg, or None; a twisted element
+    is homogeneous when its parts and its c, d terms share one parity."""
+    if not isinstance(alg, TwistedAlgebra):
+        return alg.parity_of(x)
+    seen = {alg.aff.parity_of(p) for p in x.parts.values()} | ({0} if x.c or x.d else set())
+    return seen.pop() if len(seen) == 1 else None
 
 
 def _vanishes(alg, terms) -> bool:
@@ -70,7 +91,7 @@ def jacobi_failures(alg, draw, samples: int):
     """Sampled (x, y, z) breaking the cyclic graded Jacobi identity."""
     for _ in range(samples):
         x, y, z = draw(), draw(), draw()
-        px, py, pz = alg.parity_of(x), alg.parity_of(y), alg.parity_of(z)
+        px, py, pz = parity(alg, x), parity(alg, y), parity(alg, z)
         X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
         if not _vanishes(alg, [(super_sign(px, pz), _nested(alg, X, Y, Z)),
                                (super_sign(pz, py), _nested(alg, Z, X, Y)),
@@ -83,7 +104,7 @@ def form_failures(alg, draw, samples: int):
     or invariance; the elements are (x, y), or (x, y, z) for invariance."""
     for _ in range(samples):
         x, y, z = draw(), draw(), draw()
-        px, py = alg.parity_of(x), alg.parity_of(y)
+        px, py = parity(alg, x), parity(alg, y)
         X, Y, Z = alg.kernel(x)[0], alg.kernel(y)[0], alg.kernel(z)[0]
         (n, s), (m, t) = alg.kernel_form(X, Y), alg.kernel_form(Y, X)
         if n * t != super_sign(px, py) * m * s:
@@ -117,11 +138,11 @@ def twisted_grading_failures(tw, draw, samples: int):
         x, y = draw(), draw()
         br = tw.bracket(x, y)
         try:
-            tw.check_element(br)
+            check_element(tw, br)
         except GradingError as exc:
             yield {"detail": str(exc)}
             continue
-        sign = super_sign(tw.parity_of(x), tw.parity_of(y))
+        sign = super_sign(parity(tw, x), parity(tw, y))
         if twisted_sum(br, tw.bracket(y, x).scaled(sign)):
             yield {"reason": "anti-supercommutativity"}
 
@@ -622,3 +643,212 @@ def test_derived_twisted_checks_fail_where_the_sampled_references_fail(case):
         (got, want)
     if case == "BC(1,1)":
         assert set(got.values()) == {"pass"}
+
+
+# ---------------------------------------------------------------------------
+# the direct window checks verify_twisted replaced: axiom 2 by iterating ad
+# on every window vector at a real key, and the root axioms by check_axioms
+# on the window system.  Where a direct check fails, the derived one must
+# fail too; the root check must match it, failures list included.
+
+
+AXIOM2 = "axiom 2: windowed ad-nilpotency at real twisted roots"
+LABELS = "twisted weight labels match the Cartan eigenvalues"
+ROOTS = "windowed twisted roots form a root supersystem"
+
+
+def direct_twisted_checks(tw, taus, z_radius):
+    """The two direct checks, as the report built them."""
+    aff, zs = tw.aff, range(-z_radius, z_radius + 1)
+    spaces = twisted_weight_spaces(tw, taus, zs)
+    pform = PiForm(aff, sigma_cartan_matrix(aff, tw.sh))
+    zero_key = (aff.datum.zero, (0,) * aff.rank, 0)
+    nonzero = {key: basis for key, basis in sorted(spaces.items(), key=lambda kv: str(kv[0]))
+               if key != zero_key}
+    targets = [tw.kernel(x)[0] for basis in spaces.values() for x in basis]
+    targets += [tw.kernel(y)[0] for y in (tw_c(), tw_d())]
+    rep = Report(title="direct")
+    rep.first_failure(AXIOM2, ({"root": list(key)} for key, _ in non_nilpotent(
+        tw, nonzero, lambda key: pform.eval(key[0], key[0]), targets, aff.base.dim + 4)))
+    ears = check_axioms(twisted_window_root_system(tw, spaces, taus, zs))
+    rep.check(ROOTS, ears.passed, {"failures": [c.name for c in ears.failures()]})
+    return {c.name: c for c in rep.checks}
+
+
+def assert_derived_twisted_checks(tw, idx, taus, z_radius):
+    """verify_twisted against the direct checks; returns both reports' checks."""
+    try:
+        got = {c.name: c for c in verify_twisted(tw, idx, taus, z_radius).checks}
+    except (ValueError, AssertionError) as exc:  # a form or # the window system rejects too
+        with pytest.raises(type(exc)):
+            direct_twisted_checks(tw, taus, z_radius)
+        return None, None
+    if got[ROOTS].status == "skip":  # # mixes the averaged-weight slices
+        with pytest.raises(AssertionError, match="mixes averaged-weight slices"):
+            direct_twisted_checks(tw, taus, z_radius)
+        return got, None
+    want = direct_twisted_checks(tw, taus, z_radius)
+    assert got[ROOTS].as_dict() == want[ROOTS].as_dict()
+    assert want[AXIOM2].status == "pass" or got[AXIOM2].status == "fail"
+    return got, want
+
+
+TWISTED_FAMILIES = {"BC(1,1)": BC11, "C(1,2)": SuperIndexSet(i_dot=1, j_dot=2),
+                    "BC(2,1)": SuperIndexSet(i_dot=2, j_dot=1, with_zero_i=True),
+                    "C(2,1)": SuperIndexSet(i_dot=2, j_dot=1),
+                    "BC(1,2)": SuperIndexSet(i_dot=1, j_dot=2, with_zero_i=True)}
+
+
+def family_twisted(idx, torus=None, star_signs=None):
+    aff = matrix_affinization(idx, torus or trivial_torus(1), field="Qi")
+    return TwistedAlgebra(aff, SharpOperator(idx, aff, star_signs))
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_FAMILIES))
+def test_derived_twisted_checks_match_the_direct_ones_on_the_families(name):
+    """C(1,1) has |I| = |J|, a degenerate supertrace form; C(1,2) stands in."""
+    idx = TWISTED_FAMILIES[name]
+    tw = family_twisted(idx)
+    for taus, z_radius in ((window_box(1, 1), 1), (window_box(1, 0), 2)):
+        got, want = assert_derived_twisted_checks(tw, idx, taus, z_radius)
+        assert {got[AXIOM2].status, want[AXIOM2].status, got[ROOTS].status} == {"pass"}
+
+
+@pytest.mark.parametrize("taus,z_radius", [(window_box(1, 1), 2), (window_box(1, 0), 3)])
+def test_derived_twisted_checks_match_on_wider_bc11_windows(taus, z_radius):
+    got, want = assert_derived_twisted_checks(family_twisted(BC11), BC11, taus, z_radius)
+    assert {got[AXIOM2].status, want[AXIOM2].status, got[ROOTS].status} == {"pass"}
+
+
+TWISTED_SETTINGS = {"trivial": (None, None), "sign torus": (sign_torus(1), None),
+                    "q = 2/3": (CocycleTorus(rank=1, qmatrix=((Rat(2, 3),),)), None),
+                    "star signs -1": (None, (-1,))}
+FACTORS = [Rat(2), Rat(-1), Rat(1, 2), IUNIT]
+
+
+def mutated_twisted(setting, kind, pick, factor):
+    """BC(1,1) under a setting with one mutation: an entry or a whole column
+    of # scaled, two # columns of one averaged-weight slice swapped, a base
+    structure constant or Gram entry moved, or a symmetric pair of entries of
+    the Gram matrix's Cartan block."""
+    torus, signs = TWISTED_SETTINGS[setting]
+    tw = family_twisted(BC11, torus, signs)
+    aff, cols = tw.aff, tw.sh.columns
+    if kind in ("structure constant", "Gram entry", "Cartan Gram pair"):
+        base, factor = aff.base, Rat(3) if factor == IUNIT else factor  # the base stays over Q
+        if kind == "Cartan Gram pair":
+            h = base.cartan
+            i, j = h[pick % len(h)], h[pick // len(h) % len(h)]
+            base = bumped_gram(base, i * base.dim + j, factor)
+            pick = j * base.dim + i if i != j else pick
+            factor = factor if i != j else 0
+            kind = "Gram entry"
+        bump = bumped_structure if kind == "structure constant" else bumped_gram
+        base = bump(base, pick, factor)
+        aff = AffinizedAlgebra(base, weight_decomposition(base), aff.torus)
+        return TwistedAlgebra(aff, SharpOperator(BC11, aff, signs))
+    b = pick % len(cols)
+    if kind == "entry":
+        k = sorted(cols[b])[pick % len(cols[b])]
+        cols[b][k] = factor * cols[b][k]
+    elif kind == "column":
+        cols[b] = {k: factor * c for k, c in cols[b].items()}
+    else:
+        slices = [idxs for idxs in averaged_weight_slices(
+            aff, sigma_cartan_matrix(aff, tw.sh)).values() if len(idxs) > 1]
+        idxs = slices[pick % len(slices)]
+        i, j = idxs[pick % len(idxs)], idxs[(pick // 7 + 1) % len(idxs)]
+        cols[i], cols[j] = cols[j], cols[i]
+    return tw
+
+
+@settings(max_examples=25, deadline=None)
+@given(setting=st.sampled_from(sorted(TWISTED_SETTINGS)),
+       kind=st.sampled_from(["entry", "column", "permuted", "structure constant",
+                             "Gram entry", "Cartan Gram pair"]),
+       pick=st.integers(0, 10 ** 6), factor=st.sampled_from(FACTORS),
+       z_radius=st.integers(1, 2))
+def test_derived_twisted_checks_match_the_direct_ones_on_mutations(setting, kind, pick, factor,
+                                                                  z_radius):
+    try:
+        tw = mutated_twisted(setting, kind, pick, factor)
+    except ValueError:  # the mutated base has no weight decomposition
+        return
+    assert_derived_twisted_checks(tw, BC11, window_box(1, 1), z_radius)
+
+
+def test_a_doubled_sharp_entry_fails_the_derived_root_check_as_the_direct_one():
+    from test_golden_failures import perturbed_twisted
+    got, want = assert_derived_twisted_checks(perturbed_twisted(), BC11, window_box(1, 1), 1)
+    assert got[ROOTS].status == "fail"
+    assert [n.split(":")[0] for n in got[ROOTS].witness["failures"]] == [
+        "S2", "S4", "reflections preserve the root set"]
+
+
+@pytest.mark.parametrize("y", ["E[1,1~]", "E[1~,1]"])
+def test_derived_axiom2_fails_where_the_direct_one_does(y):
+    """[x, x] = x breaks the direct axiom 2; both plants break the base
+    anti-supercommutativity the derivation rests on."""
+    from test_golden_failures import planted_twisted
+    tw = planted_twisted(y)
+    got, want = assert_derived_twisted_checks(tw, BC11, window_box(1, 0), 2)
+    assert got[AXIOM2].witness["base check"] == "anti-supercommutativity"
+    assert want[AXIOM2].status == ("fail" if y == "E[1,1~]" else "pass")
+
+
+def reference_label_failures(tw, taus, z_radius):
+    """The label check on TwistedElement brackets, as verify_twisted made it
+    before it compared kernels."""
+    aff, zero = tw.aff, (0,) * tw.aff.rank
+    spaces = twisted_weight_spaces(tw, taus, range(-z_radius, z_radius + 1))
+    gens = [("h", vec, tw_loop(0, GradedLoopElement(
+        loop={(aff.base.cartan[l], zero): vec[l] for l in sorted(vec)})))
+        for vec in fixed_cartan_basis(aff, sigma_cartan_matrix(aff, tw.sh))]
+    gens += [(kind, k, tw_loop(0, term(k))) for k in range(aff.rank)
+             for kind, term in (("v", v_term), ("dk", d_term))]
+    gens += [("c", None, tw_c()), ("d", None, tw_d())]
+    for (p, tau, i), basis in sorted(spaces.items(), key=lambda kv: str(kv[0])):
+        for kind, data, gen in gens:
+            val = (sum(c * p[l] for l, c in data.items()) if kind == "h" else
+                   Rat(tau[data]) if kind == "dk" else Rat(i) if kind == "d" else Rat(0))
+            if any(x.parts and tw.bracket(gen, x) != x.scaled(val) for x in basis):
+                yield {"root": [p, tau, i], "generator": kind}
+
+
+class MisreadDegree(TwistedAlgebra):
+    """d acts on z-degree 2 by 3 instead of 2."""
+
+    def _kernel_bracket(self, X, Y, L):
+        (parts, c, d), s = super()._kernel_bracket(X, Y, L)
+        if X[2] and 2 in Y[0]:
+            loop, v, dk = parts[2]
+            parts = {**parts, 2: (linalg.vadd(loop, {k: s * X[2] * n for k, n in
+                                                     Y[0][2][0].items()}), v, dk)}
+        return (parts, c, d), s
+
+
+def halved_cartan_twisted(cls=TwistedAlgebra):
+    """BC(1,1) on the basis with every Cartan element halved, so that the
+    fixed Cartan vectors take fractional eigenvalues on the weight spaces."""
+    from test_sharp_layer import rescaled
+    aff = matrix_affinization(BC11, trivial_torus(1), field="Qi")
+    lam = [Rat(1, 2) if b in aff.base.cartan else Rat(1) for b in range(aff.base.dim)]
+    base, cols = rescaled(aff.base, SharpOperator(BC11, aff).columns, lam)
+    base = dataclasses.replace(base, weights={b: tuple(w / 2 for w in wt)
+                                              for b, wt in base.weights.items()})
+    aff = AffinizedAlgebra(base, weight_decomposition(base), trivial_torus(1))
+    sh = SharpOperator(BC11, aff)
+    sh.columns = cols
+    return cls(aff, sh)
+
+
+@pytest.mark.parametrize("build", [bc11_twisted, halved_cartan_twisted])
+@pytest.mark.parametrize("cls", [TwistedAlgebra, MisreadDegree])
+def test_kernel_label_check_matches_the_element_brackets(build, cls):
+    tw = build(cls=cls)
+    rep = verify_twisted(tw, BC11, window_box(1, 1), 2)
+    got = next(c for c in rep.checks if c.name == LABELS)
+    want = Report(title="reference")
+    want.first_failure(LABELS, reference_label_failures(tw, window_box(1, 1), 2))
+    assert got.as_dict() == want.checks[0].as_dict()
+    assert got.status == ("pass" if cls is TwistedAlgebra else "fail")
