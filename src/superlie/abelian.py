@@ -37,7 +37,10 @@ class SymmetricGroupForm:
 
     def __post_init__(self):
         n = len(self.gram)
-        gram = tuple(tuple(Rat(x) for x in row) for row in self.gram)
+        try:
+            gram = tuple(tuple(Rat(x) for x in row) for row in self.gram)
+        except TypeError:
+            raise ValueError("gram matrix entries must be rational") from None
         object.__setattr__(self, "gram", gram)
         for row in gram:
             if len(row) != n:

@@ -166,13 +166,6 @@ class GradedLoopElement:
     def __bool__(self):
         return bool(self.loop or self.v or self.d)
 
-    def scaled(self, c) -> "GradedLoopElement":
-        if not c:
-            return GradedLoopElement()
-        return GradedLoopElement({k: c * x for k, x in self.loop.items()},
-                                 {k: c * x for k, x in self.v.items()},
-                                 {k: c * x for k, x in self.d.items()})
-
 
 def loop_term(b: int, deg, c=None) -> GradedLoopElement:
     return GradedLoopElement(loop={(b, tuple(deg)): Rat(1) if c is None else c})
@@ -302,11 +295,6 @@ class AffinizedAlgebra:
         (X, sx), (Y, sy) = self.kernel(x), self.kernel(y)
         Z, s = self.kernel_bracket(X, Y)
         return loop_element(Z, sx * sy * s)
-
-    def form(self, x: GradedLoopElement, y: GradedLoopElement):
-        (X, sx), (Y, sy) = self.kernel(x), self.kernel(y)
-        n, s = self.kernel_form(X, Y)
-        return scalar_over(n, sx * sy * s)
 
     def kernel_bracket(self, X: tuple, Y: tuple) -> tuple:
         """(Z, s) with [X, Y] = Z / s, for kernel elements X and Y.
@@ -492,7 +480,8 @@ def ad_nilpotent_on(alg, x, targets, cap: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the two axioms of the definition, for the base, loop and twisted algebras
+# the two axioms of the definition: axiom 1 for the base, loop and twisted
+# algebras, axiom 2 for the base (the window verifiers derive it)
 #
 # ``alg`` has bracket, in_cartan and the integer kernel, and ``spaces`` maps
 # a weight key to its basis.  Each verifier keys its spaces, orders them as

@@ -227,6 +227,8 @@ def test_criterion_7_twisted_construction():
     assert rep.passed, [c.name for c in rep.failures()]
     statuses = {c.name: c.status for c in rep.checks}
     assert statuses["# preserves the form on window basis pairs"] == "pass"
+    assert statuses["pairing only between opposite twisted weights"] == "pass"
+    assert statuses["twisted window-block nondegeneracy"] == "pass"
     assert statuses["eigenspace pairing vanishes unless i+j = 0 mod 4"] == "pass"
     assert statuses["each occupied eigenspace pairs with its opposite"] == "pass"
     assert statuses["the (0,0) weight space is the fixed Cartan plus c and d"] == "pass"

@@ -9,6 +9,7 @@ from superlie.affinize import (WindowExceededError,
 from superlie.matrixsuper import plain_index_set, sl_superalgebra
 from superlie.rootsys import check_axioms
 from superlie.scalars import Rat
+from test_kernel import form, scaled
 
 
 def idx(label):
@@ -84,8 +85,8 @@ def test_derivation_action():
     alg = osp_affinization()
     x = loop_term(idx("F+"), (5,))
     out = alg.bracket(d_term(0), x)
-    assert out == x.scaled(Rat(5))
-    assert alg.bracket(x, d_term(0)) == x.scaled(Rat(-5))
+    assert out == scaled(x, Rat(5))
+    assert alg.bracket(x, d_term(0)) == scaled(x, Rat(-5))
 
 
 def test_v_is_central():
@@ -108,9 +109,9 @@ def test_central_term_of_loop_bracket():
 
 def test_form_values():
     alg = osp_affinization()
-    assert alg.form(v_term(0), d_term(0)) == Rat(1)
-    assert alg.form(loop_term(idx("F+"), (1,)), loop_term(idx("F-"), (2,))) == Rat(0)
-    assert alg.form(loop_term(idx("F+"), (1,)),
+    assert form(alg, v_term(0), d_term(0)) == Rat(1)
+    assert form(alg, loop_term(idx("F+"), (1,)), loop_term(idx("F-"), (2,))) == Rat(0)
+    assert form(alg, loop_term(idx("F+"), (1,)),
                     loop_term(idx("F-"), (-1,))) == Rat(-4)
 
 

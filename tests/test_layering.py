@@ -64,12 +64,13 @@ def calls_in(path: pathlib.Path, function: str) -> set:
 
 
 def test_verify_twisted_scans_no_window_for_axiom_2_or_the_root_axioms():
-    """Axiom 2 and the root axioms are derived: verify_twisted iterates no
-    ad-nilpotency and builds no window root system."""
+    """Axiom 2, the root axioms and the Gram pairing are derived:
+    verify_twisted iterates no ad-nilpotency, builds no window root system
+    and evaluates no window Gram matrix."""
     called = calls_in(SRC / "matrixsuper.py", "verify_twisted")
-    assert "derived" in called and "class_window_failures" in called
+    assert {"derived", "class_window_failures", "unsplit_slice"} <= called
     assert not called & {"non_nilpotent", "ad_nilpotent_on", "twisted_window_root_system",
-                         "graded_system"}
+                         "graded_system", "kernel_form", "span_rank"}
 
 
 def _loop_reports(samples, seed):

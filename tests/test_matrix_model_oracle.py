@@ -8,6 +8,7 @@ entry, including the cocycle twist and the central V-valued term.
 
 import itertools
 
+from test_kernel import form
 from test_sharp_layer import sharp_apply
 
 from superlie import CocycleTorus, linalg, trivial_torus
@@ -76,7 +77,7 @@ def check_algebra(idx, torus, degs, star_signs=None, field="Q"):
             expected_v = {k: pairing * d for k, d in enumerate(s_deg)
                           if pairing and d}
             assert got.v == expected_v, (b1, b2, s_deg, t_deg)
-            assert aff.form(x, y) == pairing
+            assert form(aff, x, y) == pairing
     if idx.barred:
         sh = SharpOperator(idx, aff, star_signs=star_signs)
         for b in range(aff.base.dim):

@@ -26,7 +26,16 @@ replaced (ad-nilpotency iterated at every real key, check_axioms on
 twisted_window_root_system) are references here: the root check must match
 them, failures list included, on the BC(1,1), C(1,2), BC(2,1), C(2,1) and
 BC(1,2) windows and on hypothesis mutations of #, the base and the torus,
-and the derived axiom 2 must fail wherever the direct one does.
+and the derived axiom 2 must fail wherever the direct one does.  Its four
+window-Gram checks (opposite weights, classes i+j = 0 mod 4, each class
+pairing with its opposite, window-block nondegeneracy) are derived from
+the tables and the base too; their direct scans, kernel_form on the window
+basis pairs and span_rank of the window Gram matrix, are references here,
+and each derived check must fail wherever its reference does, on the same
+inputs and the planted bases.  An eigenvector dropped from one slice must
+fail them on their premise that each slice has a basis of eigenvectors.
+Where the averaged weights have no rational root form, verify_twisted
+skips its root checks, which raised before, and the direct ones raise.
 """
 
 import dataclasses
@@ -40,7 +49,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from superlie import (AffinizedAlgebra, CocycleTorus, check_axioms, osp12_standard,
                       trivial_torus, verify_affinized, verify_cocycle, weight_decomposition,
                       window_box)
-from superlie import linalg
+from superlie import linalg, matrixsuper
 from superlie.abelian import gadd, gneg
 from superlie.affinize import (GradedLoopElement, _cocycle_identity, _symmetric,
                                ad_nilpotent_on, affinized_roots, axiom1_witnesses,
@@ -52,9 +61,9 @@ from superlie.matrixsuper import (PiForm, SharpOperator, SuperIndexSet, TwistedA
                                   plain_index_set, sigma_cartan_matrix, sl_superalgebra,
                                   tw_c, tw_d, tw_loop, twisted_affinize, twisted_weight_spaces,
                                   twisted_window_root_system, verify_twisted)
-from superlie.reports import Report
-from superlie.scalars import IUNIT, Rat, sdiv, super_sign
-from test_kernel import sample_element
+from superlie.reports import Report, jsonable
+from superlie.scalars import IUNIT, Rat, scalar_over, sdiv, super_sign
+from test_kernel import sample_element, scaled
 from test_sharp_layer import GradingError, check_element, twisted_sum
 
 # ---------------------------------------------------------------------------
@@ -129,7 +138,7 @@ def first_sampled_failure(rep: Report, name: str, samples: int, failures) -> Non
 def _sample_twisted(pool, rng: random.Random):
     coeffs = [Rat(1), Rat(-1), Rat(2), Rat(1, 2)]
     x = rng.choice(pool)
-    return x.scaled(rng.choice(coeffs))
+    return scaled(x, rng.choice(coeffs))
 
 
 def twisted_grading_failures(tw, draw, samples: int):
@@ -143,7 +152,7 @@ def twisted_grading_failures(tw, draw, samples: int):
             yield {"detail": str(exc)}
             continue
         sign = super_sign(parity(tw, x), parity(tw, y))
-        if twisted_sum(br, tw.bracket(y, x).scaled(sign)):
+        if twisted_sum(br, scaled(tw.bracket(y, x), sign)):
             yield {"reason": "anti-supercommutativity"}
 
 
@@ -647,9 +656,10 @@ def test_derived_twisted_checks_fail_where_the_sampled_references_fail(case):
 
 # ---------------------------------------------------------------------------
 # the direct window checks verify_twisted replaced: axiom 2 by iterating ad
-# on every window vector at a real key, and the root axioms by check_axioms
-# on the window system.  Where a direct check fails, the derived one must
-# fail too; the root check must match it, failures list included.
+# on every window vector at a real key, the root axioms by check_axioms on
+# the window system, and the four checks on the window Gram matrix.  Where a
+# direct check fails, the derived one must fail too; the root check must
+# match it, failures list included.
 
 
 AXIOM2 = "axiom 2: windowed ad-nilpotency at real twisted roots"
@@ -675,19 +685,78 @@ def direct_twisted_checks(tw, taus, z_radius):
     return {c.name: c for c in rep.checks}
 
 
+# the four window-Gram checks, as verify_twisted scanned them before it
+# derived them from the tables and the base: kernel_form on the basis pairs
+# of every pair of weight spaces, and span_rank on the whole Gram matrix
+
+
+PAIRING = ("pairing only between opposite twisted weights",
+           "eigenspace pairing vanishes unless i+j = 0 mod 4",
+           "each occupied eigenspace pairs with its opposite",
+           "twisted window-block nondegeneracy")
+
+
+def direct_pairing_checks(tw, taus, z_radius):
+    """The four direct Gram checks, as the report built them."""
+    spaces = twisted_weight_spaces(tw, taus, range(-z_radius, z_radius + 1))
+    pair_seen: dict = {}  # (i1 % 4, i2 % 4) -> some pair of spaces pairs nonzero
+    kernels = {key: [tw.kernel(x) for x in basis] for key, basis in spaces.items()}
+    opposites = {(p, t, i): (tuple(-a for a in p), gneg(t), -i) for p, t, i in kernels}
+
+    def pairing_failures():
+        for (key1, basis1), opposite_key in zip(kernels.items(), opposites.values()):
+            for key2, basis2 in kernels.items():
+                nonzero = any(tw.kernel_form(X, Y)[0] for X, _ in basis1 for Y, _ in basis2)
+                classes = (key1[2] % 4, key2[2] % 4)
+                pair_seen[classes] = pair_seen.get(classes, False) or nonzero
+                opposite = key2 == opposite_key
+                if nonzero and not opposite:
+                    yield {"at": [*key1, *key2],
+                           "reason": "pairing off opposite weights"}
+                elif opposite and not nonzero:
+                    yield {"at": list(key1),
+                           "reason": "no pairing with the opposite weight space"}
+    rep = Report(title="direct")
+    rep.first_failure(PAIRING[0], pairing_failures())
+    rep.first_failure(PAIRING[1], (
+        {"classes": [c1, c2]} for (c1, c2), seen in sorted(pair_seen.items())
+        if seen and (c1 + c2) % 4))
+    rep.first_failure(PAIRING[2], (
+        {"classes": [c1, (-c1) % 4], "reason": "no nonzero pairing found"}
+        for c1 in range(4) if not pair_seen.get((c1, (-c1) % 4))
+        and any(i1 % 4 == c1 for (_, _, i1) in spaces)))
+
+    all_kernels = [k for basis in kernels.values() for k in basis]
+    rows = []
+    for X, sx in all_kernels:
+        row = {}
+        for b, (Y, sy) in enumerate(all_kernels):
+            n, s = tw.kernel_form(X, Y)
+            if n:
+                row[b] = scalar_over(n, sx * sy * s)
+        rows.append(row)
+    rank = linalg.span_rank(rows)
+    rep.check(PAIRING[3], rank == len(all_kernels), {"rank": rank, "size": len(all_kernels)})
+    return {c.name: c for c in rep.checks}
+
+
 def assert_derived_twisted_checks(tw, idx, taus, z_radius):
-    """verify_twisted against the direct checks; returns both reports' checks."""
-    try:
-        got = {c.name: c for c in verify_twisted(tw, idx, taus, z_radius).checks}
-    except (ValueError, AssertionError) as exc:  # a form or # the window system rejects too
-        with pytest.raises(type(exc)):
-            direct_twisted_checks(tw, taus, z_radius)
-        return None, None
-    if got[ROOTS].status == "skip":  # # mixes the averaged-weight slices
+    """verify_twisted against the direct checks; returns both reports' checks.
+    Where the averaged weights have no rational root form, verify_twisted
+    skips its root checks and the direct root checks raise ValueError."""
+    got = {c.name: c for c in verify_twisted(tw, idx, taus, z_radius).checks}
+    if got[ROOTS].status == "skip" and "mixes" in got[ROOTS].witness["reason"]:
         with pytest.raises(AssertionError, match="mixes averaged-weight slices"):
             direct_twisted_checks(tw, taus, z_radius)
         return got, None
-    want = direct_twisted_checks(tw, taus, z_radius)
+    want = direct_pairing_checks(tw, taus, z_radius)
+    assert all(want[name].status == "pass" or got[name].status == "fail" for name in PAIRING), \
+        ({name: got[name].as_dict() for name in PAIRING}, want)
+    if got[ROOTS].status == "skip":
+        with pytest.raises(ValueError):
+            direct_twisted_checks(tw, taus, z_radius)
+        return got, want
+    want.update(direct_twisted_checks(tw, taus, z_radius))
     assert got[ROOTS].as_dict() == want[ROOTS].as_dict()
     assert want[AXIOM2].status == "pass" or got[AXIOM2].status == "fail"
     return got, want
@@ -711,13 +780,15 @@ def test_derived_twisted_checks_match_the_direct_ones_on_the_families(name):
     tw = family_twisted(idx)
     for taus, z_radius in ((window_box(1, 1), 1), (window_box(1, 0), 2)):
         got, want = assert_derived_twisted_checks(tw, idx, taus, z_radius)
-        assert {got[AXIOM2].status, want[AXIOM2].status, got[ROOTS].status} == {"pass"}
+        assert {got[name].status for name in (AXIOM2, ROOTS, *PAIRING)} == {"pass"}
+        assert {want[name].status for name in (AXIOM2, *PAIRING)} == {"pass"}
 
 
 @pytest.mark.parametrize("taus,z_radius", [(window_box(1, 1), 2), (window_box(1, 0), 3)])
 def test_derived_twisted_checks_match_on_wider_bc11_windows(taus, z_radius):
     got, want = assert_derived_twisted_checks(family_twisted(BC11), BC11, taus, z_radius)
-    assert {got[AXIOM2].status, want[AXIOM2].status, got[ROOTS].status} == {"pass"}
+    assert {got[name].status for name in (AXIOM2, ROOTS, *PAIRING)} == {"pass"}
+    assert {want[name].status for name in (AXIOM2, *PAIRING)} == {"pass"}
 
 
 TWISTED_SETTINGS = {"trivial": (None, None), "sign torus": (sign_torus(1), None),
@@ -777,6 +848,61 @@ def test_derived_twisted_checks_match_the_direct_ones_on_mutations(setting, kind
     assert_derived_twisted_checks(tw, BC11, window_box(1, 1), z_radius)
 
 
+def cartan_gram_bumped(i, j, delta):
+    """BC(1,1) with the Cartan Gram entry (i, j) plus delta."""
+    L = sl_superalgebra(BC11, field="Qi")
+    return bc11_twisted(bumped_gram(L, i * L.dim + j, delta))
+
+
+def column_times_i(b):
+    """BC(1,1) with column b of # multiplied by i."""
+    tw = family_twisted(BC11)
+    tw.sh.columns[b] = {k: IUNIT * c for k, c in tw.sh.columns[b].items()}
+    return tw
+
+
+NO_ROOT_FORM = {  # input: what rebase_rational_tuples or PiForm rejects
+    "Gram (21, 23) + 1": (lambda: cartan_gram_bumped(21, 23, Rat(1)), "not symmetric"),
+    "Gram (21, 21) + i": (lambda: cartan_gram_bumped(21, 21, IUNIT), "must be rational"),
+    "Gram (23, 23) + 2": (lambda: cartan_gram_bumped(23, 23, Rat(2)), "not representable"),
+    "column 20 times i": (lambda: column_times_i(20), "vectors must be rational"),
+    "column 22 times i": (lambda: column_times_i(22), "vectors must be rational")}
+
+
+@pytest.mark.parametrize("case", sorted(NO_ROOT_FORM))
+def test_verify_twisted_skips_the_root_checks_without_a_rational_root_form(case):
+    """Each of these raised from verify_twisted before the skip."""
+    build, reason = NO_ROOT_FORM[case]
+    got, _ = assert_derived_twisted_checks(build(), BC11, window_box(1, 1), 1)
+    skipped = {name: c.witness["reason"] for name, c in got.items() if c.status == "skip"}
+    assert set(skipped) == set(matrixsuper.WEIGHT_SPACE_CHECKS[-3:])
+    assert all(reason in r for r in skipped.values())
+
+
+def test_a_dropped_eigenvector_fails_the_derived_pairing_checks_on_the_slice_premise(
+        monkeypatch):
+    tw = family_twisted(BC11)
+    slices = averaged_weight_slices(tw.aff, sigma_cartan_matrix(tw.aff, tw.sh))
+    key, idxs = next((key, idxs) for key, idxs in slices.items() if len(idxs) > 1)
+    rows, eigenbases = linalg.block_rows(tw.sh.columns, idxs), matrixsuper._eigenbases
+
+    def dropping(block):
+        bases = eigenbases(block)
+        if block == rows:
+            k = next(k for k, vecs in enumerate(bases) if vecs)
+            bases[k] = bases[k][1:]
+        return bases
+    monkeypatch.setattr(matrixsuper, "_eigenbases", dropping)
+    got, want = assert_derived_twisted_checks(tw, BC11, window_box(1, 1), 1)
+    assert want[PAIRING[3]].status == "fail"
+    for name in PAIRING:
+        if name == PAIRING[1]:  # needs only the tables
+            assert got[name].status == "pass"
+        else:
+            assert got[name].witness == {"premise": matrixsuper.SPLIT,
+                                         "degrees": jsonable(list(key))}
+
+
 def test_a_doubled_sharp_entry_fails_the_derived_root_check_as_the_direct_one():
     from test_golden_failures import perturbed_twisted
     got, want = assert_derived_twisted_checks(perturbed_twisted(), BC11, window_box(1, 1), 1)
@@ -811,7 +937,7 @@ def reference_label_failures(tw, taus, z_radius):
         for kind, data, gen in gens:
             val = (sum(c * p[l] for l, c in data.items()) if kind == "h" else
                    Rat(tau[data]) if kind == "dk" else Rat(i) if kind == "d" else Rat(0))
-            if any(x.parts and tw.bracket(gen, x) != x.scaled(val) for x in basis):
+            if any(x.parts and tw.bracket(gen, x) != scaled(x, val) for x in basis):
                 yield {"root": [p, tau, i], "generator": kind}
 
 
