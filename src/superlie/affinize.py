@@ -660,11 +660,12 @@ def _products_agree(torus: CocycleTorus, a, b, c) -> bool:
 
 def theta_premises(torus: CocycleTorus, degrees, theta: dict) -> dict:
     """The first window instance breaking each premise of verify_affinized's
-    lemmas, or None.  A bimultiplicative theta is a cocycle; its Jacobi
-    products agree where theta(a, b) / theta(b, a), bimultiplicative, is 1."""
+    lemmas as a witness {"degrees": instance}, or None.  A bimultiplicative
+    theta is a cocycle; its Jacobi products agree where theta(a, b) /
+    theta(b, a), bimultiplicative, is 1."""
     asym = [[a, b] for (a, b), t in theta.items() if t != theta[b, a]]
     table = torus.qmatrix is None
-    return {"theta(a, b) = theta(b, a)": next(iter(asym), None),
+    found = {"theta(a, b) = theta(b, a)": next(iter(asym), None),
             "theta(a, -a) = theta(-a, a)": next((p for p in asym if p[1] == gneg(p[0])), None),
             "theta(a, -a) != 0": next(([a, gneg(a)] for a in degrees if not theta[a, gneg(a)]),
                                       None),
@@ -676,17 +677,18 @@ def theta_premises(torus: CocycleTorus, degrees, theta: dict) -> dict:
                 [a, b, c] for a, b in itertools.product(degrees, repeat=2)
                 if (c := gneg(gadd(a, b))) in degrees and not _cocycle_identity(torus, a, b, c)),
                 None) if table else None}
+    return {name: None if inst is None else {"degrees": inst} for name, inst in found.items()}
 
 
 def derived(rep: Report, premises: dict, checks: dict):
     """derive(name, premise_names, *transfers) adds check name to rep, failed
-    at each of premise_names with an instance in premises, and per failed
+    at each of premise_names with a witness dict in premises, and per failed
     check of checks in a transfer (names, at, factor) with its witness and
     the degrees in at; an at of None does not apply, a zero factor leaves
     the premise unmet."""
     def derive(name, premise_names, *transfers):
         rep.first_failure(name, itertools.chain(
-            ({"premise": p, "degrees": premises[p]} for p in premise_names
+            ({"premise": p, **premises[p]} for p in premise_names
              if premises[p] is not None),
             ({"base check": n, "base witness": checks[n].witness, **at,
               **({} if factor else {"premise": "nonzero theta factor"})}

@@ -4,17 +4,17 @@ Vectors are dicts ``{index: nonzero scalar}``; an absent key means zero.
 Only this module's accumulators (vadd, vsub, vaxpy_inplace, add_entry,
 vsum) drop the keys whose sums cancel; every other module sums through them.
 Matrices appear either as a list of sparse rows or as a list of sparse
-columns, whichever the caller finds natural.  Everything is exact; the
-elimination engine keeps rows fully reduced (RREF invariant) so coordinate
-extraction is a single reduction pass.
+columns, whichever the caller finds natural.  Everything is exact.  One
+fraction-free elimination engine, Echelon, serves rank, membership, kernels
+and solutions: its integer rows stay fully reduced (RREF up to row scaling),
+so kernels and solutions are read off the stored rows.
 """
 
 from __future__ import annotations
 
 import math
 
-from .scalars import (GaussianInt, Rat, common_denominator, integers_over, scalar_over,
-                      sdiv)
+from .scalars import GaussianInt, Rat, common_denominator, integers_over, scalar_over
 
 
 def vadd(u: dict, v: dict) -> dict:
@@ -84,75 +84,47 @@ def mat_vec(cols: list[dict], v: dict) -> dict:
 
 
 class Echelon:
-    """Incremental reduced row echelon form with optional combination tracking.
+    """Incremental fraction-free reduced row echelon form.
 
-    With ``track=True`` every stored row knows its expression as a linear
-    combination of the vectors handed to :meth:`add`, keyed by their tags.
+    Each vector is scaled to (Gaussian) integers over its own denominator
+    and reduced against the stored rows.  A new row's pivot, its lowest
+    index, is made a positive int (a Gaussian pivot p times its conjugate),
+    and the stored rows are cleared at it, so the rows stay reduced against
+    each other (_eliminate).  rowof maps each pivot index to its row.
     """
 
-    def __init__(self, track: bool = False):
-        self.track = track
-        self.rowof: dict = {}    # pivot index -> row dict (pivot entry == 1)
-        self.comboof: dict = {}  # pivot index -> combination dict (track mode)
-        self._count = 0
+    def __init__(self):
+        self.rowof: dict = {}  # pivot index -> integer row, the pivot a positive int
 
     @property
     def rank(self) -> int:
         return len(self.rowof)
 
-    def reduce(self, v: dict):
-        """Return (residual, combo) with v = residual + sum(combo[t] * added[t])."""
-        v = dict(v)
-        combo: dict = {}
+    def _reduce(self, v: dict) -> dict:
+        v = integers_over(v, common_denominator(v.values()))
         for p in [p for p in v if p in self.rowof]:
-            c = v.get(p)
-            if not c:
-                continue
-            vaxpy_inplace(v, -c, self.rowof[p])
-            if self.track:
-                vaxpy_inplace(combo, c, self.comboof[p])
-        return v, combo
+            v = _eliminate(v, p, self.rowof[p])
+        return {k: c for k, c in v.items() if c}
 
-    def add(self, v: dict, tag=None) -> bool:
+    def add(self, v: dict) -> bool:
         """Insert v; True if the rank grew, False if v was already in the span."""
-        if tag is None:
-            tag = self._count
-        self._count += 1
-        res, combo = self.reduce(v)
-        if not res:
+        row = self._reduce(v)
+        if not row:
             return False
-        piv = min(res)
-        inv = sdiv(1, res[piv])
-        row = {k: c * inv for k, c in res.items()}
-        if self.track:
-            rcombo = {t: -c * inv for t, c in combo.items()}
-            # rcombo expresses the normalized row over the added vectors
-            vaxpy_inplace(rcombo, inv, {tag: Rat(1)})
-        else:
-            rcombo = None
-        # keep existing rows reduced against the new pivot
-        for p, other in self.rowof.items():
-            c = other.get(piv)
-            if c:
-                vaxpy_inplace(other, -c, row)
-                if self.track:
-                    occ = self.comboof[p]
-                    vaxpy_inplace(occ, -c, rcombo)
-        self.rowof[piv] = row
-        if self.track:
-            self.comboof[piv] = rcombo
+        j = min(row)
+        p = row[j]
+        if type(p) is GaussianInt:  # times conj(p): the pivot becomes |p|^2
+            row = vscale(GaussianInt(p.re, -p.im), row)
+            row[j] = p.re * p.re + p.im * p.im
+        elif p < 0:
+            row = vscale(-1, row)
+        for q, other in self.rowof.items():
+            self.rowof[q] = _eliminate(other, j, row)
+        self.rowof[j] = row
         return True
 
     def contains(self, v: dict) -> bool:
-        res, _ = self.reduce(v)
-        return not res
-
-    def coords(self, v: dict):
-        """Express v over the added vectors' tags, or None if not in the span."""
-        res, combo = self.reduce(v)
-        if res:
-            return None
-        return combo
+        return not self._reduce(v)
 
 
 def span_rank(vectors) -> int:
@@ -160,16 +132,6 @@ def span_rank(vectors) -> int:
     for v in vectors:
         ech.add(v)
     return ech.rank
-
-
-def columns_of(rows: list[dict], ncols: int) -> list[dict]:
-    """The transpose: sparse columns of a matrix given by sparse rows (or back)."""
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            if c:
-                cols[j][i] = c
-    return cols
 
 
 def block_rows(cols, idxs) -> list[dict]:
@@ -200,15 +162,30 @@ def minus_identity(rows: list[dict], c) -> list[dict]:
 def solver(rows: list[dict], ncols: int):
     """Factor M (given by sparse rows) once for many right-hand sides.
 
-    Returns a function taking rhs to the exact solution x of M x = rhs as a
-    sparse dict, or to None when there is none.  Deterministic pivoting:
-    columns are introduced in index order and each takes the lowest
-    available row index as pivot, so x is zero at every free column.
+    Returns a function taking rhs (a sparse vector over the row indices)
+    to the exact solution x of M x = rhs as a sparse dict, or to None when
+    there is none; x is zero at every free column.  Row i enters the
+    echelon form as [M_i | e_i] (the unit vector at index ncols + i), so a
+    stored row is [R_r | E_r] with E_r M = R_r: R_r has its pivot q at a
+    column of M, and x[q] = (E_r rhs) / R_r[q], or its pivot in the second
+    block, and then E_r rhs must vanish.
     """
-    ech = Echelon(track=True)
-    for j, col in enumerate(columns_of(rows, ncols)):
-        ech.add(col, tag=j)
-    return ech.coords
+    ech = Echelon()
+    for i, row in enumerate(rows):
+        ech.add({**row, ncols + i: 1})
+    combos: list[dict] = [{} for _ in rows]  # combos[i][q] = E_r[i] for r at pivot q
+    for q, r in ech.rowof.items():
+        for k, c in r.items():
+            if k >= ncols:
+                combos[k - ncols][q] = c
+
+    def solve(rhs: dict):
+        s = common_denominator(rhs.values())
+        x = mat_vec(combos, integers_over(rhs, s))
+        if any(q >= ncols for q in x):
+            return None
+        return {q: scalar_over(n, s * ech.rowof[q][q]) for q, n in sorted(x.items())}
+    return solve
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[tuple[int, dict]]:
@@ -216,31 +193,15 @@ def nullspace(rows: list[dict], ncols: int) -> list[tuple[int, dict]]:
 
     A free column j has no pivot in the reduced row echelon form R of M.
     Its kernel vector has entry 1 at j, 0 at every other free column and
-    -R[r][j] at the pivot column of each row r, so coordinates over this
-    basis can be read off at the free columns.  Fraction-free: rows are
-    scaled to (Gaussian) integers, pivots made positive integers, and
-    scalars formed only for the output entries.
+    -R[r][j] / R[r][q] at the pivot column q of each row r, so coordinates
+    over this basis can be read off at the free columns.
     """
-    pending = [integers_over(row, common_denominator(row.values()))
-               for row in ({k: c for k, c in row.items() if c} for row in rows) if row]
-    pivots: dict = {}  # pivot column -> integer row, the pivot a positive int
-    free = []
-    for j in range(ncols):
-        found = next((r for r in pending if j in r), None)
-        if found is None:
-            free.append(j)
-            continue
-        p = found[j]
-        if type(p) is GaussianInt:  # times conj(p): the pivot becomes |p|^2
-            at = vscale(GaussianInt(p.re, -p.im), found)
-            at[j] = p.re * p.re + p.im * p.im
-        else:
-            at = vscale(-1, found) if p < 0 else found
-        pending = [r for r in (_eliminate(r, j, at) for r in pending if r is not found) if r]
-        pivots = {q: _eliminate(r, j, at) for q, r in pivots.items()}
-        pivots[j] = at
-    return [(j, {j: Rat(1), **{q: scalar_over(r[j] * -1, r[q])
-                                for q, r in pivots.items() if j in r}}) for j in free]
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    pivots = sorted(ech.rowof.items())
+    return [(j, {j: Rat(1), **{q: scalar_over(r[j] * -1, r[q]) for q, r in pivots if j in r}})
+            for j in range(ncols) if j not in ech.rowof]
 
 
 def _eliminate(row: dict, j, pivot_row: dict) -> dict:

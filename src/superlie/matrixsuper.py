@@ -501,6 +501,14 @@ class TwistedAlgebra:
         return sharp_defects(self.aff.base, self.sh.columns)
 
     @functools.cached_property
+    def slices(self) -> tuple:
+        """(sigma, {slice key: (base indices, _eigenbases of # on the slice)}):
+        sigma_cartan_matrix and the averaged-weight slices, computed on first use."""
+        sigma = sigma_cartan_matrix(self.aff, self.sh)
+        return sigma, {key: (idxs, _eigenbases(linalg.block_rows(self.sh.columns, idxs)))
+                       for key, idxs in averaged_weight_slices(self.aff, sigma).items()}
+
+    @functools.cached_property
     def sharp_columns(self) -> tuple:
         """#'s base matrix in the kernel, computed on first use (see _integer_columns)."""
         return _integer_columns(self.sh.columns)
@@ -657,25 +665,26 @@ def averaged_weight_slices(aff: AffinizedAlgebra, sigma: tuple) -> dict:
     return {key: sorted(slices[key]) for key in sorted(slices, key=str)}
 
 
-def mixed_slice(sh: SharpOperator, slices: dict):
+def mixed_slice(tw: TwistedAlgebra):
     """The first (slice key, basis index) whose column of # leaves its
     slice, or None when # keeps every slice."""
-    return next(((key, b) for key, idxs in slices.items() for b in idxs
-                 if not sh.columns[b].keys() <= set(idxs)), None)
+    columns = tw.sh.columns
+    return next(((key, b) for key, (idxs, _) in tw.slices[1].items() for b in idxs
+                 if not columns[b].keys() <= set(idxs)), None)
 
 
-def unsplit_slice(sh: SharpOperator, slices: dict):
-    """The first slice key whose _eigenbases vectors are no basis of
-    eigenvectors of M (zeta^k in class k), or None.  A vector nonzero where
-    the others of its class vanish is independent of them."""
-    for key, idxs in slices.items():
-        cols, bases = [sh.columns[b] for b in idxs], _eigenbases(
-            linalg.block_rows(sh.columns, idxs))
+def unsplit_slice(tw: TwistedAlgebra):
+    """The witness {"slice": key} of the first slice whose _eigenbases
+    vectors are no basis of eigenvectors of M (zeta^k in class k), or None.
+    A vector nonzero where the others of its class vanish is independent of
+    them."""
+    for key, (idxs, bases) in tw.slices[1].items():
+        cols = [tw.sh.columns[b] for b in idxs]
         if sum(map(len, bases)) != len(idxs) or not all(
                 linalg.mat_vec(cols, v) == {idxs[t]: z * c for t, c in v.items()}
                 and any(all(t not in w for w in vecs if w is not v) for t in v)
                 for z, vecs in zip(_ZETA, bases) for v in vecs):
-            return list(key)
+            return {"slice": list(key)}
     return None
 
 
@@ -690,17 +699,14 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     aff, sh = tw.aff, tw.sh
     if aff.base.field != "Qi":
         raise FieldError("the twisted split needs the field Q(i)")
-    sigma = sigma_cartan_matrix(aff, sh)
     datum = aff.datum
     tau_degrees = [tuple(d) for d in tau_degrees]
     zero_deg = (0,) * aff.rank
 
-    slices = averaged_weight_slices(aff, sigma)
-    if mixed_slice(sh, slices):
+    if mixed_slice(tw):
         raise AssertionError("# mixes averaged-weight slices")
     out: dict = {}
-    for (p, par), idxs in slices.items():
-        bases = _eigenbases(linalg.block_rows(sh.columns, idxs))
+    for (p, par), (idxs, bases) in tw.slices[1].items():
         for tau in tau_degrees:
             s = sh.degree_sign(tau)
             for i0 in range(4):
@@ -725,8 +731,7 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
 def twisted_window_root_system(tw: TwistedAlgebra, spaces: dict,
                                tau_degrees, z_window) -> rootsys.RootSupersystem:
     """The windowed twisted roots as an integer root supersystem."""
-    aff, sh = tw.aff, tw.sh
-    sigma = sigma_cartan_matrix(aff, sh)
+    aff, sigma = tw.aff, tw.slices[0]
     pform = PiForm(aff, sigma)
     pis = sorted({p for (p, _, _) in spaces}, key=str)
     coords, base_form = rootsys.rebase_rational_tuples(pis, pform.eval)
@@ -891,7 +896,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
         if aff.theta(t1, t2) and ((b1, b2) in bracket_defects
                                   or t1 != zero_deg and t2 == gneg(t1))))
 
-    sigma = sigma_cartan_matrix(aff, sh)
+    sigma = tw.slices[0]
     actual = set(pi_root_classes(aff, sigma))
     expected = displayed_pi_families(idx, aff)
     rep.check("averaged weights match the displayed five families",
@@ -904,9 +909,8 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     rep.first_failure(TABLES[1], twisted_table_failures(tw, tau_degrees, z_window))
     checks = {c.name: c for r in (verify_superalgebra(aff.base), verify_form(aff.base), rep)
               for c in r.checks}  # rep holds the checks of # and the tables
-    slices = averaged_weight_slices(aff, sigma)
     derive = derived(rep, {**theta_premises(aff.torus, tau_degrees, theta),
-                           SPLIT: unsplit_slice(sh, slices)}, checks)
+                           SPLIT: unsplit_slice(tw)}, checks)
     t0 = theta[zero_deg, zero_deg]
 
     def at(taus, zs):
@@ -929,7 +933,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
 
     # the weight spaces split each slice into eigenspaces of #, so # must
     # keep every slice; otherwise the checks on them are skipped
-    mixed = mixed_slice(sh, slices)
+    mixed = mixed_slice(tw)
     if not rep.check("# preserves the averaged-weight slices", mixed is None,
                      mixed and {"slice": list(mixed[0]), "column": labels[mixed[1]]}):
         for name in WEIGHT_SPACE_CHECKS:

@@ -73,6 +73,23 @@ def test_verify_twisted_scans_no_window_for_axiom_2_or_the_root_axioms():
                          "graded_system", "kernel_form", "span_rank"}
 
 
+def test_linalg_has_one_row_reduction():
+    """_eliminate is called only inside Echelon, solver and nullspace build
+    an Echelon, and linalg imports no sdiv: no second row reduction."""
+    eliminators = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_eliminate"
+                   for call in ast.walk(node)):
+                eliminators.add((path.name, getattr(node, "name", None)))
+    assert eliminators == {("linalg.py", "Echelon")}
+    for function in ("solver", "nullspace"):
+        assert "Echelon" in calls_in(SRC / "linalg.py", function)
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    assert "sdiv" not in {alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def _loop_reports(samples, seed):
     from superlie import (AffinizedAlgebra, CocycleTorus, fixtures, trivial_torus,
                           verify_affinized, verify_cocycle, verify_twisted,

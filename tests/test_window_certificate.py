@@ -900,7 +900,7 @@ def test_a_dropped_eigenvector_fails_the_derived_pairing_checks_on_the_slice_pre
             assert got[name].status == "pass"
         else:
             assert got[name].witness == {"premise": matrixsuper.SPLIT,
-                                         "degrees": jsonable(list(key))}
+                                         "slice": jsonable(list(key))}
 
 
 def test_a_doubled_sharp_entry_fails_the_derived_root_check_as_the_direct_one():
