@@ -12,10 +12,9 @@ V-valued central term and the derivation action:
 
 and the form pairs x⊗t^a with y⊗t^{-a} through theta and f, and V with V*
 through evaluation.  Elements have finite support, so every computation
-here is exact.  Verification on a finite window of degrees draws no
-samples: one table certifies the kernel on every pair of window basis
-elements, and the identities follow from the base algebra's reports (see
-verify_affinized); no bracket is ever truncated.
+here is exact.  Verification on a finite window draws no samples: two
+tables certify the kernel (pair_table_failures), the identities follow
+from the base reports (verify_affinized), and no bracket is truncated.
 """
 
 from __future__ import annotations
@@ -579,52 +578,60 @@ def _same_terms(got: list, want: list) -> bool:
 
 
 def pair_table_failures(alg: AffinizedAlgebra, degrees, theta: dict):
-    """Witnesses of the ordered window basis pairs where the kernel and the
-    loop formula disagree: loop pairs grouped by the sorted degree sum, then
-    the pairs with V or V*.  For theta(a, b) = tn / td (read from the torus)
-    and base.integer_tables over D, bracket_terms(x_i⊗t^a, x_j⊗t^b, L = td)
-    gives tn c_ij^k at (k, a+b), and at a+b = 0 f a_k at V_k and returns f
-    = tn gram[i][j]; kernel_form gives f / (D td).  V is central, [d_k,
-    x⊗t^a] = a_k x⊗t^a, (v_k, d_l) = delta_kl.  Terms compare as sums."""
+    """Witnesses of the window basis pairs where the kernel and the loop
+    formula disagree: a base table and a degree table of loop pairs, then
+    the pairs with V or V*.  For theta(a, b) = tn / td and integer_tables
+    over D, bracket_terms(x_i⊗t^a, x_j⊗t^b, L = td) gives tn c_ij^k at (k,
+    a+b), at a+b = 0 f a_k at V_k, and returns f = tn gram[i][j];
+    kernel_form gives f / (D td).  V is central, [d_k, x⊗t^a] = a_k x⊗t^a,
+    (v_k, d_l) = delta_kl.  Terms compare as sums.
+
+    Product lemma: the tables fail iff a loop pair does.  The kernel reads
+    the base only as rows[b1][b2], gram[b1][b2], the torus only as the memo
+    entry (tn', td', s) of (d1, d2), and multiplies them (test_layering
+    pins this).  So each output is an entry of (i, j) times a factor of (a,
+    b): c rows[i][j] at s, c = tn' td / td'; at s = 0, P = c gram[i][j] and
+    P a at V; at a+b = 0 the form gram[i][j] tn' / (D td'); a miss for all
+    (i, j) where td' does not divide td.  A wrong factor fails each (i, j)
+    whose entry is nonzero, so the degree table runs each (a, b) at the
+    first (i, j) with both entries nonzero, else the first with each.  With
+    right factors, a wrong entry side fails wherever its factor is nonzero,
+    so the base table runs each (i, j) at the first (a, b) with a+b != 0 and
+    theta != 0, and at (e, -e), e the first nonzero degree with theta(e, -e)
+    != 0, else (0, 0).  Where theta = 0 both sides vanish at every (i, j)."""
     rows, gram, D = alg.base.integer_tables
-    labels, zero = alg.base.basis_labels, alg._zero
-    terms, form = alg.bracket_terms, alg.kernel_form
-    loops = {a: [(labels[i], a, ({(i, a): 1}, {}, {}), "x", i) for i in range(alg.base.dim)]
-             for a in degrees}
-    by_sum: dict = {}
-    for a, b in itertools.product(degrees, repeat=2):
-        by_sum.setdefault(gadd(a, b), []).append((a, b))
-    for deg, pairs in sorted(by_sum.items()):
-        wants: dict = {}  # tn -> the formula's loop terms per basis pair, at this sum
-        for a, b in pairs:
-            tn = integer_over(theta[a, b], td := common_denominator([theta[a, b]]))
-            if tn not in wants:
-                wants[tn] = [[[((k, deg), tn * c) for k, c in r] for r in row] for row in rows]
-            central = [(k, ak) for k, ak in enumerate(a) if ak and deg == zero]
-            for (lx, _, X, _, i), (ly, _, Y, _, j) in itertools.product(loops[a], loops[b]):
-                f = tn * gram[i][j] if deg == zero else 0
-                loop, v = [], []
-                try:
-                    pairing = terms(X, Y, td, loop, v)
-                except ThetaDenominatorMiss:
-                    pairing = None
-                n, s = form(X, Y)
-                if not (pairing == f and n * D * td == f * s and _same_terms(loop, wants[tn][i][j])
-                        and (not (v or f) or _same_terms(v, [(k, f * ak) for k, ak in central]))):
-                    yield {"pair": [lx, ly], "degrees": [a, b]}
-    extras = [(f"{kind}{k}", None, ({}, {k: 1} if kind == "v" else {},
-                                    {k: 1} if kind == "d" else {}), kind, k)
+    labels, zero, dim = alg.base.basis_labels, alg._zero, alg.base.dim
+
+    def agrees(X, Y, L, f, want):
+        terms = []  # loop keys (k, degree) and V keys k do not collide
+        try:
+            pairing = alg.bracket_terms(X, Y, L, terms, terms)
+        except ThetaDenominatorMiss:
+            return False
+        n, s = alg.kernel_form(X, Y)
+        return pairing == f and n * D * L == f * s and _same_terms(terms, want)
+
+    base_pairs, degree_pairs = ([*itertools.product(r, repeat=2)] for r in (range(dim), degrees))
+    at = [next(((a, b) for a, b in degree_pairs if gadd(a, b) != zero and theta[a, b]), None),
+          next(((e, gneg(e)) for e in degrees if e != zero and theta[e, gneg(e)]), (zero, zero))]
+    reps = next(([(i, j)] for i, j in base_pairs if rows[i][j] and gram[i][j]), None) or [
+        next(((i, j) for i, j in base_pairs if table[i][j]), (0, 0)) for table in (rows, gram)]
+    for (a, b), (i, j) in itertools.chain(itertools.product(filter(None, at), base_pairs),
+                                          itertools.product(degree_pairs, reps)):
+        deg, tn = gadd(a, b), integer_over(theta[a, b], td := common_denominator([theta[a, b]]))
+        f = tn * gram[i][j] if deg == zero else 0
+        if not agrees(({(i, a): 1}, {}, {}), ({(j, b): 1}, {}, {}), td, f,
+                      [((k, deg), tn * c) for k, c in rows[i][j]]
+                      + [(k, f * ak) for k, ak in enumerate(a) if ak]):
+            yield {"pair": [labels[i], labels[j]], "degrees": [a, b]}
+    extras = [(f"{kind}{k}", None, ({}, *([{k: 1}, {}] if kind == "v" else [{}, {k: 1}])), kind, k)
               for kind in "vd" for k in range(alg.rank)]
-    loops = [e for a in degrees for e in loops[a]]
+    loops = [(labels[i], a, ({(i, a): 1}, {}, {}), "x", i) for a in degrees for i in range(dim)]
     for (lx, a, X, kx, i), (ly, b, Y, ky, j) in itertools.chain(
             itertools.product(loops, extras), itertools.product(extras, loops + extras)):
         want = ([((j, b), D * b[i])] if kx == "d" and b and b[i] else
                 [((i, a), -D * a[j])] if ky == "d" and a and a[j] else [])
-        f = D if {kx, ky} == {"v", "d"} and i == j else 0
-        loop, v = [], []
-        n, s = form(X, Y)
-        if not (terms(X, Y, 1, loop, v) == f and n * D == f * s
-                and _same_terms(loop, want) and not linalg.vsum(v)):
+        if not agrees(X, Y, 1, D if {kx, ky} == {"v", "d"} and i == j else 0, want):
             yield {"pair": [lx, ly], "degrees": [a, b]}
 
 
@@ -702,12 +709,13 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     """Exact windowed verification of the affinized triple.
 
     The pair table (pair_table_failures) tests the code: the kernel against
-    the loop formula on every ordered pair of window basis elements x_i⊗t^a,
-    v_k, d_k.  The other checks are derived for the formula from the base
-    reports (verify_superalgebra, verify_form, verify_eals) by the lemmas
-    below: each fails where a premise on theta fails (theta_premises) and
-    per failed base check it rests on, with that witness at the window
-    degrees where it shows.  samples and seed change nothing.
+    the loop formula on every window basis pair x_i⊗t^a, v_k, d_k, through
+    a base table and a degree table (its product lemma).  The other checks
+    are derived for the formula from the base reports (verify_superalgebra,
+    verify_form, verify_eals) by the lemmas below: each fails where a
+    premise on theta fails (theta_premises) and per failed base check it
+    rests on, with that witness at the window degrees where it shows.
+    samples and seed change nothing.
 
     V is central and d_k acts by the k-th degree coordinate, so each
     identity holds where V or V* enters.  On loop monomials, with s the

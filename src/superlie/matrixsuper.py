@@ -761,11 +761,11 @@ def _twisted_formula(aff: AffinizedAlgebra, X: tuple, Y: tuple) -> tuple:
 def twisted_table_failures(tw: TwistedAlgebra, tau_degrees, z_window):
     """Witnesses (labels, tau and z degrees) where the twisted kernel and
     the formula disagree.  The twisted layer reads its parts only through
-    aff.bracket_terms and aff.form_terms (pair_table_failures certifies them
-    on the tau window) and scales them for d, so every branch runs on the
-    part pairs (x⊗t^e, y⊗t^-e) with [x, y], f(x, y) != 0 where the base has
-    such x, y (e the first nonzero tau), (x⊗t^e, v_0) and (v_0, d_0) at each
-    ordered pair of z-degrees, and on c and d against x⊗t^e and each other."""
+    aff.bracket_terms and aff.form_terms (pair_table_failures certifies
+    them on every tau window pair) and scales them for d, so every branch
+    runs on the part pairs (x⊗t^e, y⊗t^-e), [x, y], f(x, y) != 0 where the
+    base has such x, y (e the first nonzero tau), (x⊗t^e, v_0), (v_0, d_0)
+    at each ordered pair of z-degrees, and c and d against x⊗t^e and both."""
     aff = tw.aff
     (rows, gram, _), labels, zero = aff.base.integer_tables, aff.base.basis_labels, aff._zero
     e = next((t for t in tau_degrees if t != zero), zero)

@@ -249,14 +249,6 @@ def spow(x, n: int):
     return Rat(x) ** n
 
 
-def sdiv(x, y):
-    """x / y for mixed scalar kinds."""
-    if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
-        x = x if isinstance(x, GaussianRational) else GaussianRational(x)
-        return x / y if isinstance(y, GaussianRational) else x / Rat(y)
-    return Rat(x) / Rat(y)
-
-
 def _rat_to_string(r) -> str:
     r = Rat(r)
     if r.denominator == 1:

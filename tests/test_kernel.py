@@ -511,7 +511,7 @@ def test_no_float_in_kernel_results_or_reports():
 
 def test_kernel_code_has_no_true_division():
     """The kernel divides only exactly (//) on integers; a scalar quotient
-    goes through the Rat constructor, scalar_over or sdiv, never through /.
+    goes through the Rat constructor or scalar_over, never through /.
     That holds for the whole of linalg, whose elimination is fraction-free."""
     for name in ("affinize.py", "matrixsuper.py", "linalg.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))

@@ -73,6 +73,55 @@ def test_verify_twisted_scans_no_window_for_axiom_2_or_the_root_axioms():
                          "graded_system", "kernel_form", "span_rank"}
 
 
+def _table_subscripts(function: ast.FunctionDef) -> list:
+    """The subscripts of the names function binds from integer_tables, and
+    from those names, with the name of each subscript chain's root."""
+    tables, grown = set(), True
+    while grown:
+        grown = False
+        for node in ast.walk(function):
+            read = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.value)} \
+                if isinstance(node, ast.Assign) else set()
+            if read & (tables | {"integer_tables"}):
+                bound = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                grown, tables = grown or not bound <= tables, tables | bound
+    subscripts = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Subscript):
+            root = node.value
+            while isinstance(root, ast.Subscript):
+                root = root.value
+            if getattr(root, "id", None) in tables:
+                subscripts.append(node)
+    return subscripts
+
+
+def test_the_kernel_reads_the_base_and_theta_as_the_product_lemma_needs():
+    """pair_table_failures certifies the kernel on a base table and a degree
+    table by its product lemma, which needs bracket_terms, form_terms and
+    theta_sum to subscript the integer tables (rows, Gram) only by the basis
+    indices b1, b2, to use those indices nowhere else, and to read theta only
+    through the memo self._theta and _theta_entry, never torus.theta."""
+    tree = ast.parse((SRC / "affinize.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "AffinizedAlgebra")
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    for name in ("bracket_terms", "form_terms", "theta_sum"):
+        function = methods[name]
+        subscripts = _table_subscripts(function)
+        assert bool(subscripts) == (name != "theta_sum"), name
+        assert all(isinstance(s.slice, ast.Name) and s.slice.id in ("b1", "b2")
+                   for s in subscripts), name
+        slices = {id(s.slice) for s in subscripts}
+        assert all(id(n) in slices for n in ast.walk(function) if isinstance(n, ast.Name)
+                   and n.id in ("b1", "b2") and isinstance(n.ctx, ast.Load)), name
+        attributes = {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+        assert "torus" not in attributes and "theta" not in attributes, name
+        assert "theta" not in calls_in(SRC / "affinize.py", name), name
+        if name != "form_terms":  # form_terms reads no theta; theta_sum does for it
+            assert {"_theta", "_theta_entry"} <= attributes, name
+
+
 def test_linalg_has_one_row_reduction():
     """_eliminate is called only inside Echelon, solver and nullspace build
     an Echelon, and linalg imports no sdiv: no second row reduction."""

@@ -4,7 +4,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from superlie import linalg
-from superlie.scalars import IUNIT, GaussianInt, GaussianRational, Rat, sdiv
+from superlie.scalars import IUNIT, GaussianInt, GaussianRational, Rat
+from test_scalars import sdiv
 
 
 def dense(rows):

@@ -1,24 +1,27 @@
 """The exact window certificates of verify_affinized and verify_twisted
 against their references.
 
-verify_affinized tests the code once, with a table of every ordered pair of
-window basis elements, and derives each identity from the base reports;
-verify_twisted adds a table over the z window and derives its identities
-the same way.  The checks they replaced are kept here as references,
-unchanged: the sampled anti-supercommutativity, Jacobi and form checks
-(the twisted ones with their draws from the window's eigenvectors),
-"bracket adds degrees", the window-block Gram rank, the t_alpha normal form
-of the witnesses, the windowed ad-nilpotency, and the sampled cocycle loop
-of verify_cocycle.
+verify_affinized tests the code once, with a pair table that its product
+lemma factors into a base table and a degree table, and derives each
+identity from the base reports; verify_twisted adds a table over the z
+window and derives its identities the same way.  The checks they replaced
+are kept here as references, unchanged: the exhaustive pair table over
+every ordered pair of window basis elements, the sampled
+anti-supercommutativity, Jacobi and form checks (the twisted ones with
+their draws from the window's eigenvectors), "bracket adds degrees", the
+window-block Gram rank, the t_alpha normal form of the witnesses, the
+windowed ad-nilpotency, and the sampled cocycle loop of verify_cocycle.
 Every derived check must give the verdict of its reference: on the 16
 {osp12, sl12} x {trivial, sign} x rank 1-2 x radius 1-2 windows with
 sampled draws, and on hypothesis mutations of one base structure constant,
 one Gram entry, or entries of a table torus (zeros included) with the
 references run exhaustively over the window basis.  Faults planted in the
 kernel (theta or its denominator doubled, or a degree moved, at one
-degree pair; the pairing of V with V* doubled) must fail the pair table,
-with that pair as the witness, whatever the samples and seed; so must a
-central term doubled at z-degrees +-2 of the twisted kernel fail its table.
+degree pair; the pairing of V with V* doubled; a basis vector of the loop
+bracket counted twice; the Gram matrix read transposed) must fail the pair
+table and its exhaustive reference, a theta fault with that pair as the
+witness, whatever the samples and seed; so must a central term doubled at
+z-degrees +-2 of the twisted kernel fail its table.
 
 verify_twisted also derives axiom 2 and reads its root axioms from the
 averaged weights and their eigenclasses.  The direct window checks it
@@ -42,6 +45,7 @@ import dataclasses
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -51,9 +55,10 @@ from superlie import (AffinizedAlgebra, CocycleTorus, check_axioms, osp12_standa
                       window_box)
 from superlie import linalg, matrixsuper
 from superlie.abelian import gadd, gneg
-from superlie.affinize import (GradedLoopElement, _cocycle_identity, _symmetric,
-                               ad_nilpotent_on, affinized_roots, axiom1_witnesses,
-                               d_term, loop_term, non_nilpotent, v_term)
+from superlie.affinize import (GradedLoopElement, ThetaDenominatorMiss, _cocycle_identity,
+                               _same_terms, _symmetric, ad_nilpotent_on, affinized_roots,
+                               axiom1_witnesses, d_term, loop_term, non_nilpotent,
+                               pair_table_failures, v_term)
 from superlie.algebra import t_alpha_vector
 from superlie.matrixsuper import (PiForm, SharpOperator, SuperIndexSet, TwistedAlgebra,
                                   averaged_weight_slices, fixed_cartan_basis,
@@ -62,8 +67,10 @@ from superlie.matrixsuper import (PiForm, SharpOperator, SuperIndexSet, TwistedA
                                   tw_c, tw_d, tw_loop, twisted_affinize, twisted_weight_spaces,
                                   twisted_window_root_system, verify_twisted)
 from superlie.reports import Report, jsonable
-from superlie.scalars import IUNIT, Rat, scalar_over, sdiv, super_sign
+from superlie.scalars import (IUNIT, Rat, common_denominator, integer_over, scalar_over,
+                              super_sign)
 from test_kernel import sample_element, scaled
+from test_scalars import sdiv
 from test_sharp_layer import GradingError, check_element, twisted_sum
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,52 @@ def sampled_cocycle_failures(torus, degrees, samples, seed):
             yield {"triple": [a, b, c]}
 
 
+def ref_pair_table_failures(alg, degrees, theta):
+    """The exhaustive pair table that pair_table_failures factors into a base
+    and a degree table: every ordered pair of window basis elements, loop
+    pairs grouped by the sorted degree sum, then the pairs with V or V*."""
+    rows, gram, D = alg.base.integer_tables
+    labels, zero = alg.base.basis_labels, alg._zero
+    terms, form = alg.bracket_terms, alg.kernel_form
+    loops = {a: [(labels[i], a, ({(i, a): 1}, {}, {}), "x", i) for i in range(alg.base.dim)]
+             for a in degrees}
+    by_sum: dict = {}
+    for a, b in itertools.product(degrees, repeat=2):
+        by_sum.setdefault(gadd(a, b), []).append((a, b))
+    for deg, pairs in sorted(by_sum.items()):
+        wants: dict = {}  # tn -> the formula's loop terms per basis pair, at this sum
+        for a, b in pairs:
+            tn = integer_over(theta[a, b], td := common_denominator([theta[a, b]]))
+            if tn not in wants:
+                wants[tn] = [[[((k, deg), tn * c) for k, c in r] for r in row] for row in rows]
+            central = [(k, ak) for k, ak in enumerate(a) if ak and deg == zero]
+            for (lx, _, X, _, i), (ly, _, Y, _, j) in itertools.product(loops[a], loops[b]):
+                f = tn * gram[i][j] if deg == zero else 0
+                loop, v = [], []
+                try:
+                    pairing = terms(X, Y, td, loop, v)
+                except ThetaDenominatorMiss:
+                    pairing = None
+                n, s = form(X, Y)
+                if not (pairing == f and n * D * td == f * s and _same_terms(loop, wants[tn][i][j])
+                        and (not (v or f) or _same_terms(v, [(k, f * ak) for k, ak in central]))):
+                    yield {"pair": [lx, ly], "degrees": [a, b]}
+    extras = [(f"{kind}{k}", None, ({}, {k: 1} if kind == "v" else {},
+                                    {k: 1} if kind == "d" else {}), kind, k)
+              for kind in "vd" for k in range(alg.rank)]
+    loops = [e for a in degrees for e in loops[a]]
+    for (lx, a, X, kx, i), (ly, b, Y, ky, j) in itertools.chain(
+            itertools.product(loops, extras), itertools.product(extras, loops + extras)):
+        want = ([((j, b), D * b[i])] if kx == "d" and b and b[i] else
+                [((i, a), -D * a[j])] if ky == "d" and a and a[j] else [])
+        f = D if {kx, ky} == {"v", "d"} and i == j else 0
+        loop, v = [], []
+        n, s = form(X, Y)
+        if not (terms(X, Y, 1, loop, v) == f and n * D == f * s
+                and _same_terms(loop, want) and not linalg.vsum(v)):
+            yield {"pair": [lx, ly], "degrees": [a, b]}
+
+
 def window_basis(alg, degrees):
     return ([loop_term(b, a) for a in degrees for b in range(alg.base.dim)]
             + [v_term(k) for k in range(alg.rank)] + [d_term(k) for k in range(alg.rank)])
@@ -266,14 +319,16 @@ IDENTITIES = {  # derived check -> (reference name, arity, failures)
     "form supersymmetry/evenness/invariance (from the base)":
         ("form supersymmetry/evenness/invariance (sampled)", 3, form_failures),
 }
-DIRECT = {  # derived check -> reference
-    "window-block nondegeneracy (from the base)": "window-block nondegeneracy",
-    "axiom 1 witnesses match t_alpha + degree (from the base)":
-        "axiom 1 witnesses match t_alpha + degree",
-    "axiom 2: windowed ad-nilpotency at real roots (from the base)":
-        "axiom 2: windowed ad-nilpotency at real roots",
-    "pair table: kernel bracket and form match the loop formula": "bracket adds degrees",
-}
+TABLE = "pair table: kernel bracket and form match the loop formula"
+DIRECT = [  # (derived check, reference)
+    ("window-block nondegeneracy (from the base)", "window-block nondegeneracy"),
+    ("axiom 1 witnesses match t_alpha + degree (from the base)",
+     "axiom 1 witnesses match t_alpha + degree"),
+    ("axiom 2: windowed ad-nilpotency at real roots (from the base)",
+     "axiom 2: windowed ad-nilpotency at real roots"),
+    (TABLE, "bracket adds degrees"),
+    (TABLE, "pair table (exhaustive)"),
+]
 
 
 def reference_report(alg, degrees, samples=100, seed=0, exhaustive=False, direct=True,
@@ -294,6 +349,8 @@ def reference_report(alg, degrees, samples=100, seed=0, exhaustive=False, direct
         first_sampled_failure(rep, reference, count, failures(alg, draw, count))
     if direct:
         rep.first_failure("bracket adds degrees", grading_failures(alg, degrees))
+        theta = {(a, b): alg.torus.theta(a, b) for a, b in itertools.product(degrees, repeat=2)}
+        rep.first_failure("pair table (exhaustive)", ref_pair_table_failures(alg, degrees, theta))
         rank, size = window_gram_rank(alg, degrees)
         rep.check("window-block nondegeneracy", rank == size, {"rank": rank})
         try:
@@ -314,8 +371,8 @@ def statuses(rep):
 def assert_same_verdicts(alg, degrees, **kwargs):
     got = statuses(verify_affinized(alg, degrees))
     want = statuses(reference_report(alg, degrees, **kwargs))
-    pairs = {**{k: v[0] for k, v in IDENTITIES.items()}, **DIRECT}
-    compared = {name: (got[name], want[ref]) for name, ref in pairs.items() if ref in want}
+    pairs = [*((k, v[0]) for k, v in IDENTITIES.items()), *DIRECT]
+    compared = {ref: (got[name], want[ref]) for name, ref in pairs if ref in want}
     assert all(g == w for g, w in compared.values()), compared
     return compared
 
@@ -369,9 +426,6 @@ class DoubledDualPairing(AffinizedAlgebra):
 # the tests
 
 
-TABLE = "pair table: kernel bracket and form match the loop formula"
-
-
 def table_witness(rep):
     failed = {c.name: c.witness for c in rep.failures()}
     assert list(failed) == [TABLE], failed
@@ -415,6 +469,62 @@ def test_pair_table_checks_the_pairs_with_v_and_vstar():
     alg = DoubledDualPairing(L, weight_decomposition(L), trivial_torus(1))
     assert table_witness(verify_affinized(alg, window_box(1, 1))) == {
         "pair": ["v0", "d0"], "degrees": [None, None]}
+
+
+class DoubledOutput(AffinizedAlgebra):
+    """The bracket of two loop parts counts basis vector k0 twice: a fault
+    on the base side of the product lemma, at the base pairs whose bracket
+    has a k0 term (the action of V* stays right)."""
+
+    def __init__(self, *args, k0):
+        super().__init__(*args)
+        self.k0 = k0
+
+    def bracket_terms(self, X, Y, L, loop, v):
+        start = len(loop)
+        pairing = super().bracket_terms(X, Y, L, loop, v)
+        if X[0] and Y[0]:
+            loop[start:] = [(key, 2 * n if isinstance(key, tuple) and key[0] == self.k0 else n)
+                            for key, n in loop[start:]]
+        return pairing
+
+
+class SwappedForm(AffinizedAlgebra):
+    """The kernel form reads the Gram matrix transposed, which is wrong at
+    the odd pairs: a fault on the base side at opposite degrees only."""
+
+    def form_terms(self, X, Y, terms):
+        return super().form_terms(Y, X, terms)
+
+
+def planted_kernels(name, kind):
+    """Kernel faults over a rank-2 torus: theta doubled, its denominator
+    doubled or its degree moved at four degree pairs (the base table's two
+    on the radius-1 window, (0, 0) and one more), each basis vector counted
+    twice, the Gram matrix read transposed, the V-V* pairing doubled."""
+    L = base_algebra(name)
+    datum, torus = weight_decomposition(L), trivial_torus(2) if kind == "trivial" else sign_torus(2)
+    for at in (((0, 0), (0, 0)), ((-1, -1), (-1, -1)), ((-1, -1), (1, 1)), ((1, 0), (0, -1))):
+        for plant in ("double", "halve", "shift"):
+            yield PlantedTheta(L, datum, torus, at=at, plant=plant)
+    for k0 in range(L.dim):
+        yield DoubledOutput(L, datum, torus, k0=k0)
+    yield SwappedForm(L, datum, torus)
+    yield DoubledDualPairing(L, datum, torus)
+
+
+@pytest.mark.parametrize("name", ["osp12", "sl12"])
+@pytest.mark.parametrize("kind", ["trivial", "sign"])
+def test_factored_pair_table_fails_on_every_planted_kernel_fault_as_the_exhaustive_one(
+        name, kind):
+    degrees = window_box(2, 1)
+    for alg in planted_kernels(name, kind):
+        theta = {(a, b): alg.torus.theta(a, b) for a, b in itertools.product(degrees, repeat=2)}
+        got = next(pair_table_failures(alg, degrees, theta), None)
+        want = next(ref_pair_table_failures(alg, degrees, theta), None)
+        assert got is not None and want is not None, (type(alg).__name__, vars(alg).get("at"))
+        if isinstance(alg, PlantedTheta):
+            assert got["degrees"] == want["degrees"] == list(alg.at)
 
 
 @pytest.mark.parametrize("name", ["osp12", "sl12"])
@@ -538,6 +648,53 @@ def test_cocycle_identity_of_a_bimultiplicative_torus_holds_where_the_loop_sampl
     sampled = next(sampled_cocycle_failures(torus, degrees, 400, 5), None)
     assert (sampled is None) == rep.passed
     assert all("pair" in w for w in sampled_cocycle_failures(torus, degrees, 400, 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**MUTATED, entry=st.sampled_from(["structure constant", "Gram entry"]))
+def test_verify_affinized_returns_a_report_or_rejects_its_input_before_any_check(
+        name, kind, pick, delta, entry):
+    """The verifier contract on one-entry mutations of the bases: a base and
+    datum the constructors accepted give a Report, or a ValueError raised
+    before any check (of any report) has run."""
+    L = (bumped_structure if entry == "structure constant" else bumped_gram)(
+        base_algebra(name), pick, delta)
+    try:
+        alg = AffinizedAlgebra(L, weight_decomposition(L),
+                               trivial_torus(1) if kind == "trivial" else sign_torus(1))
+    except ValueError:  # the constructors reject the input
+        return
+    made, init = [], Report.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+    with mock.patch.object(Report, "__init__", recording):
+        try:
+            rep = verify_affinized(alg, window_box(1, 1))
+        except ValueError:
+            assert not any(r.checks for r in made)
+            return
+    assert isinstance(rep, Report) and rep.checks
+
+
+# the size ladder: the next loop bases after sl(1|2), each verified end to end
+# on the rank-2, radius-2 window and failing under one planted structure constant
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+def test_loop_size_ladder_verifies_and_fails_a_planted_constant(m, n):
+    L, degrees = sl_superalgebra(plain_index_set(m, n)), window_box(2, 2)
+    rep = verify_affinized(AffinizedAlgebra(L, weight_decomposition(L), trivial_torus(2)), degrees)
+    assert rep.passed, [c.name for c in rep.failures()]
+    keys = sorted((pair, k) for pair, row in L.structure.items() for k in row)
+    pick = next(p for p, ((i, j), _) in enumerate(keys)
+                if i not in L.cartan and j not in L.cartan)
+    base = bumped_structure(L, pick, Rat(1))
+    rep = verify_affinized(AffinizedAlgebra(base, weight_decomposition(base), trivial_torus(2)),
+                           degrees)
+    failed = {c.name: c.witness for c in rep.failures()}
+    assert failed["anti-supercommutativity (from the base)"]["base check"] \
+        == "anti-supercommutativity"
+    assert TABLE not in failed
 
 
 def test_window_without_a_nonzero_degree_derives_only_the_loop_parts():
