@@ -389,20 +389,6 @@ class AffinizedAlgebra:
         gens += [d_term(i) for i in range(self.rank)]
         return gens
 
-    def root_value(self, root, deg, gen_index: int):
-        """Value of the functional root + deg on the gen_index-th Cartan generator.
-
-        Generators are ordered: base Cartan elements (where the value is the
-        base weight), then V (value zero), then the dual derivations (where
-        the value reads the degree coordinate).
-        """
-        m = len(self.base.cartan)
-        if gen_index < m:
-            return root[gen_index]
-        if gen_index < m + self.rank:
-            return Rat(0)
-        return Rat(deg[gen_index - m - self.rank])
-
 
 # ---------------------------------------------------------------------------
 # windowed roots and verification
@@ -413,34 +399,34 @@ def affinized_roots(alg: AffinizedAlgebra, degrees) -> dict:
 
     The (0, 0) space is the whole affinized Cartan; every other space is
     the base weight space tensored with the matching torus monomial.  The
-    eigen-relations against every Cartan generator are verified exactly, in
-    the integer kernel: [h, x] = Z / s equals value * x when Z = value * s * X.
+    eigen-relations against every Cartan generator are derived, not
+    bracketed: by the loop formula, which pair_table_failures certifies the
+    kernel against, v_k is central, d_k scales x⊗t^a by a_k, and [h⊗1,
+    x⊗t^a] = theta(0, a) [h, x]⊗t^a with no V term, as h⊗1 has degree 0.
+    So they hold iff theta(0, a) [h, b] = root(h) b for every Cartan h and
+    every b in the space (at (0, 0): theta(0, 0) [h, h'] = 0), read from
+    base.integer_tables over D and the theta memo entry tn / td as
+    tn [h, b] r = n td D b for root(h) = n / r.  Raises ValueError at the
+    first (root, degree) in the order of the spaces where one fails.
     """
-    degrees = [tuple(d) for d in degrees]
-    zero_deg = (0,) * alg.rank
-    zero_root = alg.datum.zero
+    rows, _, D = alg.base.integer_tables
+    cartan = alg.base.cartan
     spaces: dict = {}
-    for deg in degrees:
+    for deg in map(tuple, degrees):
         for root in alg.datum.roots:
-            if root == zero_root and deg == zero_deg:
-                spaces[(root, deg)] = alg.cartan_generators()
-            else:
-                spaces[(root, deg)] = [loop_term(b, deg)
-                                       for b in alg.datum.spaces[root]]
-    gens = [alg.kernel(h)[0] for h in alg.cartan_generators()]
-    for (root, deg), basis in spaces.items():
-        # the Cartan is abelian and V is central: there the bracket must vanish
-        cartan = (root, deg) == (zero_root, zero_deg)
-        for x in basis:
-            X = alg.kernel(x)[0]
-            for gi, H in enumerate(gens):
-                Z, s = alg.kernel_bracket(H, X)
-                value = 0 if cartan else alg.root_value(root, deg, gi) * s
-                want = ({key: value * n for key, n in X[0].items()} if value else {},
-                        {}, {})
-                if Z != want:
-                    raise ValueError(
-                        f"eigen-relation fails at root {root}, degree {deg}")
+            at_cartan = root == alg.datum.zero and deg == alg._zero
+            idxs = cartan if at_cartan else alg.datum.spaces[root]
+            spaces[(root, deg)] = (alg.cartan_generators() if at_cartan
+                                   else [loop_term(b, deg) for b in idxs])
+            if not (idxs and cartan):
+                continue
+            tn, td, _ = alg._theta_entry(alg._zero, deg)
+            for h, value in zip(cartan, root):
+                r = common_denominator([value])
+                n = integer_over(value, r) * td * D
+                if any(({k: tn * c * r for k, c in rows[h][b]} if tn else {})
+                       != ({b: n} if n else {}) for b in idxs):
+                    raise ValueError(f"eigen-relation fails at root {root}, degree {deg}")
     return spaces
 
 
@@ -616,9 +602,10 @@ def pair_table_failures(alg: AffinizedAlgebra, degrees, theta: dict):
           next(((e, gneg(e)) for e in degrees if e != zero and theta[e, gneg(e)]), (zero, zero))]
     reps = next(([(i, j)] for i, j in base_pairs if rows[i][j] and gram[i][j]), None) or [
         next(((i, j) for i, j in base_pairs if table[i][j]), (0, 0)) for table in (rows, gram)]
+    over = {key: (integer_over(t, td := common_denominator([t])), td) for key, t in theta.items()}
     for (a, b), (i, j) in itertools.chain(itertools.product(filter(None, at), base_pairs),
                                           itertools.product(degree_pairs, reps)):
-        deg, tn = gadd(a, b), integer_over(theta[a, b], td := common_denominator([theta[a, b]]))
+        deg, (tn, td) = gadd(a, b), over[a, b]
         f = tn * gram[i][j] if deg == zero else 0
         if not agrees(({(i, a): 1}, {}, {}), ({(j, b): 1}, {}, {}), td, f,
                       [((k, deg), tn * c) for k, c in rows[i][j]]

@@ -688,6 +688,22 @@ def unsplit_slice(tw: TwistedAlgebra):
     return None
 
 
+def mislabeled_slice(tw: TwistedAlgebra, tau_degrees, fixed: list[dict]):
+    """The witness {"slice": key, "tau": tau} of the first slice (p, parity)
+    and window degree tau with theta(0, tau) alpha_b(h) != p(h) for a b of
+    the slice, alpha_b its base root, and a vector h of fixed (the fixed
+    Cartan, in Cartan coordinates), or None."""
+    aff = tw.aff
+    root = {b: r for r, idxs in aff.datum.spaces.items() for b in idxs}
+    for (p, par), (idxs, _) in tw.slices[1].items():
+        for tau in tau_degrees:
+            t = aff.theta(aff._zero, tau)
+            if any(t * sum(c * root[b][l] for l, c in h.items())
+                   != sum(c * p[l] for l, c in h.items()) for h in fixed for b in idxs):
+                return {"slice": [p, par], "tau": tau}
+    return None
+
+
 def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     """{(pi value, tau, i): basis of the (pi + tau + i delta) weight space}.
 
@@ -704,7 +720,7 @@ def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     zero_deg = (0,) * aff.rank
 
     if mixed_slice(tw):
-        raise AssertionError("# mixes averaged-weight slices")
+        raise ValueError("# mixes averaged-weight slices")
     out: dict = {}
     for (p, par), (idxs, bases) in tw.slices[1].items():
         for tau in tau_degrees:
@@ -804,6 +820,7 @@ FORM_KEPT = "# preserves the form on window basis pairs"
 TABLES = ["pair table on the tau window: kernel bracket and form match the loop formula",
           "twisted table: z-degrees, central term, c and d match the formula"]
 SPLIT = "each slice has a basis of eigenvectors of #"
+LABELED = "theta(0, tau) alpha_b(h) = p(h) on every slice"
 
 
 def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
@@ -814,7 +831,8 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     twisted_table_failures on the z window.  The identities are derived for
     the formula from the base reports, theta_premises and the automorphism
     check, as in verify_affinized (witnesses at tau and z degrees), and so
-    are axiom 2 and the root axioms (below).  samples and seed do nothing.
+    are axiom 2, the weight labels and the root axioms (below).  samples
+    and seed do nothing.
 
     With each x_i a zeta^i-eigenvector of #, the algebra lies in L = aff ⊗
     F[t, t^-1] ⊕ Fc ⊕ Fd, [x⊗t^i, y⊗t^j] = [x,y]⊗t^{i+j} + i delta_{i,-j}
@@ -838,6 +856,13 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     the base has at most dim: (ad x̄)^dim = 0.  c and V are central, [X, d] =
     -iX, [X, d_k] = -tau_k X, and the loop part of (ad X)^k Y is a multiple
     of (ad x̄)^k ȳ: every window target dies within dim + 2 steps.
+
+    The labels: by the tables, V and c are central, d_k and d scale X by
+    tau_k and i, and [h⊗1, X] = theta(0, tau) [h, x̄]⊗t^tau⊗t^i, which is
+    theta(0, tau) sum_b x̄_b alpha_b(h) b⊗t^tau⊗t^i by the weight table
+    (alpha_b the base root of b).  So X has the eigenvalue p(h) on each
+    fixed Cartan vector h where theta(0, tau) alpha_b(h) = p(h) at every b
+    of its slice (mislabeled_slice).
 
     The Gram pairing: by the tables, (x⊗t^i, y⊗t^j) = delta_{i+j,0}
     theta(tau, -tau) f(x̄, ȳ) for x = x̄⊗t^tau, y = ȳ⊗t^-tau (else 0), V
@@ -872,6 +897,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     if zero_deg not in tau_degrees or any(gneg(t) not in tau_degrees for t in tau_degrees):
         raise ValueError("the tau window must contain degree 0 and be closed under negation")
     dim, labels = aff.base.dim, aff.base.basis_labels
+    theta = {(a, b): aff.torus.theta(a, b) for a, b in itertools.product(tau_degrees, repeat=2)}
 
     order = sh.order()
     rep.check("# has order 4", order == 4, {"order": order})
@@ -882,19 +908,17 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     # f(Mb1, Mb2) and f(b1, b2).  At (b1⊗t^a, b2⊗t^b) the loop parts of #[x, y]
     # and [#x, #y] are theta(a, b) times M[b1, b2] and [Mb1, Mb2], and for
     # a + b = 0 the V parts theta(a, b) a times f(b1, b2) and f(Mb1, Mb2).
-    # theta is evaluated before a defect is reported, so a table torus raises
-    # where it is undefined.
     form_defects, bracket_defects = tw.defects
 
     rep.first_failure(FORM_KEPT, (
         {"pair": [labels[b1], labels[b2]], "tau": tau}
         for b1, tau, b2 in itertools.product(range(dim), tau_degrees, range(dim))
-        if aff.theta(tau, gneg(tau)) and (b1, b2) in form_defects))
+        if theta[tau, gneg(tau)] and (b1, b2) in form_defects))
     rep.first_failure(AUTOMORPHISM, (
         {"pair": [b1, b2], "taus": [t1, t2]} for (b1, b2), t1, t2 in itertools.product(
             sorted(bracket_defects | form_defects), tau_degrees, tau_degrees)
-        if aff.theta(t1, t2) and ((b1, b2) in bracket_defects
-                                  or t1 != zero_deg and t2 == gneg(t1))))
+        if theta[t1, t2] and ((b1, b2) in bracket_defects
+                              or t1 != zero_deg and t2 == gneg(t1))))
 
     sigma = tw.slices[0]
     actual = set(pi_root_classes(aff, sigma))
@@ -904,13 +928,14 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
               {"missing": sorted(expected - actual, key=str)[:4],
                "extra": sorted(actual - expected, key=str)[:4]})
 
-    theta = {(a, b): aff.torus.theta(a, b) for a, b in itertools.product(tau_degrees, repeat=2)}
     rep.first_failure(TABLES[0], pair_table_failures(aff, tau_degrees, theta))
     rep.first_failure(TABLES[1], twisted_table_failures(tw, tau_degrees, z_window))
     checks = {c.name: c for r in (verify_superalgebra(aff.base), verify_form(aff.base), rep)
               for c in r.checks}  # rep holds the checks of # and the tables
+    fixed = fixed_cartan_basis(aff, sigma)
     derive = derived(rep, {**theta_premises(aff.torus, tau_degrees, theta),
-                           SPLIT: unsplit_slice(tw)}, checks)
+                           SPLIT: unsplit_slice(tw),
+                           LABELED: mislabeled_slice(tw, tau_degrees, fixed)}, checks)
     t0 = theta[zero_deg, zero_deg]
 
     def at(taus, zs):
@@ -954,34 +979,8 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     derive("each occupied eigenspace pairs with its opposite", *pairing)
     derive("twisted window-block nondegeneracy", *pairing)
 
-    # eigen-relations: every space is labeled by its joint eigenvalue on the
-    # twisted Cartan (fixed Cartan vectors, V, the dual derivations, c, d)
-    fixed, cartan = fixed_cartan_basis(aff, sigma), aff.base.cartan
-    gens = [("h", vec, tw_loop(0, GradedLoopElement(
-        loop={(cartan[l], zero_deg): vec[l] for l in sorted(vec)}))) for vec in fixed]
-    gens += [(kind, k, tw_loop(0, term(k))) for k in range(aff.rank)
-             for kind, term in (("v", v_term), ("dk", d_term))]
-    gens += [("c", None, tw_c()), ("d", None, tw_d())]
-    gens = [(kind, data, tw.kernel(gen)) for kind, data, gen in gens]
-
-    def scaled_entries(K, n):
-        return linalg.vsum((key, n * c) for key, c in tw.kernel_entries(K))
-
-    def label_failures():
-        # [G / g, X / x] = Z / (s g x) equals val X / x iff Z = val s g X
-        for (p, tau, i), basis in ordered:
-            kernels = [tw.kernel(x)[0] for x in basis]
-            for kind, data, (G, g) in gens:
-                val = (sum(c * p[l] for l, c in data.items()) if kind == "h" else
-                       Rat(tau[data]) if kind == "dk" else Rat(i) if kind == "d" else Rat(0))
-                den = common_denominator([val])
-                # c and d themselves (no loop part) commute with the Cartan
-                if any(X[0] and scaled_entries(Z, den) != scaled_entries(X, integer_over(
-                        val, den) * s * g) for X in kernels
-                       for Z, s in [tw.kernel_bracket(G, X)]):
-                    yield {"root": [p, tau, i], "generator": kind}
-    rep.first_failure("twisted weight labels match the Cartan eigenvalues",
-                      label_failures())
+    # the eigen-relations, from the tables and the weight table (docstring)
+    derive("twisted weight labels match the Cartan eigenvalues", [LABELED], (TABLES, {}, 1))
 
     zero_key = (aff.datum.zero, zero_deg, 0)
     want_dim = len(fixed) + 2 * aff.rank + 2

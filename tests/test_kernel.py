@@ -529,8 +529,23 @@ def test_kernel_code_has_no_true_division():
 
 
 # ---------------------------------------------------------------------------
-# eigen-relations: affinized_roots checks [h, x] = value x in the kernel; the
-# loop through the public bracket that it replaced is the reference
+# eigen-relations: affinized_roots derives [h, x] = value x from the integer
+# tables and theta; the loop through the public bracket is the reference
+
+
+def root_value(alg, root, deg, gen_index):
+    """Value of the functional root + deg on the gen_index-th Cartan generator.
+
+    Generators are ordered as alg.cartan_generators(): base Cartan elements
+    (where the value is the base weight), then V (value zero), then the dual
+    derivations (where the value reads the degree coordinate).
+    """
+    m = len(alg.base.cartan)
+    if gen_index < m:
+        return root[gen_index]
+    if gen_index < m + alg.rank:
+        return Rat(0)
+    return Rat(deg[gen_index - m - alg.rank])
 
 
 def ref_affinized_roots(alg, degrees):
@@ -548,7 +563,7 @@ def ref_affinized_roots(alg, degrees):
     for (root, deg), basis in spaces.items():
         for x in basis:
             for gi, h in enumerate(gens):
-                want = scaled(x, alg.root_value(root, deg, gi))
+                want = scaled(x, root_value(alg, root, deg, gi))
                 got = alg.bracket(h, x)
                 if (root, deg) == (zero_root, zero_deg):
                     want = GradedLoopElement()
@@ -585,6 +600,20 @@ def test_eigen_relations_match_the_public_bracket_loop():
             verdicts.append(want[0])
     # the fractional base halves [h, x] against its datum, so it must fail
     assert verdicts.count("error") == 2 and "spaces" in verdicts
+
+
+def test_eigen_relations_read_theta_at_degree_zero():
+    """theta(0, a) != 1 scales [h⊗1, x⊗t^a] away from root(h) x⊗t^a: the
+    derived relations fail at degree a with the reference's message."""
+    from superlie.affinize import affinized_roots
+    L, degrees = osp12_standard(), window_box(1, 1)
+    for value in (Rat(0), Rat(2), Rat(1, 2)):
+        table = {(a, b): Rat(1) for a in degrees for b in degrees}
+        table[(0,), (1,)] = value
+        alg = AffinizedAlgebra(L, weight_decomposition(L), CocycleTorus(rank=1, table=table))
+        want = eigen_verdict(ref_affinized_roots, alg, degrees)
+        assert want[0] == "error" and want[1].endswith("degree (1,)")
+        assert eigen_verdict(affinized_roots, alg, degrees) == want
 
 
 def perturbed_cartan_constant(L, scale, extra):

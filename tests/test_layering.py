@@ -73,6 +73,15 @@ def test_verify_twisted_scans_no_window_for_axiom_2_or_the_root_axioms():
                          "graded_system", "kernel_form", "span_rank"}
 
 
+def test_eigen_relations_are_derived_without_the_kernel():
+    """affinized_roots and verify_twisted derive their eigen-relations from
+    the integer tables, theta and the tables' verdicts: neither converts an
+    element to the kernel nor brackets there."""
+    for path, function in ((SRC / "affinize.py", "affinized_roots"),
+                           (SRC / "matrixsuper.py", "verify_twisted")):
+        assert not calls_in(path, function) & {"kernel", "kernel_bracket"}, function
+
+
 def _table_subscripts(function: ast.FunctionDef) -> list:
     """The subscripts of the names function binds from integer_tables, and
     from those names, with the name of each subscript chain's root."""

@@ -295,9 +295,10 @@ def scaled_twisted(factor):
 def test_verify_twisted_reports_a_sharp_that_mixes_the_weight_slices(factor):
     """Scaling # changes the averaged weights, so # no longer keeps their
     slices: a failed check with the slice and the column, and every check
-    on the twisted weight spaces skipped, never an AssertionError."""
+    on the twisted weight spaces skipped; twisted_weight_spaces itself
+    raises ValueError."""
     tw = scaled_twisted(factor)
-    with pytest.raises(AssertionError, match="mixes averaged-weight slices"):
+    with pytest.raises(ValueError, match="mixes averaged-weight slices"):
         twisted_weight_spaces(tw, affz.window_box(1, 1), range(-1, 2))
     rep = verify_twisted(tw, BC11, affz.window_box(1, 1), 1, samples=20, seed=3)
     checks = {c.name: c for c in rep.checks}
