@@ -394,6 +394,24 @@ class AffinizedAlgebra:
 # windowed roots and verification
 
 
+def eigen_defect(base: LieSuperalgebra, t, weights, idxs) -> bool:
+    """Whether t [h, b] != value b for a b of idxs and an (h, value) of
+    weights, h a Cartan vector {l: coefficient} on base.cartan, read from
+    base.integer_tables over D: with t = tn / td and value, h over r, as
+    tn sum_l r h_l rows[cartan[l]][b] = r value td D b."""
+    rows, _, D = base.integer_tables
+    td = common_denominator([t])
+    tn = integer_over(t, td)
+    for h, value in weights:
+        r = common_denominator([value, *h.values()])
+        n, hr = integer_over(value, r) * td * D, integers_over(h, r)
+        if any(linalg.vsum((k, tn * c * hl) for l, hl in hr.items()
+                           for k, c in rows[base.cartan[l]][b]) != ({b: n} if n else {})
+               for b in idxs):
+            return True
+    return False
+
+
 def affinized_roots(alg: AffinizedAlgebra, degrees) -> dict:
     """Weight spaces {(root, degree): basis} over a finite degree window.
 
@@ -405,11 +423,9 @@ def affinized_roots(alg: AffinizedAlgebra, degrees) -> dict:
     x⊗t^a] = theta(0, a) [h, x]⊗t^a with no V term, as h⊗1 has degree 0.
     So they hold iff theta(0, a) [h, b] = root(h) b for every Cartan h and
     every b in the space (at (0, 0): theta(0, 0) [h, h'] = 0), read from
-    base.integer_tables over D and the theta memo entry tn / td as
-    tn [h, b] r = n td D b for root(h) = n / r.  Raises ValueError at the
-    first (root, degree) in the order of the spaces where one fails.
+    the base tables and the theta memo by eigen_defect.  Raises ValueError
+    at the first (root, degree) in the order of the spaces where one fails.
     """
-    rows, _, D = alg.base.integer_tables
     cartan = alg.base.cartan
     spaces: dict = {}
     for deg in map(tuple, degrees):
@@ -418,15 +434,9 @@ def affinized_roots(alg: AffinizedAlgebra, degrees) -> dict:
             idxs = cartan if at_cartan else alg.datum.spaces[root]
             spaces[(root, deg)] = (alg.cartan_generators() if at_cartan
                                    else [loop_term(b, deg) for b in idxs])
-            if not (idxs and cartan):
-                continue
-            tn, td, _ = alg._theta_entry(alg._zero, deg)
-            for h, value in zip(cartan, root):
-                r = common_denominator([value])
-                n = integer_over(value, r) * td * D
-                if any(({k: tn * c * r for k, c in rows[h][b]} if tn else {})
-                       != ({b: n} if n else {}) for b in idxs):
-                    raise ValueError(f"eigen-relation fails at root {root}, degree {deg}")
+            if idxs and cartan and eigen_defect(alg.base, alg.theta(alg._zero, deg), [
+                    ({l: 1}, value) for l, value in enumerate(root)], idxs):
+                raise ValueError(f"eigen-relation fails at root {root}, degree {deg}")
     return spaces
 
 

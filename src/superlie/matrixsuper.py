@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from . import linalg, rootsys
 from .abelian import gadd, gneg
 from .affinize import (CENTRAL_CHECKS, AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       ThetaDenominatorMiss, d_term, derived, kernel_part, kernel_values,
-                       loop_element, loop_identities, pair_table_failures,
+                       ThetaDenominatorMiss, d_term, derived, eigen_defect, kernel_part,
+                       kernel_values, loop_element, loop_identities, pair_table_failures,
                        theta_premises, v_term, witness_pairs)
 from .algebra import LieSuperalgebra, verify_form, verify_superalgebra, weight_decomposition
 from .linalg import add_entry
@@ -688,18 +688,16 @@ def unsplit_slice(tw: TwistedAlgebra):
     return None
 
 
-def mislabeled_slice(tw: TwistedAlgebra, tau_degrees, fixed: list[dict]):
+def mislabeled_slice(tw: TwistedAlgebra, tau_degrees, fixed: list[dict], theta: dict):
     """The witness {"slice": key, "tau": tau} of the first slice (p, parity)
-    and window degree tau with theta(0, tau) alpha_b(h) != p(h) for a b of
-    the slice, alpha_b its base root, and a vector h of fixed (the fixed
-    Cartan, in Cartan coordinates), or None."""
-    aff = tw.aff
-    root = {b: r for r, idxs in aff.datum.spaces.items() for b in idxs}
+    and window degree tau with theta(0, tau) [h, b] != p(h) b (eigen_defect)
+    for a b of the slice and a vector h of fixed (the fixed Cartan, in
+    Cartan coordinates), or None."""
+    zero = tw.aff._zero
     for (p, par), (idxs, _) in tw.slices[1].items():
+        weights = [(h, sum(c * p[l] for l, c in h.items())) for h in fixed]
         for tau in tau_degrees:
-            t = aff.theta(aff._zero, tau)
-            if any(t * sum(c * root[b][l] for l, c in h.items())
-                   != sum(c * p[l] for l, c in h.items()) for h in fixed for b in idxs):
+            if eigen_defect(tw.aff.base, theta[zero, tau], weights, idxs):
                 return {"slice": [p, par], "tau": tau}
     return None
 
@@ -820,7 +818,7 @@ FORM_KEPT = "# preserves the form on window basis pairs"
 TABLES = ["pair table on the tau window: kernel bracket and form match the loop formula",
           "twisted table: z-degrees, central term, c and d match the formula"]
 SPLIT = "each slice has a basis of eigenvectors of #"
-LABELED = "theta(0, tau) alpha_b(h) = p(h) on every slice"
+LABELED = "theta(0, tau) [h, b] = p(h) b on every slice"
 
 
 def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
@@ -858,11 +856,10 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     of (ad x̄)^k ȳ: every window target dies within dim + 2 steps.
 
     The labels: by the tables, V and c are central, d_k and d scale X by
-    tau_k and i, and [h⊗1, X] = theta(0, tau) [h, x̄]⊗t^tau⊗t^i, which is
-    theta(0, tau) sum_b x̄_b alpha_b(h) b⊗t^tau⊗t^i by the weight table
-    (alpha_b the base root of b).  So X has the eigenvalue p(h) on each
-    fixed Cartan vector h where theta(0, tau) alpha_b(h) = p(h) at every b
-    of its slice (mislabeled_slice).
+    tau_k and i, and [h⊗1, X] = theta(0, tau) sum_b x̄_b [h, b]⊗t^tau⊗t^i.
+    So X has the eigenvalue p(h) on each fixed Cartan vector h where
+    theta(0, tau) [h, b] = p(h) b, on the base tables, at every b of its
+    slice (mislabeled_slice).
 
     The Gram pairing: by the tables, (x⊗t^i, y⊗t^j) = delta_{i+j,0}
     theta(tau, -tau) f(x̄, ȳ) for x = x̄⊗t^tau, y = ȳ⊗t^-tau (else 0), V
@@ -935,7 +932,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     fixed = fixed_cartan_basis(aff, sigma)
     derive = derived(rep, {**theta_premises(aff.torus, tau_degrees, theta),
                            SPLIT: unsplit_slice(tw),
-                           LABELED: mislabeled_slice(tw, tau_degrees, fixed)}, checks)
+                           LABELED: mislabeled_slice(tw, tau_degrees, fixed, theta)}, checks)
     t0 = theta[zero_deg, zero_deg]
 
     def at(taus, zs):

@@ -616,10 +616,10 @@ def test_eigen_relations_read_theta_at_degree_zero():
         assert eigen_verdict(affinized_roots, alg, degrees) == want
 
 
-def perturbed_cartan_constant(L, scale, extra):
-    """L with the first nonzero [h, b] (h in the Cartan, b outside it) scaled
-    by scale, plus extra times the next basis element."""
-    h = L.cartan[0]
+def perturbed_cartan_constant(L, scale, extra, l=0):
+    """L with the first nonzero [h, b] (h the l-th Cartan element, b outside
+    the Cartan) scaled by scale, plus extra times the next basis element."""
+    h = L.cartan[l]
     b = next(b for b in range(L.dim) if b not in L.cartan and L.structure.get((h, b)))
     row = {k: scale * c for k, c in L.structure[(h, b)].items()}
     k = (b + 1) % L.dim

@@ -1167,6 +1167,27 @@ def test_theta_off_one_at_degree_zero_fails_the_label_premise():
     assert next(reference_label_failures(tw, taus, 1), None) is not None
 
 
+def test_label_premise_reads_a_perturbed_cartan_constant_under_a_stale_datum():
+    """BC(1,1) with a perturbed [h, b] under the datum of the unperturbed
+    base: the slice premise reads [h, b] from the base tables, not from the
+    datum's roots, so the derived label check fails where the element
+    brackets do (h fixed by #), and passes where they do (h not fixed)."""
+    from test_kernel import perturbed_cartan_constant
+    L, taus = sl_superalgebra(BC11, field="Qi"), window_box(1, 1)
+    datum, verdicts = weight_decomposition(L), set()
+    for l, (scale, extra) in itertools.product(range(len(L.cartan)), (
+            (Rat(2), Rat(0)), (Rat(1), Rat(1, 3)), (Rat(3, 2), Rat(-1)))):
+        aff = AffinizedAlgebra(perturbed_cartan_constant(L, scale, extra, l), datum,
+                               trivial_torus(1))
+        tw = TwistedAlgebra(aff, SharpOperator(BC11, aff))
+        got = next(c for c in verify_twisted(tw, BC11, taus, 1).checks if c.name == LABELS)
+        want = next(reference_label_failures(tw, taus, 1), None)
+        assert got.status == ("pass" if want is None else "fail")
+        assert want is None or got.witness["premise"] == matrixsuper.LABELED
+        verdicts.add(got.status)
+    assert verdicts == {"pass", "fail"}
+
+
 @pytest.mark.parametrize("build", [bc11_twisted, halved_cartan_twisted])
 @pytest.mark.parametrize("cls", [TwistedAlgebra, MisreadDegree])
 def test_derived_label_check_matches_the_element_brackets(build, cls):
