@@ -274,10 +274,6 @@ class AffinizedAlgebra:
         return math.lcm(*((memo.get(key) or self._theta_entry(*key))[1]
                           for key in itertools.product(degrees1, degrees2)))
 
-    def parity_of(self, x: GradedLoopElement):
-        seen = {self.base.parity[b] for (b, _) in x.loop} | ({0} if x.v or x.d else set())
-        return seen.pop() if len(seen) == 1 else None
-
     def kernel(self, x: GradedLoopElement) -> tuple:
         """(K, s): x as the kernel element K over the denominator s."""
         s = common_denominator(kernel_values(x, self.base.dim))
@@ -423,19 +419,22 @@ def affinized_roots(alg: AffinizedAlgebra, degrees) -> dict:
     x⊗t^a] = theta(0, a) [h, x]⊗t^a with no V term, as h⊗1 has degree 0.
     So they hold iff theta(0, a) [h, b] = root(h) b for every Cartan h and
     every b in the space (at (0, 0): theta(0, 0) [h, h'] = 0), read from
-    the base tables and the theta memo by eigen_defect.  Raises ValueError
-    at the first (root, degree) in the order of the spaces where one fails.
+    the base tables and the theta memo by eigen_defect once per root, Cartan
+    or not, and value of theta(0, a).  Raises ValueError at the first (root,
+    degree) in the order of the spaces where one fails.
     """
-    cartan = alg.base.cartan
-    spaces: dict = {}
+    cartan, defects, spaces = alg.base.cartan, {}, {}
     for deg in map(tuple, degrees):
+        t = alg.theta(alg._zero, deg)
         for root in alg.datum.roots:
             at_cartan = root == alg.datum.zero and deg == alg._zero
             idxs = cartan if at_cartan else alg.datum.spaces[root]
             spaces[(root, deg)] = (alg.cartan_generators() if at_cartan
                                    else [loop_term(b, deg) for b in idxs])
-            if idxs and cartan and eigen_defect(alg.base, alg.theta(alg._zero, deg), [
-                    ({l: 1}, value) for l, value in enumerate(root)], idxs):
+            if (key := (root, at_cartan, t)) not in defects:
+                defects[key] = bool(idxs and cartan) and eigen_defect(alg.base, t, [
+                    ({l: 1}, value) for l, value in enumerate(root)], idxs)
+            if defects[key]:
                 raise ValueError(f"eigen-relation fails at root {root}, degree {deg}")
     return spaces
 
@@ -476,21 +475,30 @@ def ad_nilpotent_on(alg, x, targets, cap: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # the two axioms of the definition: axiom 1 for the base, loop and twisted
-# algebras, axiom 2 for the base (the window verifiers derive it)
-#
-# ``alg`` has bracket, in_cartan and the integer kernel, and ``spaces`` maps
-# a weight key to its basis.  Each verifier keys its spaces, orders them as
-# its report lists them, and formats its own witnesses.
+# algebras, axiom 2 for the base (the window verifiers derive it).  Each
+# verifier keys its spaces (key -> basis), orders them as its report lists
+# them, decides "0 != [x, y] in the Cartan" and formats its own witnesses.
 
 
-def witness_pairs(alg, spaces, opposite):
-    """(key, pair) per key of spaces, in order: pair is the first (x, y)
-    with x in spaces[key], y in spaces[opposite(key)] and 0 != [x, y] in
-    the Cartan of alg, or None if there is none (axiom 1)."""
+def witness_pairs(spaces, opposite, is_witness, found: dict):
+    """The keys of spaces without a witness, in order, filing found[key] =
+    the first (x, y) with x in spaces[key], y in spaces[opposite(key)] and
+    is_witness(x, y) for each other key reached (axiom 1)."""
     for key, basis in spaces.items():
         ys = spaces.get(opposite(key), ())
-        yield key, next(((x, y) for x in basis for y in ys
-                         if (br := alg.bracket(x, y)) and alg.in_cartan(br)), None)
+        pair = next(((x, y) for x in basis for y in ys if is_witness(x, y)), None)
+        if pair is None:
+            yield key
+        else:
+            found[key] = pair
+
+
+def loop_witness(base: LieSuperalgebra, theta: dict, x, y) -> bool:
+    """Whether 0 != [x, y] in the Cartan for loop keys x = (i, a), y = (j, -a),
+    read from the base tables and theta by the loop formula (verify_affinized)."""
+    (i, a), (j, b), (rows, gram, _) = x, y, base.integer_tables
+    return bool(theta[a, b] and (rows[i][j] or any(a) and gram[i][j])
+                and all(k in base.cartan for k, _ in rows[i][j]))
 
 
 def non_nilpotent(alg, spaces, real, targets, cap: int):
@@ -500,24 +508,18 @@ def non_nilpotent(alg, spaces, real, targets, cap: int):
             for x in basis if not ad_nilpotent_on(alg, x, targets, cap))
 
 
-def _index(x: GradedLoopElement) -> int:
-    """The basis index of a loop monomial."""
-    return next(iter(x.loop))[0]
-
-
 def axiom1_witnesses(L: LieSuperalgebra, datum: RootDatum) -> dict:
-    """First basis pair per (root, parity) with 0 != [x, y] in the Cartan.
-
-    Returns {(root, parity): (i, j)} for every nonzero root and parity with
-    a nonempty weight space; missing keys mean no witness exists.  The
-    search runs on L as its rank-0 affinization, whose loop terms b ⊗ t^()
-    are L's basis.
-    """
-    spaces = {(root, par): [loop_term(b, ()) for b in datum.spaces[root] if L.parity[b] == par]
+    """{(root, parity): (i, j)}, the first basis pair with 0 != [x_i, x_j] in
+    the Cartan per nonzero root and parity, read off L's tables as its
+    rank-0 loop algebra (loop_witness, loop keys (b, ())); a missing key
+    means no witness exists."""
+    spaces = {(root, par): [(b, ()) for b in datum.spaces[root] if L.parity[b] == par]
               for root in datum.roots if root != datum.zero for par in (0, 1)}
-    pairs = witness_pairs(AffinizedAlgebra(L, datum, CocycleTorus(rank=0, qmatrix=())),
-                          spaces, lambda key: (tuple(-x for x in key[0]), key[1]))
-    return {key: tuple(map(_index, pair)) for key, pair in pairs if pair}
+    found: dict = {}
+    for _ in witness_pairs(spaces, lambda key: (tuple(-x for x in key[0]), key[1]),
+                           lambda x, y: loop_witness(L, {((), ()): 1}, x, y), found):
+        pass
+    return {key: (x[0], y[0]) for key, (x, y) in found.items()}
 
 
 def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
@@ -529,8 +531,8 @@ def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
     (2) for every real root and every weight basis vector x, ad_x is
         nilpotent (exponent bounded by dim L).
 
-    Both run on L as its rank-0 affinization, through the searches that
-    verify_affinized and verify_twisted share.
+    Axiom 1 reads L's tables, axiom 2 runs on L as its rank-0 affinization,
+    through the searches that verify_affinized and verify_twisted share.
     """
     rep = Report(title="extended affine axioms")
     witnesses = axiom1_witnesses(L, datum)
@@ -554,7 +556,7 @@ def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
     spaces = {root: [loop_term(b, ()) for b in datum.spaces[root]] for root in datum.roots}
     targets = [alg.kernel(loop_term(b, ()))[0] for b in range(L.dim)]
     rep.first_failure("axiom 2: ad-nilpotency at real roots", (
-        {"root": root, "vector": L.basis_labels[_index(x)]}
+        {"root": root, "vector": L.basis_labels[next(iter(x.loop))[0]]}
         for root, x in non_nilpotent(alg, spaces, datum.is_real, targets, L.dim)))
 
     rep.note("axiom 1 witnesses", {
@@ -592,9 +594,19 @@ def pair_table_failures(alg: AffinizedAlgebra, degrees, theta: dict):
     whose entry is nonzero, so the degree table runs each (a, b) at the
     first (i, j) with both entries nonzero, else the first with each.  With
     right factors, a wrong entry side fails wherever its factor is nonzero,
-    so the base table runs each (i, j) at the first (a, b) with a+b != 0 and
-    theta != 0, and at (e, -e), e the first nonzero degree with theta(e, -e)
-    != 0, else (0, 0).  Where theta = 0 both sides vanish at every (i, j)."""
+    so the base table runs each (i, j) at the first (e, -e), e != 0, with
+    theta(e, -e) != 0, else at (0, 0) if theta(0, 0) != 0 (no V factor is
+    nonzero), else at the first (a, b) with theta != 0 (only c is).  A pair
+    with a+b != 0 runs the loop side of (e, -e), and a V term firing there
+    is a wrong factor.  Where theta = 0 both sides vanish at every (i, j).
+
+    V* lemma: so do the loop x V/V* pairs.  No loop pair runs there,
+    _vstar_terms reads a loop key (i, a) only as its output key and as a_k,
+    and _vv_pairing and form_terms read none (test_layering).  So [x_i⊗t^a,
+    d_k] either way round is the term of i at (i, a) times a factor of a_k,
+    the rest one value for all (i, a): every degree runs at base index 0,
+    every base index at degree 0 and at the first degree with a_k != 0, per
+    k.  The V/V* x V/V* pairs all run."""
     rows, gram, D = alg.base.integer_tables
     labels, zero, dim = alg.base.basis_labels, alg._zero, alg.base.dim
 
@@ -608,12 +620,12 @@ def pair_table_failures(alg: AffinizedAlgebra, degrees, theta: dict):
         return pairing == f and n * D * L == f * s and _same_terms(terms, want)
 
     base_pairs, degree_pairs = ([*itertools.product(r, repeat=2)] for r in (range(dim), degrees))
-    at = [next(((a, b) for a, b in degree_pairs if gadd(a, b) != zero and theta[a, b]), None),
-          next(((e, gneg(e)) for e in degrees if e != zero and theta[e, gneg(e)]), (zero, zero))]
+    at = next((p for p in itertools.chain(((e, gneg(e)) for e in degrees if e != zero),
+                                          [(zero, zero)], degree_pairs) if theta[p]), (zero, zero))
     reps = next(([(i, j)] for i, j in base_pairs if rows[i][j] and gram[i][j]), None) or [
         next(((i, j) for i, j in base_pairs if table[i][j]), (0, 0)) for table in (rows, gram)]
     over = {key: (integer_over(t, td := common_denominator([t])), td) for key, t in theta.items()}
-    for (a, b), (i, j) in itertools.chain(itertools.product(filter(None, at), base_pairs),
+    for (a, b), (i, j) in itertools.chain(itertools.product([at], base_pairs),
                                           itertools.product(degree_pairs, reps)):
         deg, (tn, td) = gadd(a, b), over[a, b]
         f = tn * gram[i][j] if deg == zero else 0
@@ -623,7 +635,9 @@ def pair_table_failures(alg: AffinizedAlgebra, degrees, theta: dict):
             yield {"pair": [labels[i], labels[j]], "degrees": [a, b]}
     extras = [(f"{kind}{k}", None, ({}, *([{k: 1}, {}] if kind == "v" else [{}, {k: 1}])), kind, k)
               for kind in "vd" for k in range(alg.rank)]
-    loops = [(labels[i], a, ({(i, a): 1}, {}, {}), "x", i) for a in degrees for i in range(dim)]
+    full = {zero} | {next((a for a in degrees if a[k]), zero) for k in range(alg.rank)}
+    loops = [(labels[i], a, ({(i, a): 1}, {}, {}), "x", i) for a in degrees
+             for i in range(dim if a in full else 1)]
     for (lx, a, X, kx, i), (ly, b, Y, ky, j) in itertools.chain(
             itertools.product(loops, extras), itertools.product(extras, loops + extras)):
         want = ([((j, b), D * b[i])] if kx == "d" and b and b[i] else
@@ -745,9 +759,12 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
       the iterates of y never vanish, at degrees 0, 0.
 
     The table certifies the kernel on window pairs; a nested bracket whose
-    first argument leaves the window (a+b, ka+b) is the formula's.  Axiom 1
-    is searched on the window itself: at a != 0 the central term can make
-    a window witness with no base counterpart.
+    first argument leaves the window (a+b, ka+b) is the formula's.  So axiom
+    1 is read off the formula on the window (loop_witness): [x_i⊗t^a,
+    x_j⊗t^-a] = theta(a,-a) ([x_i,x_j] + f(x_i,x_j) a) is nonzero and in
+    the Cartan iff theta(a,-a) != 0, rows[i][j] (or at a != 0 gram[i][j])
+    is nonzero and every k of rows[i][j] is Cartan; at a != 0 the central
+    term can make a window witness with no base counterpart.
 
     "windowed roots form a root supersystem" runs check_axioms on the base:
     for a window holding degree 0, the window system (window_root_system,
@@ -784,26 +801,21 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     derive("window-block nondegeneracy (from the base)", ["theta(a, -a) != 0"],
            (["nondegeneracy"], at(zero, zero), 1))
 
-    # the nonzero window roots, even vectors first as in the base search
-    nonzero = {key: sorted(basis, key=alg.parity_of) for key, basis in spaces.items()
-               if key != (datum.zero, zero)}
-    witness_records = {}
-
-    def missing_witnesses():
-        for (root, deg), pair in witness_pairs(
-                alg, nonzero, lambda key: (tuple(-v for v in key[0]), gneg(key[1]))):
-            if pair is None:
-                yield {"root": root, "degree": deg}
-            else:
-                witness_records[(root, deg)] = pair
-    rep.first_failure("axiom 1: witnesses at every nonzero window root",
-                      missing_witnesses())
+    # the nonzero window roots as loop keys, even vectors first as in the base search
+    nonzero = {(root, deg): [(b, deg) for b in sorted(datum.spaces[root],
+                                                      key=base.parity.__getitem__)]
+               for root, deg in spaces if (root, deg) != (datum.zero, zero)}
+    witness_records: dict = {}
+    rep.first_failure("axiom 1: witnesses at every nonzero window root", (
+        {"root": root, "degree": deg} for root, deg in witness_pairs(
+            nonzero, lambda key: (tuple(-v for v in key[0]), gneg(key[1])),
+            lambda x, y: loop_witness(base, theta, x, y), witness_records)))
     sample = sorted(witness_records.items(), key=lambda kv: str(kv[0]))[:3]
     rep.note("axiom 1 witness pairs", {
         "count": len(witness_records),
-        "sample": [{"root": root, "degree": deg, "parity": alg.parity_of(x),
-                    "pair": [base.basis_labels[_index(x)], base.basis_labels[_index(y)]]}
-                   for (root, deg), (x, y) in sample]})
+        "sample": [{"root": root, "degree": deg, "parity": base.parity[i],
+                    "pair": [base.basis_labels[i], base.basis_labels[j]]}
+                   for (root, deg), ((i, _), (j, _)) in sample]})
     derive("axiom 1 witnesses match t_alpha + degree (from the base)", ["theta(a, -a) != 0"],
            (["witness brackets equal (x,y) t_alpha"], at(zero), t0))
     derive("axiom 2: windowed ad-nilpotency at real roots (from the base)", [],

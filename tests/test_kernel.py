@@ -616,6 +616,23 @@ def test_eigen_relations_read_theta_at_degree_zero():
         assert eigen_verdict(affinized_roots, alg, degrees) == want
 
 
+def test_eigen_relations_check_the_zero_root_apart_from_the_cartan():
+    """The (0, 0) space is the Cartan, a (0, a) space with a != 0 the datum's
+    zero weight space, so the derived relations are read apart for the two
+    even where theta(0, a) = theta(0, 0): a datum whose zero space also
+    holds a root vector fails at (0, a) only, with degree 0 read first."""
+    from superlie.affinize import affinized_roots
+    L = osp12_standard()
+    datum = weight_decomposition(L)
+    b = next(b for b in range(L.dim) if b not in L.cartan)
+    stale = dataclasses.replace(datum, spaces={**datum.spaces,
+                                               datum.zero: (*datum.spaces[datum.zero], b)})
+    alg, degrees = AffinizedAlgebra(L, stale, trivial_torus(1)), [(0,), (1,), (-1,)]
+    want = eigen_verdict(ref_affinized_roots, alg, degrees)
+    assert want == ("error", f"eigen-relation fails at root {datum.zero}, degree (1,)")
+    assert eigen_verdict(affinized_roots, alg, degrees) == want
+
+
 def perturbed_cartan_constant(L, scale, extra, l=0):
     """L with the first nonzero [h, b] (h the l-th Cartan element, b outside
     the Cartan) scaled by scale, plus extra times the next basis element."""

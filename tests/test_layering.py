@@ -131,6 +131,57 @@ def test_the_kernel_reads_the_base_and_theta_as_the_product_lemma_needs():
             assert {"_theta", "_theta_entry"} <= attributes, name
 
 
+def _function(path: pathlib.Path, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _loaded(function: ast.FunctionDef, name: str) -> list:
+    return [n for n in ast.walk(function)
+            if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)]
+
+
+def _items_keys(function: ast.FunctionDef, param: str) -> set:
+    """The key names bound by iterating param.items() with a tuple target."""
+    return {node.target.elts[0].id for node in ast.walk(function)
+            if isinstance(node, (ast.comprehension, ast.For))
+            and isinstance(node.target, ast.Tuple)
+            and ast.unparse(node.iter) == f"{param}.items()"}
+
+
+def test_the_vstar_action_reads_a_loop_key_as_the_factored_rows_need():
+    """pair_table_failures runs the loop x V/V* pairs on every base index at
+    a few degrees and on every degree at one base index (its V* lemma).
+    That needs _vstar_terms to read its loop part only through .items() and
+    to use a loop key only as its output key, (key, ...), and through
+    key[1][k], the degree's coordinate at the V* index k: no base index is
+    read, compared or computed with.  _vv_pairing reads no loop part."""
+    function = _function(SRC / "affinize.py", "_vstar_terms")
+    loop_part, dstar = (a.arg for a in function.args.args[:2])
+    parents = {id(child): node for node in ast.walk(function)
+               for child in ast.iter_child_nodes(node)}
+    assert all(ast.unparse(parents[id(n)]) == f"{loop_part}.items"
+               for n in _loaded(function, loop_part))
+    keys, indices = _items_keys(function, loop_part), _items_keys(function, dstar)
+    assert keys and indices
+    for key in keys:
+        for n in _loaded(function, key):
+            parent = parents[id(n)]
+            grand = parents.get(id(parent))
+            assert (isinstance(parent, ast.Tuple) and parent.elts[0] is n) or (
+                isinstance(parent, ast.Subscript) and ast.unparse(parent.slice) == "1"
+                and isinstance(grand, ast.Subscript) and grand.value is parent
+                and ast.unparse(grand.slice) in indices), ast.unparse(parent)
+
+    function = _function(SRC / "affinize.py", "_vv_pairing")
+    params = {a.arg for a in function.args.args}
+    unpack = next(node for node in function.body if isinstance(node, ast.Assign))
+    in_unpack = {id(n) for n in ast.walk(unpack.value)}
+    assert all(id(n) in in_unpack for p in params for n in _loaded(function, p))
+    assert {t.elts[0].id for t in unpack.targets[0].elts} == {"_"}
+    assert not _loaded(function, "_")
+
+
 def test_linalg_has_one_row_reduction():
     """_eliminate is called only inside Echelon, solver and nullspace build
     an Echelon, and linalg imports no sdiv: no second row reduction."""

@@ -18,10 +18,15 @@ one Gram entry, or entries of a table torus (zeros included) with the
 references run exhaustively over the window basis.  Faults planted in the
 kernel (theta or its denominator doubled, or a degree moved, at one
 degree pair; the pairing of V with V* doubled; a basis vector of the loop
-bracket counted twice; the Gram matrix read transposed) must fail the pair
-table and its exhaustive reference, a theta fault with that pair as the
-witness, whatever the samples and seed; so must a central term doubled at
-z-degrees +-2 of the twisted kernel fail its table.
+bracket counted twice; the Gram matrix read transposed; the action of V*
+wrong at one base index or one window degree) must fail the pair table
+and its exhaustive reference, a theta or V* fault with the planted pair as
+the witness, whatever the samples and seed; so must a central term doubled
+at z-degrees +-2 of the twisted kernel fail its table.  The axiom 1
+witnesses are read off the tables; the element-bracket searches they
+replaced are references, and give the same axiom 1 check and witness note
+wherever the derived checks are compared, and the same axiom1_witnesses on
+every fixture base.
 
 verify_twisted also derives axiom 2 and reads its root axioms from the
 averaged weights and their eigenclasses.  The direct window checks it
@@ -43,7 +48,8 @@ Its label check is derived from the tables and one slice premise; the
 element brackets of the twisted Cartan with the window basis, which it
 replaced, are the reference, with the same verdict on the families, the
 mutations and a halved Cartan.  Both verifiers keep their contract on
-mutations: a Report, or a ValueError before any check.
+mutations: a Report, or a ValueError before any check; a # that moves the
+Cartan fails "# preserves the Cartan" and skips the checks that need it.
 """
 
 import dataclasses
@@ -58,7 +64,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from superlie import (AffinizedAlgebra, CocycleTorus, check_axioms, osp12_standard,
                       trivial_torus, verify_affinized, verify_cocycle, weight_decomposition,
                       window_box)
-from superlie import linalg, matrixsuper
+from superlie import fixtures, linalg, matrixsuper
 from superlie.abelian import gadd, gneg
 from superlie.affinize import (GradedLoopElement, ThetaDenominatorMiss, _cocycle_identity,
                                _same_terms, _symmetric, ad_nilpotent_on, affinized_roots,
@@ -85,13 +91,24 @@ from test_sharp_layer import GradingError, check_element, twisted_sum
 # same denominators.  A generator draws only when asked for its next failure.
 
 
+def loop_parity(alg, x):
+    """The parity of a homogeneous element of the affinized algebra alg, or None."""
+    seen = {alg.base.parity[b] for (b, _) in x.loop} | ({0} if x.v or x.d else set())
+    return seen.pop() if len(seen) == 1 else None
+
+
 def parity(alg, x):
     """The parity of a homogeneous element of alg, or None; a twisted element
     is homogeneous when its parts and its c, d terms share one parity."""
     if not isinstance(alg, TwistedAlgebra):
-        return alg.parity_of(x)
-    seen = {alg.aff.parity_of(p) for p in x.parts.values()} | ({0} if x.c or x.d else set())
+        return loop_parity(alg, x)
+    seen = {loop_parity(alg.aff, p) for p in x.parts.values()} | ({0} if x.c or x.d else set())
     return seen.pop() if len(seen) == 1 else None
+
+
+def loop_index(x):
+    """The basis index of a loop monomial."""
+    return next(iter(x.loop))[0]
 
 
 def _vanishes(alg, terms) -> bool:
@@ -172,7 +189,7 @@ def antisymmetry_failures(alg, draw, samples: int):
     """Sampled (x, y) with [x, y] + (-1)^{|x||y|} [y, x] != 0."""
     for _ in range(samples):
         x, y = draw(), draw()
-        sign = super_sign(alg.parity_of(x), alg.parity_of(y))
+        sign = super_sign(parity(alg, x), parity(alg, y))
         X, Y = alg.kernel(x)[0], alg.kernel(y)[0]
         if not _vanishes(alg, [(1, alg.kernel_bracket(X, Y)),
                                (sign, alg.kernel_bracket(Y, X))]):
@@ -304,6 +321,56 @@ def ref_pair_table_failures(alg, degrees, theta):
             yield {"pair": [lx, ly], "degrees": [a, b]}
 
 
+def bracket_witness(alg):
+    """0 != [x, y] in the Cartan, read off the element bracket of alg."""
+    return lambda x, y: bool((br := alg.bracket(x, y)) and alg.in_cartan(br))
+
+
+def ref_axiom1_witnesses(L, datum):
+    """axiom1_witnesses on the element brackets of L's rank-0 affinization,
+    as the search ran before it read the tables."""
+    is_witness = bracket_witness(AffinizedAlgebra(L, datum, CocycleTorus(rank=0, qmatrix=())))
+    found = {}
+    for root, par in itertools.product([r for r in datum.roots if r != datum.zero], (0, 1)):
+        xs, ys = ([loop_term(b, ()) for b in datum.spaces[r] if L.parity[b] == par]
+                  for r in (root, tuple(-x for x in root)))
+        pair = next(((x, y) for x in xs for y in ys if is_witness(x, y)), None)
+        if pair:
+            found[(root, par)] = (loop_index(pair[0]), loop_index(pair[1]))
+    return found
+
+
+AXIOM1 = ("axiom 1: witnesses at every nonzero window root", "axiom 1 witness pairs")
+
+
+def ref_window_witnesses(alg, degrees):
+    """verify_affinized's axiom 1 check and witness note as it made them
+    before it read the witnesses off the tables: the element brackets of the
+    window weight spaces of affinized_roots, even vectors first."""
+    spaces = affinized_roots(alg, [tuple(d) for d in degrees])
+    nonzero = {key: sorted(basis, key=lambda x: parity(alg, x)) for key, basis in spaces.items()
+               if key != (alg.datum.zero, alg._zero)}
+    records, labels, rep = {}, alg.base.basis_labels, Report(title="reference")
+    is_witness = bracket_witness(alg)
+
+    def missing():
+        for (root, deg), basis in nonzero.items():
+            ys = nonzero.get((tuple(-v for v in root), gneg(deg)), ())
+            pair = next(((x, y) for x in basis for y in ys if is_witness(x, y)), None)
+            if pair is None:
+                yield {"root": root, "degree": deg}
+            else:
+                records[(root, deg)] = pair
+    rep.first_failure(AXIOM1[0], missing())
+    rep.note(AXIOM1[1], {
+        "count": len(records),
+        "sample": [{"root": root, "degree": deg, "parity": parity(alg, x),
+                    "pair": [labels[loop_index(x)], labels[loop_index(y)]]}
+                   for (root, deg), (x, y) in sorted(records.items(),
+                                                     key=lambda kv: str(kv[0]))[:3]]})
+    return {c.name: c.as_dict() for c in rep.checks}
+
+
 def window_basis(alg, degrees):
     return ([loop_term(b, a) for a in degrees for b in range(alg.base.dim)]
             + [v_term(k) for k in range(alg.rank)] + [d_term(k) for k in range(alg.rank)])
@@ -374,7 +441,12 @@ def statuses(rep):
 
 
 def assert_same_verdicts(alg, degrees, **kwargs):
-    got = statuses(verify_affinized(alg, degrees))
+    """The derived checks give their references' verdicts, and the axiom 1
+    check and witness note are the element-bracket search's, byte for byte."""
+    rep = verify_affinized(alg, degrees)
+    assert {c.name: c.as_dict() for c in rep.checks if c.name in AXIOM1} \
+        == ref_window_witnesses(alg, degrees)
+    got = statuses(rep)
     want = statuses(reference_report(alg, degrees, **kwargs))
     pairs = [*((k, v[0]) for k, v in IDENTITIES.items()), *DIRECT]
     compared = {ref: (got[name], want[ref]) for name, ref in pairs if ref in want}
@@ -502,11 +574,31 @@ class SwappedForm(AffinizedAlgebra):
         return super().form_terms(Y, X, terms)
 
 
+class MisactingDerivation(AffinizedAlgebra):
+    """d_k scales x_i⊗t^a by 2 a_k, either way round, at one base index i or
+    at one window degree a: a fault of the V* action on the base side or on
+    the degree side, which reads what _vstar_terms may not."""
+
+    def __init__(self, *args, index=None, degree=None):
+        super().__init__(*args)
+        self.index, self.degree = index, degree
+
+    def bracket_terms(self, X, Y, L, loop, v):
+        start = len(loop)
+        pairing = super().bracket_terms(X, Y, L, loop, v)
+        if X[2] or Y[2]:
+            loop[start:] = [(key, 2 * n if isinstance(key, tuple) and (
+                self.index == key[0] or key[1] == self.degree) else n) for key, n in loop[start:]]
+        return pairing
+
+
 def planted_kernels(name, kind):
     """Kernel faults over a rank-2 torus: theta doubled, its denominator
-    doubled or its degree moved at four degree pairs (the base table's two
-    on the radius-1 window, (0, 0) and one more), each basis vector counted
-    twice, the Gram matrix read transposed, the V-V* pairing doubled."""
+    doubled or its degree moved at four degree pairs (the base table's (e,
+    -e) on the radius-1 window, (0, 0), and two more), each basis vector
+    counted twice, the Gram matrix read transposed, the V-V* pairing
+    doubled, and d_k misacting at the last base index or at degree (1, 0),
+    neither of which the V* rows run at every degree."""
     L = base_algebra(name)
     datum, torus = weight_decomposition(L), trivial_torus(2) if kind == "trivial" else sign_torus(2)
     for at in (((0, 0), (0, 0)), ((-1, -1), (-1, -1)), ((-1, -1), (1, 1)), ((1, 0), (0, -1))):
@@ -516,6 +608,8 @@ def planted_kernels(name, kind):
         yield DoubledOutput(L, datum, torus, k0=k0)
     yield SwappedForm(L, datum, torus)
     yield DoubledDualPairing(L, datum, torus)
+    yield MisactingDerivation(L, datum, torus, index=L.dim - 1)
+    yield MisactingDerivation(L, datum, torus, degree=(1, 0))
 
 
 @pytest.mark.parametrize("name", ["osp12", "sl12"])
@@ -530,6 +624,11 @@ def test_factored_pair_table_fails_on_every_planted_kernel_fault_as_the_exhausti
         assert got is not None and want is not None, (type(alg).__name__, vars(alg).get("at"))
         if isinstance(alg, PlantedTheta):
             assert got["degrees"] == want["degrees"] == list(alg.at)
+        if isinstance(alg, MisactingDerivation):  # the first d0 pair at the planted cell
+            labels = alg.base.basis_labels
+            assert got == want == ({"pair": [labels[-1], "d0"], "degrees": [(-1, -1), None]}
+                                   if alg.degree is None else
+                                   {"pair": [labels[0], "d0"], "degrees": [(1, 0), None]})
 
 
 @pytest.mark.parametrize("name", ["osp12", "sl12"])
@@ -619,6 +718,7 @@ CHANGES = st.lists(st.tuples(st.sampled_from(BOX), st.sampled_from(BOX),
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(q=st.sampled_from([1, -1, 2]), changes=CHANGES)
+@example(q=1, changes=[((1,), (-1,), Rat(0), True)])  # no window witness at degree +-1
 def test_derived_checks_match_on_table_torus_entries(q, changes):
     """Entries changed one-sidedly or in symmetric pairs, zeros included."""
     table = {}
@@ -689,9 +789,10 @@ def assert_report_or_early_rejection(verify):
     assert isinstance(rep, Report) and rep.checks
 
 
-# the size ladder: the next loop bases after sl(1|2), each verified end to end
-# on the rank-2, radius-2 window and failing under one planted structure constant
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+# the size ladder: the next loop bases after sl(1|2), up to sl(4|6) (dim 99),
+# each verified end to end on the rank-2, radius-2 window and failing under
+# one planted structure constant
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 6)])
 def test_loop_size_ladder_verifies_and_fails_a_planted_constant(m, n):
     L, degrees = sl_superalgebra(plain_index_set(m, n)), window_box(2, 2)
     rep = verify_affinized(AffinizedAlgebra(L, weight_decomposition(L), trivial_torus(2)), degrees)
@@ -706,6 +807,20 @@ def test_loop_size_ladder_verifies_and_fails_a_planted_constant(m, n):
     assert failed["anti-supercommutativity (from the base)"]["base check"] \
         == "anti-supercommutativity"
     assert TABLE not in failed
+
+
+def fixture_bases():
+    """Every fixture base with a weight decomposition, sl(2|3) and BC(1,1)."""
+    bases = [fixtures.algebra_fixture(name) for name in fixtures.ALGEBRA_NAMES]
+    bases += [sl_superalgebra(plain_index_set(2, 3)), sl_superalgebra(BC11, field="Qi")]
+    for L in bases:
+        if L.cartan is not None and L.gram is not None:
+            yield L, weight_decomposition(L)
+
+
+def test_axiom1_witnesses_read_off_the_tables_are_the_element_brackets():
+    for L, datum in fixture_bases():
+        assert axiom1_witnesses(L, datum) == ref_axiom1_witnesses(L, datum), L.basis_labels
 
 
 def test_window_without_a_nonzero_degree_derives_only_the_loop_parts():
@@ -913,8 +1028,9 @@ def assert_derived_twisted_checks(tw, idx, taus, z_radius):
     Where the averaged weights have no rational root form, verify_twisted
     skips its root checks and the direct root checks raise ValueError."""
     got = {c.name: c for c in verify_twisted(tw, idx, taus, z_radius).checks}
-    if got[ROOTS].status == "skip" and "mixes" in got[ROOTS].witness["reason"]:
-        with pytest.raises(ValueError, match="mixes averaged-weight slices"):
+    reason = got[ROOTS].witness["reason"] if got[ROOTS].status == "skip" else ""
+    if reason in (matrixsuper.CARTAN_MOVED, "# mixes averaged-weight slices"):
+        with pytest.raises(ValueError, match=reason):
             direct_twisted_checks(tw, taus, z_radius)
         return got, None
     assert (got[LABELS].status == "pass") \
@@ -969,7 +1085,8 @@ FACTORS = [Rat(2), Rat(-1), Rat(1, 2), IUNIT]
 
 def mutated_twisted(setting, kind, pick, factor):
     """BC(1,1) under a setting with one mutation: an entry or a whole column
-    of # scaled, two # columns of one averaged-weight slice swapped, a base
+    of # scaled, two # columns of one averaged-weight slice swapped, the #
+    columns of a Cartan and a non-Cartan basis vector swapped, a base
     structure constant or Gram entry moved, or a symmetric pair of entries of
     the Gram matrix's Cartan block."""
     torus, signs = TWISTED_SETTINGS[setting]
@@ -994,6 +1111,11 @@ def mutated_twisted(setting, kind, pick, factor):
         cols[b][k] = factor * cols[b][k]
     elif kind == "column":
         cols[b] = {k: factor * c for k, c in cols[b].items()}
+    elif kind == "Cartan column":
+        cartan = aff.base.cartan
+        outside = [k for k in range(len(cols)) if k not in cartan]
+        h, k = cartan[pick % len(cartan)], outside[pick // 7 % len(outside)]
+        cols[h], cols[k] = cols[k], cols[h]
     else:
         slices = [idxs for idxs in averaged_weight_slices(
             aff, sigma_cartan_matrix(aff, tw.sh)).values() if len(idxs) > 1]
@@ -1003,8 +1125,8 @@ def mutated_twisted(setting, kind, pick, factor):
     return tw
 
 
-MUTATIONS = ["entry", "column", "permuted", "structure constant", "Gram entry",
-             "Cartan Gram pair"]
+MUTATIONS = ["entry", "column", "permuted", "Cartan column", "structure constant",
+             "Gram entry", "Cartan Gram pair"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -1023,6 +1145,7 @@ def test_derived_twisted_checks_match_the_direct_ones_on_mutations(setting, kind
 @settings(max_examples=30, deadline=None)
 @given(setting=st.sampled_from(sorted(TWISTED_SETTINGS)), kind=st.sampled_from(MUTATIONS),
        pick=st.integers(0, 10 ** 6), factor=st.sampled_from(FACTORS))
+@example(setting="trivial", kind="Cartan column", pick=0, factor=Rat(2))
 def test_verify_twisted_returns_a_report_or_rejects_its_input_before_any_check(
         setting, kind, pick, factor):
     """The verifier contract on mutated_twisted draws: a twisted algebra the
@@ -1033,6 +1156,27 @@ def test_verify_twisted_returns_a_report_or_rejects_its_input_before_any_check(
     except ValueError:  # the mutated base has no weight decomposition
         return
     assert_report_or_early_rejection(lambda: verify_twisted(tw, BC11, window_box(1, 1), 1))
+
+
+@pytest.mark.parametrize("pick", [0, 1, 9])
+def test_a_sharp_that_moves_the_cartan_fails_its_check_and_skips_the_checks_on_sigma(pick):
+    """Each raised AssertionError from sigma_cartan_matrix before the check.
+    The tables and the identities need no sigma and still run."""
+    tw = mutated_twisted("trivial", "Cartan column", pick, Rat(1))
+    labels, cartan = tw.aff.base.basis_labels, tw.aff.base.cartan
+    checks = {c.name: c for c in verify_twisted(tw, BC11, window_box(1, 1), 1).checks}
+    witness = checks["# preserves the Cartan"].witness
+    h = next(h for h in cartan if not tw.sh.columns[h].keys() <= set(cartan))
+    assert witness == {"cartan": labels[h], "image outside the Cartan": [
+        labels[k] for k in sorted(tw.sh.columns[h]) if k not in cartan]}
+    skipped = {name for name, c in checks.items() if c.status == "skip"}
+    assert skipped == {matrixsuper.FAMILIES, matrixsuper.SLICES_KEPT,
+                       *matrixsuper.WEIGHT_SPACE_CHECKS}
+    assert {c.witness["reason"] for name, c in checks.items() if name in skipped} \
+        == {matrixsuper.CARTAN_MOVED}
+    assert {TAU_TABLE, Z_TABLE, *TWISTED_IDENTITIES} <= set(checks) - skipped
+    with pytest.raises(ValueError, match=matrixsuper.CARTAN_MOVED):
+        sigma_cartan_matrix(tw.aff, tw.sh)
 
 
 def cartan_gram_bumped(i, j, delta):
