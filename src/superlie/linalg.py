@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over the package's scalar types.
 
 Vectors are dicts ``{index: nonzero scalar}``; an absent key means zero.
-Only this module's accumulators (vadd, vsub, vaxpy_inplace, add_entry,
-vsum) drop the keys whose sums cancel; every other module sums through them.
+Only this module's accumulators (vsub, vaxpy_inplace, add_entry, vsum)
+drop the keys whose sums cancel; every other module sums through them.
 Matrices appear either as a list of sparse rows or as a list of sparse
 columns, whichever the caller finds natural.  Everything is exact.  One
 fraction-free elimination engine, Echelon, serves rank, membership, kernels
@@ -15,17 +15,6 @@ from __future__ import annotations
 import math
 
 from .scalars import GaussianInt, Rat, common_denominator, integers_over, scalar_over
-
-
-def vadd(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 def vsub(u: dict, v: dict) -> dict:

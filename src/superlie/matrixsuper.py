@@ -31,12 +31,12 @@ from .abelian import gadd, gneg
 from .affinize import (CENTRAL_CHECKS, AffinizedAlgebra, CocycleTorus, GradedLoopElement,
                        ThetaDenominatorMiss, d_term, derived, eigen_defect, kernel_part,
                        kernel_values, loop_element, loop_identities, pair_table_failures,
-                       theta_premises, v_term, witness_pairs)
+                       theta_premises, v_term)
 from .algebra import LieSuperalgebra, verify_form, verify_superalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
 from .scalars import (IUNIT, Rat, common_denominator, integer_over, integers_over, scalar_over,
-                      super_sign)
+                      scalars_over, super_sign)
 
 
 class DegenerateFormError(ValueError):
@@ -517,19 +517,6 @@ class TwistedAlgebra:
         return sigma, {key: (idxs, _eigenbases(linalg.block_rows(self.sh.columns, idxs)))
                        for key, idxs in averaged_weight_slices(self.aff, sigma).items()}
 
-    @functools.cached_property
-    def sharp_columns(self) -> tuple:
-        """#'s base matrix in the kernel, computed on first use (see _integer_columns)."""
-        return _integer_columns(self.sh.columns)
-
-    def sharp_scales(self, x: GradedLoopElement, z) -> bool:
-        """Whether # x = z x, compared in the kernel (z is 1, i, -1 or -i)."""
-        (loop, v, d), _ = self.aff.kernel(x)
-        (C, S), sign, z = self.sharp_columns, self.sh.degree_sign, integer_over(z, 1)
-        return (z == 1 or not (v or d)) and linalg.vsum(
-            ((k, deg), sign(deg) * n * c) for (b, deg), n in loop.items()
-            for k, c in C[b].items()) == {key: S * n * z for key, n in loop.items()}
-
     def kernel(self, x: TwistedElement) -> tuple:
         """(K, s): x as the kernel element K = (parts, c, d) over the
         denominator s, with parts = {i: affinized kernel element}."""
@@ -609,11 +596,6 @@ class TwistedAlgebra:
         DL = aff.base.integer_tables[2] * L
         return total + DL * pairing, DL
 
-    def in_cartan(self, x: TwistedElement) -> bool:
-        """Support inside (h^sigma ⊗ 1) ⊕ Fc ⊕ Fd."""
-        return all(i == 0 and self.aff.in_cartan(part) and self.sharp_scales(part, 1)
-                   for i, part in x.parts.items())
-
 
 def twisted_affinize(aff: AffinizedAlgebra, sh: SharpOperator) -> TwistedAlgebra:
     """Build the twisted algebra after verifying # is fit for purpose.
@@ -634,12 +616,6 @@ def twisted_affinize(aff: AffinizedAlgebra, sh: SharpOperator) -> TwistedAlgebra
     return tw
 
 
-def _integer_columns(cols: list[dict]) -> tuple:
-    """(C, S): sparse columns as integer columns C over one denominator S."""
-    S = common_denominator([c for col in cols for c in col.values()])
-    return [integers_over(col, S) for col in cols], S
-
-
 def sharp_defects(base: LieSuperalgebra, cols: list[dict]) -> tuple:
     """(form_pairs, bracket_pairs): the base basis pairs (b1, b2) at which
     the base matrix cols of # changes the form, resp. fails to commute with
@@ -647,7 +623,8 @@ def sharp_defects(base: LieSuperalgebra, cols: list[dict]) -> tuple:
     f(Cb1, Cb2) with S² f(b1, b2), and S C[b1, b2] with [Cb1, Cb2], times D.
     """
     rows, gram, _ = base.integer_tables
-    C, S = _integer_columns(cols)
+    S = common_denominator([c for col in cols for c in col.values()])
+    C = [integers_over(col, S) for col in cols]
     pairs = list(itertools.product(range(base.dim), repeat=2))
     form_pairs = {(b1, b2) for b1, b2 in pairs
                   if sum(x * y * gram[i][j] for i, x in C[b1].items() for j, y in C[b2].items())
@@ -709,6 +686,38 @@ def mislabeled_slice(tw: TwistedAlgebra, tau_degrees, fixed: list[dict], theta: 
             if eigen_defect(tw.aff.base, theta[zero, tau], weights, idxs):
                 return {"slice": [p, par], "tau": tau}
     return None
+
+
+def class_vectors(tw: TwistedAlgebra, p, k: int) -> list[dict]:
+    """The _eigenbases vectors of class k on the slices at averaged weight p,
+    both parities, as integer base vectors {basis index: n}."""
+    return [integers_over({idxs[t]: c for t, c in v.items()}, common_denominator(v.values()))
+            for (q, _), (idxs, bases) in tw.slices[1].items() if q == p for v in bases[k]]
+
+
+def in_fixed_cartan(tw: TwistedAlgebra, v: dict) -> bool:
+    """Whether the integer base vector v is in the Cartan and fixed by #."""
+    v = scalars_over(v, 1)
+    return v.keys() <= set(tw.aff.base.cartan) and linalg.mat_vec(tw.sh.columns, v) == v
+
+
+def opposite_class_pairs(tw: TwistedAlgebra, p, kx: int, ky: int) -> tuple:
+    """(strong, weak): whether some x̄ of class kx at p and ȳ of class ky at
+    -p (class_vectors) have B = sum x̄_b ȳ_b' rows[b][b'] in the fixed Cartan
+    and nonzero, resp. in the fixed Cartan with F = sum x̄_b ȳ_b' gram[b][b']
+    nonzero (the axiom 1 lemma of verify_twisted)."""
+    rows, gram, _ = tw.aff.base.integer_tables
+    weak = False
+    for x, y in itertools.product(class_vectors(tw, p, kx),
+                                  class_vectors(tw, tuple(-a for a in p), ky)):
+        B = linalg.vsum((k, c * d * n) for b, c in x.items() for b2, d in y.items()
+                        for k, n in rows[b][b2])
+        if in_fixed_cartan(tw, B):
+            if B:
+                return True, True
+            weak = weak or bool(sum(c * d * gram[b][b2] for b, c in x.items()
+                                    for b2, d in y.items()))
+    return False, weak
 
 
 def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
@@ -873,6 +882,19 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     theta(0, tau) [h, b] = p(h) b, on the base tables, at every b of its
     slice (mislabeled_slice).
 
+    Axiom 1: by the tables, [x̄⊗t^tau⊗t^i, ȳ⊗t^-tau⊗t^-i] = theta(tau, -tau)
+    (B⊗1 + F tau + i F c), B = sum x̄_b ȳ_b' [b, b'] and F = f(x̄, ȳ): it is
+    nonzero and in the Cartan (h^# ⊗ 1 ⊕ V ⊕ Fc) iff theta(tau, -tau) != 0,
+    B is in the Cartan with #B = B, and B != 0, or F != 0 and (tau, i) != 0.
+    The space of key (p, tau, i) is class _eigenclass(s(tau), i mod 4) at p,
+    both parities, that of its opposite class _eigenclass(s(tau), -i mod 4)
+    at -p, so opposite_class_pairs decides its pairs on the integer tables
+    once per (p, class, class): the tables certify that the kernel is this
+    formula, as for the loop witnesses of verify_affinized.  The (0, 0) space is class
+    0 at p = 0 plus V, V*, c and d, so it is the fixed Cartan plus c and d
+    iff its dimension is right and those base vectors are in the Cartan and
+    fixed by #.
+
     The Gram pairing: by the tables, (x⊗t^i, y⊗t^j) = delta_{i+j,0}
     theta(tau, -tau) f(x̄, ȳ) for x = x̄⊗t^tau, y = ȳ⊗t^-tau (else 0), V
     pairs with V*, c with d, neither with loops: so i+j = 0 mod 4.  f pairs
@@ -978,8 +1000,6 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
                      LABELED: mislabeled_slice(tw, tau_degrees, fixed, theta)})
 
     spaces = twisted_weight_spaces(tw, tau_degrees, z_window)
-    ordered = sorted(spaces.items(), key=lambda kv: str(kv[0]))
-    opposites = {(p, t, i): (tuple(-a for a in p), gneg(t), -i) for p, t, i in spaces}
 
     # the Gram pairing, from the tables and the base (docstring)
     pairing = (["theta(a, -a) != 0", SPLIT], (TABLES + [FORM_KEPT], {}, 1), (
@@ -998,15 +1018,23 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     got = spaces.get(zero_key, [])
     rep.check("the (0,0) weight space is the fixed Cartan plus c and d",
               len(got) == want_dim
-              and all(tw.in_cartan(x) for x in got if x.parts),
+              and all(in_fixed_cartan(tw, v) for v in class_vectors(tw, aff.datum.zero, 0)),
               {"dim": len(got), "expected": want_dim})
 
-    nonzero, witnessed = {key: basis for key, basis in ordered if key != zero_key}, {}
-    missing = witness_pairs(nonzero, opposites.__getitem__,
-                            lambda x, y: (br := tw.bracket(x, y)) and tw.in_cartan(br), witnessed)
+    pairs: dict = {}  # (p, class at p, class at -p) -> opposite_class_pairs
+
+    def witnessed(p, tau, i):
+        s = sh.degree_sign(tau)
+        if (key := (p, _eigenclass(s, i % 4), _eigenclass(s, -i % 4))) not in pairs:
+            pairs[key] = opposite_class_pairs(tw, *key)
+        strong, weak = pairs[key]
+        return bool(theta[tau, gneg(tau)]) and (strong or weak and (any(tau) or i != 0))
+    keys = sorted((key for key in spaces if key != zero_key), key=str)
+    missing = [key for key in keys if not witnessed(*key)]
     rep.first_failure("axiom 1: twisted witnesses at every nonzero window root",
                       ({"root": list(key)} for key in missing))
-    rep.note("axiom 1 twisted witness count", {"count": len(witnessed)})
+    rep.note("axiom 1 twisted witness count",
+             {"count": keys.index(missing[0]) if missing else len(keys)})
     derive("axiom 2: windowed ad-nilpotency at real twisted roots", [],
            (["anti-supercommutativity", "graded Jacobi identity"], {}, 1))
 

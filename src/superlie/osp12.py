@@ -556,7 +556,3 @@ def decompose(m: Osp12Module, certify: bool = True) -> list[tuple[int, list[dict
         for lam, chain in chosen:
             _certify_summand(m, lam, chain)
     return chosen
-
-
-def decomposition_multiset(m: Osp12Module) -> list[int]:
-    return sorted((lam for lam, _ in decompose(m)), reverse=True)

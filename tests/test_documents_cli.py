@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from superlie import documents, fixtures
 from superlie.cli import main
 from superlie.scalars import Rat, scalar_from_string, scalar_to_string
-from superlie.osp12 import check_representation, decomposition_multiset
+from superlie.osp12 import check_representation
+from test_osp12 import decomposition_multiset
 
 
 def test_algebra_document_round_trip(tmp_path):

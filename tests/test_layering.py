@@ -2,8 +2,8 @@
 and no verifier draws a sample.
 
 A sparse vector is a dict of nonzero scalars, and a sum drops the keys that
-cancel.  Only linalg's accumulators (vadd, vsub, vaxpy_inplace, add_entry
-and vsum) know that: a hand-written ``acc.get(k, 0) + ...`` anywhere else
+cancel.  Only linalg's accumulators (vsub, vaxpy_inplace, add_entry and
+vsum) know that: a hand-written ``acc.get(k, 0) + ...`` anywhere else
 is a second copy of the format decision.
 """
 
@@ -11,10 +11,11 @@ import ast
 import json
 import pathlib
 import re
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "superlie"
 ACCUMULATE = re.compile(r"\.get\([^()]*, 0\) [+-]")
-ACCUMULATORS = {"vadd", "vsub", "vaxpy_inplace", "add_entry", "vsum"}
+ACCUMULATORS = {"vsub", "vaxpy_inplace", "add_entry", "vsum"}
 
 
 def accumulate_lines(path: pathlib.Path) -> list[int]:
@@ -73,13 +74,100 @@ def test_verify_twisted_scans_no_window_for_axiom_2_or_the_root_axioms():
                          "graded_system", "kernel_form", "span_rank"}
 
 
+KERNEL_CALLS = {"kernel", "kernel_bracket", "bracket", "in_cartan", "sharp_scales",
+                "ad_nilpotent_on", "AffinizedAlgebra"}
+
+
 def test_eigen_relations_are_derived_without_the_kernel():
-    """affinized_roots and verify_twisted derive their eigen-relations from
-    the integer tables, theta and the tables' verdicts: neither converts an
-    element to the kernel nor brackets there."""
+    """affinized_roots and verify_twisted derive their eigen-relations, and
+    verify_eals, verify_affinized and verify_twisted decide the two axioms,
+    from the integer tables, theta and the tables' verdicts: none converts
+    an element to the kernel, brackets elements or builds an affinization
+    (only the two tables they run call the kernel)."""
     for path, function in ((SRC / "affinize.py", "affinized_roots"),
+                           (SRC / "affinize.py", "verify_eals"),
+                           (SRC / "affinize.py", "verify_affinized"),
                            (SRC / "matrixsuper.py", "verify_twisted")):
-        assert not calls_in(path, function) & {"kernel", "kernel_bracket"}, function
+        assert not calls_in(path, function) & KERNEL_CALLS, function
+
+
+def recorded_calls(monkeypatch, methods, table):
+    """Patch each (class, name) of methods to record (qualified name, whether
+    a frame of the function named table is on the stack) per call."""
+    calls = []
+
+    def recording(cls, name, method):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != table:
+                frame = frame.f_back
+            calls.append((f"{cls.__name__}.{name}", frame is not None))
+            return method(*args, **kwargs)
+        return wrapper
+    for cls, name in methods:
+        monkeypatch.setattr(cls, name, recording(cls, name, getattr(cls, name)))
+    return calls
+
+
+def test_verify_twisted_calls_the_kernel_only_inside_the_twisted_table(monkeypatch):
+    """One verify_twisted call runs no TwistedAlgebra.bracket, and each
+    kernel_bracket only inside twisted_table_failures."""
+    from superlie import AffinizedAlgebra, trivial_torus, window_box
+    from superlie.matrixsuper import (SharpOperator, SuperIndexSet, TwistedAlgebra,
+                                      matrix_affinization, twisted_affinize, verify_twisted)
+    bc11 = SuperIndexSet(i_dot=1, j_dot=1, with_zero_i=True)
+    aff = matrix_affinization(bc11, trivial_torus(1), field="Qi")
+    tw = twisted_affinize(aff, SharpOperator(bc11, aff))
+    calls = recorded_calls(monkeypatch, [(cls, name) for cls in (AffinizedAlgebra, TwistedAlgebra)
+                                         for name in ("bracket", "kernel_bracket")],
+                           "twisted_table_failures")
+    assert verify_twisted(tw, bc11, window_box(1, 1), 2).passed
+    assert {name for name, _ in calls} == {"AffinizedAlgebra.kernel_bracket",
+                                            "TwistedAlgebra.kernel_bracket"}
+    assert all(inside for _, inside in calls)
+
+
+def test_verify_affinized_calls_the_kernel_only_inside_the_pair_table(monkeypatch):
+    """One verify_affinized call (which runs verify_eals on the base) runs
+    bracket_terms and kernel_form only inside pair_table_failures, and no
+    element bracket."""
+    from superlie import (AffinizedAlgebra, osp12_standard, trivial_torus, verify_affinized,
+                          weight_decomposition, window_box)
+    L = osp12_standard()
+    alg = AffinizedAlgebra(L, weight_decomposition(L), trivial_torus(2))
+    calls = recorded_calls(monkeypatch, [(AffinizedAlgebra, name) for name in (
+        "bracket", "kernel_bracket", "bracket_terms", "kernel_form")], "pair_table_failures")
+    assert verify_affinized(alg, window_box(2, 1)).passed
+    assert {name for name, _ in calls} == {"AffinizedAlgebra.bracket_terms",
+                                            "AffinizedAlgebra.kernel_form"}
+    assert all(inside for _, inside in calls)
+
+
+def top_level_names(tree: ast.Module) -> list:
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_every_top_level_name_is_used_exported_or_benchmarked():
+    """Every top-level def and class in src/superlie is named in src/ outside
+    its own definition, exported from superlie/__init__.py, or named in
+    bench/: no function is kept for the tests alone."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bench = "\n".join(path.read_text(encoding="utf-8")
+                      for path in sorted((SRC.parents[1] / "bench").glob("*.py")))
+    named: dict = {}  # name -> the ids of the top-level nodes naming it
+    for tree in trees.values():
+        for top in tree.body:
+            for n in ast.walk(top):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) \
+                    if isinstance(n, ast.Attribute) else None
+                named.setdefault(name, set()).add(id(top))
+    unused = [f"{file}:{node.name}" for file, tree in trees.items() for node in top_level_names(tree)
+              if not named.get(node.name, set()) - {id(node)} and node.name not in exported
+              and not re.search(rf"\b{node.name}\b", bench)]
+    assert unused == []
 
 
 def _table_subscripts(function: ast.FunctionDef) -> list:

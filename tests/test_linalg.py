@@ -234,8 +234,8 @@ def seeded_system(rng, gaussian):
     rows = [{j: c for j in range(m) if rng.random() < 0.5
              and (c := random_scalar(rng, gaussian))} for _ in range(n)]
     if n >= 2 and rng.random() < 0.4:  # a combination of two rows
-        rows.append(linalg.vadd(rows[0], linalg.vscale(random_scalar(rng, gaussian)
-                                                       or Rat(1), rows[1])))
+        rows.append(linalg.vsum([*rows[0].items(), *linalg.vscale(
+            random_scalar(rng, gaussian) or Rat(1), rows[1]).items()]))
     return rows, m
 
 

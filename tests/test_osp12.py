@@ -8,10 +8,14 @@ from sympy.polys.matrices import DomainMatrix
 from superlie import (decompose, direct_sum, h_spectrum, irreducible_module,
                       linalg, osp12_standard, scramble, verify_triple)
 from superlie.osp12 import (ModuleError, Osp12Module, TripleError, _certify_summand,
-                            _half_h_tops, check_representation, decomposition_multiset,
-                            generated_g0_submodule)
+                            _half_h_tops, check_representation, generated_g0_submodule)
 from superlie.algebra import even_part
 from superlie.scalars import GaussianRational, Rat
+
+
+def decomposition_multiset(m: Osp12Module) -> list[int]:
+    """The highest weights of the summands of decompose(m), largest first."""
+    return sorted((lam for lam, _ in decompose(m)), reverse=True)
 
 
 def idx(label):

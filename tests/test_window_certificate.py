@@ -26,7 +26,10 @@ at z-degrees +-2 of the twisted kernel fail its table.  The axiom 1
 witnesses are read off the tables; the element-bracket searches they
 replaced are references, and give the same axiom 1 check and witness note
 wherever the derived checks are compared, and the same axiom1_witnesses on
-every fixture base.
+every fixture base.  verify_eals iterates ad on the base's integer tables;
+the rank-0 kernel iteration it replaced (non_nilpotent) gives the same
+axiom 2 check on every fixture base, a planted non-nilpotent one and
+one-entry mutations.
 
 verify_twisted also derives axiom 2 and reads its root axioms from the
 averaged weights and their eigenclasses.  The direct window checks it
@@ -47,7 +50,11 @@ skips its root checks, which raised before, and the direct ones raise.
 Its label check is derived from the tables and one slice premise; the
 element brackets of the twisted Cartan with the window basis, which it
 replaced, are the reference, with the same verdict on the families, the
-mutations and a halved Cartan.  Both verifiers keep their contract on
+mutations and a halved Cartan.  Its axiom 1 check, witness count and (0,0)
+weight space check are read off the slice eigenbases; the element-bracket
+search with in_cartan, which they replaced, gives the same checks byte for
+byte on BC(1,1), BC(2,1) and BC(1,2) under four tori and entry
+involutions, on the planted faults and on the mutations.  Both verifiers keep their contract on
 mutations: a Report, or a ValueError before any check; a # that moves the
 Cartan fails "# preserves the Cartan" and skips the checks that need it.
 """
@@ -62,14 +69,13 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from superlie import (AffinizedAlgebra, CocycleTorus, check_axioms, osp12_standard,
-                      trivial_torus, verify_affinized, verify_cocycle, weight_decomposition,
-                      window_box)
+                      trivial_torus, verify_affinized, verify_cocycle, verify_eals,
+                      weight_decomposition, window_box)
 from superlie import fixtures, linalg, matrixsuper
 from superlie.abelian import gadd, gneg
 from superlie.affinize import (GradedLoopElement, ThetaDenominatorMiss, _cocycle_identity,
-                               _same_terms, _symmetric, ad_nilpotent_on, affinized_roots,
-                               axiom1_witnesses, d_term, loop_term, non_nilpotent,
-                               pair_table_failures, v_term)
+                               _same_terms, _symmetric, affinized_roots, axiom1_witnesses,
+                               d_term, loop_term, pair_table_failures, v_term, witness_pairs)
 from superlie.algebra import t_alpha_vector
 from superlie.matrixsuper import (PiForm, SharpOperator, SuperIndexSet, TwistedAlgebra,
                                   averaged_weight_slices, fixed_cartan_basis,
@@ -80,9 +86,9 @@ from superlie.matrixsuper import (PiForm, SharpOperator, SuperIndexSet, TwistedA
 from superlie.reports import Report, jsonable
 from superlie.scalars import (IUNIT, Rat, common_denominator, integer_over, scalar_over,
                               super_sign)
-from test_kernel import sample_element, scaled
+from test_kernel import ad_nilpotent_on, sample_element, scaled, vadd
 from test_scalars import sdiv
-from test_sharp_layer import GradingError, check_element, twisted_sum
+from test_sharp_layer import GradingError, check_element, in_cartan, loop_in_cartan, twisted_sum
 
 # ---------------------------------------------------------------------------
 # the references: the checks verify_affinized, verify_cocycle and
@@ -321,9 +327,32 @@ def ref_pair_table_failures(alg, degrees, theta):
             yield {"pair": [lx, ly], "degrees": [a, b]}
 
 
+def non_nilpotent(alg, spaces, real, targets, cap: int):
+    """(key, x) per x in spaces[key] at a key with real(key) that
+    ad_nilpotent_on(alg, x, targets, cap) rejects, in order (axiom 2)."""
+    return ((key, x) for key, basis in spaces.items() if real(key)
+            for x in basis if not ad_nilpotent_on(alg, x, targets, cap))
+
+
+def ref_axiom2_check(L, datum):
+    """verify_eals's axiom 2 check as it ran on L's rank-0 affinization,
+    before it read the integer tables."""
+    alg = AffinizedAlgebra(L, datum, CocycleTorus(rank=0, qmatrix=()))
+    spaces = {root: [loop_term(b, ()) for b in datum.spaces[root]] for root in datum.roots}
+    targets = [alg.kernel(loop_term(b, ()))[0] for b in range(L.dim)]
+    rep = Report(title="reference")
+    rep.first_failure(BASE_AXIOM2, (
+        {"root": root, "vector": L.basis_labels[loop_index(x)]}
+        for root, x in non_nilpotent(alg, spaces, datum.is_real, targets, L.dim)))
+    return rep.checks[0].as_dict()
+
+
+BASE_AXIOM2 = "axiom 2: ad-nilpotency at real roots"
+
+
 def bracket_witness(alg):
     """0 != [x, y] in the Cartan, read off the element bracket of alg."""
-    return lambda x, y: bool((br := alg.bracket(x, y)) and alg.in_cartan(br))
+    return lambda x, y: bool((br := alg.bracket(x, y)) and loop_in_cartan(alg, br))
 
 
 def ref_axiom1_witnesses(L, datum):
@@ -823,6 +852,32 @@ def test_axiom1_witnesses_read_off_the_tables_are_the_element_brackets():
         assert axiom1_witnesses(L, datum) == ref_axiom1_witnesses(L, datum), L.basis_labels
 
 
+def test_base_axiom2_on_the_tables_matches_the_rank0_kernel_on_every_fixture_base():
+    from test_golden_failures import planted_base
+    bases = [*fixture_bases(), planted_base(osp12_standard(), "E+", "E+")]
+    verdicts = set()
+    for L, datum in bases:
+        got = next(c for c in verify_eals(L, datum).checks if c.name == BASE_AXIOM2).as_dict()
+        assert got == ref_axiom2_check(L, datum), L.basis_labels
+        verdicts.add(got["status"])
+    assert verdicts == {"pass", "fail"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(**MUTATED)
+def test_base_axiom2_on_the_tables_matches_the_rank0_kernel_on_a_mutated_structure_constant(
+        name, kind, pick, delta):
+    """One-entry mutations drawn as the verify_affinized contract test draws
+    them (kind picks no torus here: the check reads the base only)."""
+    L = bumped_structure(base_algebra(name), pick, delta)
+    try:
+        datum = weight_decomposition(L)
+    except ValueError:  # the mutated base has no weight decomposition
+        return
+    got = next(c for c in verify_eals(L, datum).checks if c.name == BASE_AXIOM2).as_dict()
+    assert got == ref_axiom2_check(L, datum)
+
+
 def test_window_without_a_nonzero_degree_derives_only_the_loop_parts():
     alg = affinized("osp12", "trivial", 1)
     assert_same_verdicts(alg, [(0,)], exhaustive=True)
@@ -1023,6 +1078,45 @@ def direct_pairing_checks(tw, taus, z_radius):
     return {c.name: c for c in rep.checks}
 
 
+TWISTED_AXIOM1 = ("the (0,0) weight space is the fixed Cartan plus c and d",
+                  "axiom 1: twisted witnesses at every nonzero window root",
+                  "axiom 1 twisted witness count")
+
+
+def ref_twisted_axiom1(tw, taus, z_radius):
+    """verify_twisted's (0,0) weight space check, axiom 1 check and witness
+    count note as it made them before it read them off the slice
+    eigenbases: on the elements of twisted_weight_spaces, through the
+    element bracket and in_cartan."""
+    aff = tw.aff
+    spaces = twisted_weight_spaces(tw, taus, range(-z_radius, z_radius + 1))
+    zero_key = (aff.datum.zero, aff._zero, 0)
+    want_dim = len(fixed_cartan_basis(aff, sigma_cartan_matrix(aff, tw.sh))) + 2 * aff.rank + 2
+    got = spaces.get(zero_key, [])
+    rep = Report(title="reference")
+    rep.check(TWISTED_AXIOM1[0],
+              len(got) == want_dim and all(in_cartan(tw, x) for x in got if x.parts),
+              {"dim": len(got), "expected": want_dim})
+    nonzero, found = {key: spaces[key] for key in sorted(spaces, key=str) if key != zero_key}, {}
+    missing = witness_pairs(nonzero, lambda key: (tuple(-a for a in key[0]), gneg(key[1]), -key[2]),
+                            lambda x, y: bool((br := tw.bracket(x, y)) and in_cartan(tw, br)),
+                            found)
+    rep.first_failure(TWISTED_AXIOM1[1], ({"root": list(key)} for key in missing))
+    rep.note(TWISTED_AXIOM1[2], {"count": len(found)})
+    return {c.name: c.as_dict() for c in rep.checks}
+
+
+def assert_same_twisted_axiom1(tw, idx, taus, z_radius, got=None):
+    """verify_twisted's (0,0), axiom 1 and count checks are the element-bracket
+    search's, byte for byte, wherever they run; returns the axiom 1 status."""
+    got = got or {c.name: c for c in verify_twisted(tw, idx, taus, z_radius).checks}
+    if got[TWISTED_AXIOM1[1]].status == "skip":
+        return "skip"
+    assert {name: got[name].as_dict() for name in TWISTED_AXIOM1} \
+        == ref_twisted_axiom1(tw, taus, z_radius)
+    return got[TWISTED_AXIOM1[1]].status
+
+
 def assert_derived_twisted_checks(tw, idx, taus, z_radius):
     """verify_twisted against the direct checks; returns both reports' checks.
     Where the averaged weights have no rational root form, verify_twisted
@@ -1033,6 +1127,7 @@ def assert_derived_twisted_checks(tw, idx, taus, z_radius):
         with pytest.raises(ValueError, match=reason):
             direct_twisted_checks(tw, taus, z_radius)
         return got, None
+    assert_same_twisted_axiom1(tw, idx, taus, z_radius, got)
     assert (got[LABELS].status == "pass") \
         == (next(reference_label_failures(tw, taus, z_radius), None) is None)
     want = direct_pairing_checks(tw, taus, z_radius)
@@ -1081,6 +1176,33 @@ TWISTED_SETTINGS = {"trivial": (None, None), "sign torus": (sign_torus(1), None)
                     "q = 2/3": (CocycleTorus(rank=1, qmatrix=((Rat(2, 3),),)), None),
                     "star signs -1": (None, (-1,))}
 FACTORS = [Rat(2), Rat(-1), Rat(1, 2), IUNIT]
+
+
+@pytest.mark.parametrize("name", ["BC(1,1)", "BC(2,1)", "BC(1,2)"])
+@pytest.mark.parametrize("setting", sorted(TWISTED_SETTINGS))
+def test_twisted_axiom1_on_the_slice_eigenbases_matches_the_element_brackets(name, setting):
+    idx = TWISTED_FAMILIES[name]
+    tw = family_twisted(idx, *TWISTED_SETTINGS[setting])
+    for taus, z_radius in ((window_box(1, 1), 1), (window_box(1, 0), 2)):
+        assert assert_same_twisted_axiom1(tw, idx, taus, z_radius) == "pass"
+
+
+def planted_twisted_faults():
+    from test_golden_failures import SHARP_SETTINGS, gram_doubled_twisted, perturbed_twisted
+    cases = dict(twisted_cases())
+    for setting, (torus, signs) in SHARP_SETTINGS.items():
+        cases[f"doubled sharp entry {setting}"] = lambda t=torus, s=signs: perturbed_twisted(t, s)
+        cases[f"doubled Gram pair {setting}"] = lambda t=torus, s=signs: gram_doubled_twisted(t, s)
+    return cases
+
+
+def test_twisted_axiom1_matches_the_element_brackets_on_the_planted_faults():
+    verdicts = set()
+    for case, build in planted_twisted_faults().items():
+        tw = build()
+        for taus, z_radius in ((window_box(1, 1), 1), (window_box(1, 0), 2)):
+            verdicts.add(assert_same_twisted_axiom1(tw, BC11, taus, z_radius))
+    assert verdicts == {"pass", "fail"}
 
 
 def mutated_twisted(setting, kind, pick, factor):
@@ -1279,8 +1401,8 @@ class MisreadDegree(TwistedAlgebra):
         (parts, c, d), s = super()._kernel_bracket(X, Y, L)
         if X[2] and 2 in Y[0]:
             loop, v, dk = parts[2]
-            parts = {**parts, 2: (linalg.vadd(loop, {k: s * X[2] * n for k, n in
-                                                     Y[0][2][0].items()}), v, dk)}
+            parts = {**parts, 2: (vadd(loop, {k: s * X[2] * n for k, n in
+                                              Y[0][2][0].items()}), v, dk)}
         return (parts, c, d), s
 
 
