@@ -390,7 +390,7 @@ def ref_window_witnesses(alg, degrees):
                 yield {"root": root, "degree": deg}
             else:
                 records[(root, deg)] = pair
-    rep.first_failure(AXIOM1[0], missing())
+    rep.first_failure(AXIOM1[0], list(missing()))  # every key, so the note counts them all
     rep.note(AXIOM1[1], {
         "count": len(records),
         "sample": [{"root": root, "degree": deg, "parity": parity(alg, x),
@@ -1098,9 +1098,9 @@ def ref_twisted_axiom1(tw, taus, z_radius):
               len(got) == want_dim and all(in_cartan(tw, x) for x in got if x.parts),
               {"dim": len(got), "expected": want_dim})
     nonzero, found = {key: spaces[key] for key in sorted(spaces, key=str) if key != zero_key}, {}
-    missing = witness_pairs(nonzero, lambda key: (tuple(-a for a in key[0]), gneg(key[1]), -key[2]),
-                            lambda x, y: bool((br := tw.bracket(x, y)) and in_cartan(tw, br)),
-                            found)
+    missing = list(witness_pairs(
+        nonzero, lambda key: (tuple(-a for a in key[0]), gneg(key[1]), -key[2]),
+        lambda x, y: bool((br := tw.bracket(x, y)) and in_cartan(tw, br)), found))
     rep.first_failure(TWISTED_AXIOM1[1], ({"root": list(key)} for key in missing))
     rep.note(TWISTED_AXIOM1[2], {"count": len(found)})
     return {c.name: c.as_dict() for c in rep.checks}
@@ -1185,6 +1185,20 @@ def test_twisted_axiom1_on_the_slice_eigenbases_matches_the_element_brackets(nam
     tw = family_twisted(idx, *TWISTED_SETTINGS[setting])
     for taus, z_radius in ((window_box(1, 1), 1), (window_box(1, 0), 2)):
         assert assert_same_twisted_axiom1(tw, idx, taus, z_radius) == "pass"
+
+
+def test_the_witness_count_notes_count_every_key_of_a_failed_report():
+    """Both window notes count the witnessed keys after the first key without
+    a witness too, as the exhaustive element-bracket searches do."""
+    from test_golden_failures import planted_affinization, planted_twisted
+    alg = planted_affinization(osp12_standard(), "E+", "E-")
+    checks = {c.name: c.as_dict() for c in verify_affinized(alg, window_box(1, 1)).checks}
+    assert checks[AXIOM1[0]]["status"] == "fail"
+    assert {name: checks[name] for name in AXIOM1} == ref_window_witnesses(alg, window_box(1, 1))
+    tw = planted_twisted("E[1~,1]")
+    checks = {c.name: c for c in verify_twisted(tw, BC11, window_box(1, 0), 2).checks}
+    assert assert_same_twisted_axiom1(tw, BC11, window_box(1, 0), 2, checks) == "fail"
+    assert checks[TWISTED_AXIOM1[2]].witness["count"] > 0
 
 
 def planted_twisted_faults():
