@@ -503,10 +503,7 @@ def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
     Both read L's integer tables, rows[i][j] the terms (k, n) of D [x_i,
     x_j]: axiom 1 as L's rank-0 loop algebra (axiom1_witnesses), axiom 2 by
     applying ad x_b to each basis vector y through rows[b][j], at most dim
-    times until the vector vanishes.  The k-th iterate is D^k (ad x_b)^k y,
-    zero iff (ad x_b)^k y is, so no bracket is evaluated in scalars and the
-    kernel is not called: pair_table_failures certifies the kernel against
-    these same tables.
+    times until the vector vanishes; the k-th iterate is D^k (ad x_b)^k y.
     """
     rep = Report(title="extended affine axioms")
     witnesses = axiom1_witnesses(L, datum)

@@ -688,11 +688,16 @@ def mislabeled_slice(tw: TwistedAlgebra, tau_degrees, fixed: list[dict], theta: 
     return None
 
 
-def class_vectors(tw: TwistedAlgebra, p, k: int) -> list[dict]:
-    """The _eigenbases vectors of class k on the slices at averaged weight p,
-    both parities, as integer base vectors {basis index: n}."""
-    return [integers_over({idxs[t]: c for t, c in v.items()}, common_denominator(v.values()))
-            for (q, _), (idxs, bases) in tw.slices[1].items() if q == p for v in bases[k]]
+def class_vectors(tw: TwistedAlgebra) -> dict:
+    """{(p, k): the _eigenbases vectors of class k on the slices at averaged
+    weight p, both parities, as integer base vectors {basis index: n}}."""
+    out: dict = {}
+    for (p, _), (idxs, bases) in tw.slices[1].items():
+        for k, vecs in enumerate(bases):
+            out.setdefault((p, k), []).extend(
+                integers_over({idxs[t]: c for t, c in v.items()}, common_denominator(v.values()))
+                for v in vecs)
+    return out
 
 
 def in_fixed_cartan(tw: TwistedAlgebra, v: dict) -> bool:
@@ -701,15 +706,14 @@ def in_fixed_cartan(tw: TwistedAlgebra, v: dict) -> bool:
     return v.keys() <= set(tw.aff.base.cartan) and linalg.mat_vec(tw.sh.columns, v) == v
 
 
-def opposite_class_pairs(tw: TwistedAlgebra, p, kx: int, ky: int) -> tuple:
-    """(strong, weak): whether some x̄ of class kx at p and ȳ of class ky at
-    -p (class_vectors) have B = sum x̄_b ȳ_b' rows[b][b'] in the fixed Cartan
-    and nonzero, resp. in the fixed Cartan with F = sum x̄_b ȳ_b' gram[b][b']
+def opposite_class_pairs(tw: TwistedAlgebra, xs: list, ys: list) -> tuple:
+    """(strong, weak): whether some x̄ of xs and ȳ of ys, integer base
+    vectors, have B = sum x̄_b ȳ_b' rows[b][b'] in the fixed Cartan and
+    nonzero, resp. in the fixed Cartan with F = sum x̄_b ȳ_b' gram[b][b']
     nonzero (the axiom 1 lemma of verify_twisted)."""
     rows, gram, _ = tw.aff.base.integer_tables
     weak = False
-    for x, y in itertools.product(class_vectors(tw, p, kx),
-                                  class_vectors(tw, tuple(-a for a in p), ky)):
+    for x, y in itertools.product(xs, ys):
         B = linalg.vsum((k, c * d * n) for b, c in x.items() for b2, d in y.items()
                         for k, n in rows[b][b2])
         if in_fixed_cartan(tw, B):
@@ -1015,19 +1019,21 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
 
     zero_key = (aff.datum.zero, zero_deg, 0)
     want_dim = len(fixed) + 2 * aff.rank + 2
-    got = spaces.get(zero_key, [])
+    got, vectors = spaces.get(zero_key, []), class_vectors(tw)
     rep.check("the (0,0) weight space is the fixed Cartan plus c and d",
               len(got) == want_dim
-              and all(in_fixed_cartan(tw, v) for v in class_vectors(tw, aff.datum.zero, 0)),
+              and all(in_fixed_cartan(tw, v) for v in vectors.get((aff.datum.zero, 0), [])),
               {"dim": len(got), "expected": want_dim})
 
     pairs: dict = {}  # (p, class at p, class at -p) -> opposite_class_pairs
 
     def witnessed(p, tau, i):
         s = sh.degree_sign(tau)
-        if (key := (p, _eigenclass(s, i % 4), _eigenclass(s, -i % 4))) not in pairs:
-            pairs[key] = opposite_class_pairs(tw, *key)
-        strong, weak = pairs[key]
+        kx, ky = _eigenclass(s, i % 4), _eigenclass(s, -i % 4)
+        if (p, kx, ky) not in pairs:
+            pairs[p, kx, ky] = opposite_class_pairs(tw, vectors.get((p, kx), []),
+                                                    vectors.get((tuple(-a for a in p), ky), []))
+        strong, weak = pairs[p, kx, ky]
         return bool(theta[tau, gneg(tau)]) and (strong or weak and (any(tau) or i != 0))
     keys = sorted((key for key in spaces if key != zero_key), key=str)
     missing = [key for key in keys if not witnessed(*key)]
