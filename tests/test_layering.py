@@ -143,10 +143,6 @@ def test_verify_affinized_calls_the_kernel_only_inside_the_pair_table(monkeypatc
     assert all(inside for _, inside in calls)
 
 
-def top_level_names(tree: ast.Module) -> list:
-    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-
-
 def test_every_top_level_name_is_used_exported_or_benchmarked():
     """Every top-level def and class in src/superlie is named in src/ outside
     its own definition, exported from superlie/__init__.py, or named in
@@ -161,11 +157,11 @@ def test_every_top_level_name_is_used_exported_or_benchmarked():
     for tree in trees.values():
         for top in tree.body:
             for n in ast.walk(top):
-                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) \
-                    if isinstance(n, ast.Attribute) else None
-                named.setdefault(name, set()).add(id(top))
-    unused = [f"{file}:{node.name}" for file, tree in trees.items() for node in top_level_names(tree)
-              if not named.get(node.name, set()) - {id(node)} and node.name not in exported
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    named.setdefault(getattr(n, "id", None) or n.attr, set()).add(id(top))
+    unused = [f"{file}:{node.name}" for file, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not named.get(node.name, set()) - {id(node)} and node.name not in exported
               and not re.search(rf"\b{node.name}\b", bench)]
     assert unused == []
 

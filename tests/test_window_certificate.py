@@ -54,9 +54,10 @@ mutations and a halved Cartan.  Its axiom 1 check, witness count and (0,0)
 weight space check are read off the slice eigenbases; the element-bracket
 search with in_cartan, which they replaced, gives the same checks byte for
 byte on BC(1,1), BC(2,1) and BC(1,2) under four tori and entry
-involutions, on the planted faults and on the mutations.  Both verifiers keep their contract on
-mutations: a Report, or a ValueError before any check; a # that moves the
-Cartan fails "# preserves the Cartan" and skips the checks that need it.
+involutions, on the planted faults and on the mutations.  Both verifiers
+keep their contract on mutations: a Report, or a ValueError before any
+check; a # that moves the Cartan fails "# preserves the Cartan" and skips
+the checks that need it.
 """
 
 import dataclasses
@@ -334,6 +335,9 @@ def non_nilpotent(alg, spaces, real, targets, cap: int):
             for x in basis if not ad_nilpotent_on(alg, x, targets, cap))
 
 
+BASE_AXIOM2 = "axiom 2: ad-nilpotency at real roots"
+
+
 def ref_axiom2_check(L, datum):
     """verify_eals's axiom 2 check as it ran on L's rank-0 affinization,
     before it read the integer tables."""
@@ -345,9 +349,6 @@ def ref_axiom2_check(L, datum):
         {"root": root, "vector": L.basis_labels[loop_index(x)]}
         for root, x in non_nilpotent(alg, spaces, datum.is_real, targets, L.dim)))
     return rep.checks[0].as_dict()
-
-
-BASE_AXIOM2 = "axiom 2: ad-nilpotency at real roots"
 
 
 def bracket_witness(alg):
@@ -1201,9 +1202,51 @@ def test_the_witness_count_notes_count_every_key_of_a_failed_report():
     assert checks[TWISTED_AXIOM1[2]].witness["count"] > 0
 
 
+def unbracketed_opposite_slices():
+    """BC(1,1) without the brackets between the slices at the first averaged
+    weight p != 0 that has a fixed vector of # and the slices at -p.  # stays
+    an automorphism; at the key (p, 0, 0) every pair has [x̄, ȳ] = 0, and
+    some has f(x̄, ȳ) != 0."""
+    tw = family_twisted(BC11)
+    slices = tw.slices[1]
+    p = next(p for (p, _), (_, bases) in slices.items() if any(p) and bases[0])
+    near, far = ({b for (q, _), (idxs, _) in slices.items() if q == r for b in idxs}
+                 for r in (p, tuple(-a for a in p)))
+    L = tw.aff.base
+    return bc11_twisted(dataclasses.replace(L, structure={
+        (i, j): row for (i, j), row in L.structure.items()
+        if not (i in near and j in far or i in far and j in near)}))
+
+
+# faults the axiom 1 lemma must see: theta(tau, -tau) = 0, a bracket [x̄, ȳ]
+# of the Cartan that # moves, [x̄, ȳ] = 0 with f(x̄, ȳ) != 0 at (tau, i) = 0
+AXIOM1_FAULTS = {
+    "theta(1, -1) = 0": lambda: family_twisted(
+        BC11, table_torus(1, {((1,), (-1,)): Rat(0), ((-1,), (1,)): Rat(0)})),
+    "Cartan entry doubled": lambda: mutated_twisted("trivial", "entry", 23, Rat(2)),
+    "unbracketed opposite slices": unbracketed_opposite_slices}
+
+
+def test_a_bracket_that_sharp_fixes_off_the_cartan_is_no_axiom1_witness():
+    """The Cartan clause of the axiom 1 lemma alone: x̄ of class k at p and ȳ
+    of class -k at q != -p bracket into the fixed vectors of # outside the
+    Cartan, and opposite_class_pairs must reject every such pair."""
+    from test_sharp_layer import sharp_apply
+    tw = family_twisted(BC11)
+    L, vectors = tw.aff.base, matrixsuper.class_vectors(tw)
+    pairs = [(x, y) for (p, k), xs in vectors.items() for (q, l), ys in vectors.items()
+             if (k + l) % 4 == 0 and any(a + b for a, b in zip(p, q)) for x in xs for y in ys
+             if L.bracket(x, y)]
+    assert pairs
+    for x, y in pairs:
+        B = GradedLoopElement(loop={(k, (0,)): c for k, c in L.bracket(x, y).items()})
+        assert sharp_apply(tw.sh, B) == B and not loop_in_cartan(tw.aff, B)
+        assert matrixsuper.opposite_class_pairs(tw, [x], [y]) == (False, False)
+
+
 def planted_twisted_faults():
     from test_golden_failures import SHARP_SETTINGS, gram_doubled_twisted, perturbed_twisted
-    cases = dict(twisted_cases())
+    cases = {**twisted_cases(), **AXIOM1_FAULTS}
     for setting, (torus, signs) in SHARP_SETTINGS.items():
         cases[f"doubled sharp entry {setting}"] = lambda t=torus, s=signs: perturbed_twisted(t, s)
         cases[f"doubled Gram pair {setting}"] = lambda t=torus, s=signs: gram_doubled_twisted(t, s)
@@ -1211,12 +1254,13 @@ def planted_twisted_faults():
 
 
 def test_twisted_axiom1_matches_the_element_brackets_on_the_planted_faults():
-    verdicts = set()
+    verdicts = {}
     for case, build in planted_twisted_faults().items():
         tw = build()
-        for taus, z_radius in ((window_box(1, 1), 1), (window_box(1, 0), 2)):
-            verdicts.add(assert_same_twisted_axiom1(tw, BC11, taus, z_radius))
-    assert verdicts == {"pass", "fail"}
+        verdicts[case] = {assert_same_twisted_axiom1(tw, BC11, taus, z_radius) for taus, z_radius
+                          in ((window_box(1, 1), 1), (window_box(1, 0), 2))}
+    assert set().union(*verdicts.values()) >= {"pass", "fail"}
+    assert all("fail" in verdicts[case] for case in AXIOM1_FAULTS), verdicts
 
 
 def mutated_twisted(setting, kind, pick, factor):
