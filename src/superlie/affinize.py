@@ -450,45 +450,49 @@ def window_root_system(alg: AffinizedAlgebra, degrees) -> rootsys.RootSupersyste
 
 # ---------------------------------------------------------------------------
 # the two axioms of the definition, decided on the integer tables: axiom 1
-# for the base and loop algebras (verify_twisted reads its own off the slice
-# eigenbases), axiom 2 for the base (the window verifiers derive it).  Each
-# verifier keys its spaces (key -> basis), orders them as its report lists
-# them, decides "0 != [x, y] in the Cartan" and formats its own witnesses.
+# by one lemma for the base, loop and twisted algebras (axiom1_pairs), axiom
+# 2 for the base (the window verifiers derive it).
 
 
-def witness_pairs(spaces, opposite, is_witness, found: dict):
-    """The keys of spaces without a witness, in order, filing found[key] =
-    the first (x, y) with x in spaces[key], y in spaces[opposite(key)] and
-    is_witness(x, y) for each other key reached (axiom 1)."""
-    for key, basis in spaces.items():
-        ys = spaces.get(opposite(key), ())
-        pair = next(((x, y) for x in basis for y in ys if is_witness(x, y)), None)
-        if pair is None:
-            yield key
-        else:
-            found[key] = pair
+def axiom1_pairs(base: LieSuperalgebra, xs, ys, fixed=None) -> tuple:
+    """(strong, weak): the first (x, y) of xs x ys, integer base vectors,
+    whose B = sum x_b y_b' rows[b][b'] is in the Cartan, passes fixed if
+    given, and is nonzero, resp. is nonzero or has F = sum x_b y_b'
+    gram[b][b'] != 0; None where there is none.
 
-
-def loop_witness(base: LieSuperalgebra, theta: dict, x, y) -> bool:
-    """Whether 0 != [x, y] in the Cartan for loop keys x = (i, a), y = (j, -a),
-    read from the base tables and theta by the loop formula (verify_affinized)."""
-    (i, a), (j, b), (rows, gram, _) = x, y, base.integer_tables
-    return bool(theta[a, b] and (rows[i][j] or any(a) and gram[i][j])
-                and all(k in base.cartan for k, _ in rows[i][j]))
+    The axiom 1 lemma: by the loop formula [x⊗t^a, y⊗t^-a] = theta(a, -a)
+    (B⊗1 + F a) / D, in the Cartan h⊗1 ⊕ V ⊕ V*, and by the twisted one
+    [x⊗t^tau⊗t^i, y⊗t^-tau⊗t^-i] = theta(tau, -tau) (B⊗1 + F tau + i F c)
+    / D, in h^#⊗1 ⊕ V ⊕ Fc (fixed: #B = B).  So the bracket is nonzero and
+    in the Cartan iff theta != 0 and the pair is strong, or weak at a
+    nonzero degree; the base is the rank-0 loop algebra.  The pair tables
+    certify that the kernel is this formula on window pairs, so a verifier
+    decides axiom 1 once per weight (and class pair), not per window key.
+    """
+    rows, gram, _ = base.integer_tables
+    cartan, weak = set(base.cartan), None
+    for x, y in itertools.product(xs, ys):
+        B = linalg.vsum((k, c * d * n) for b, c in x.items() for b2, d in y.items()
+                        for k, n in rows[b][b2])
+        if B.keys() <= cartan and (fixed is None or fixed(B)):
+            if B:
+                return (x, y), weak or (x, y)
+            if weak is None and sum(c * d * gram[b][b2] for b, c in x.items()
+                                    for b2, d in y.items()):
+                weak = (x, y)
+    return None, weak
 
 
 def axiom1_witnesses(L: LieSuperalgebra, datum: RootDatum) -> dict:
     """{(root, parity): (i, j)}, the first basis pair with 0 != [x_i, x_j] in
-    the Cartan per nonzero root and parity, read off L's tables as its
-    rank-0 loop algebra (loop_witness, loop keys (b, ())); a missing key
-    means no witness exists."""
-    spaces = {(root, par): [(b, ()) for b in datum.spaces[root] if L.parity[b] == par]
-              for root in datum.roots if root != datum.zero for par in (0, 1)}
-    found: dict = {}
-    for _ in witness_pairs(spaces, lambda key: (tuple(-x for x in key[0]), key[1]),
-                           lambda x, y: loop_witness(L, {((), ()): 1}, x, y), found):
-        pass
-    return {key: (x[0], y[0]) for key, (x, y) in found.items()}
+    the Cartan per nonzero root and parity: the strong pair of axiom1_pairs
+    on the unit vectors of the root and its opposite; a missing key means
+    no witness exists."""
+    def units(root, par):
+        return [{b: 1} for b in datum.spaces.get(root, ()) if L.parity[b] == par]
+    strong = {(root, par): axiom1_pairs(L, units(root, par), units(gneg(root), par))[0]
+              for root, par in itertools.product(datum.roots, (0, 1)) if root != datum.zero}
+    return {key: (*pair[0], *pair[1]) for key, pair in strong.items() if pair}
 
 
 def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
@@ -501,7 +505,7 @@ def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
         nilpotent (exponent bounded by dim L).
 
     Both read L's integer tables, rows[i][j] the terms (k, n) of D [x_i,
-    x_j]: axiom 1 as L's rank-0 loop algebra (axiom1_witnesses), axiom 2 by
+    x_j]: axiom 1 by the lemma of axiom1_pairs (axiom1_witnesses), axiom 2 by
     applying ad x_b to each basis vector y through rows[b][j], at most dim
     times until the vector vanishes; the k-th iterate is D^k (ad x_b)^k y.
     """
@@ -741,11 +745,10 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
 
     The table certifies the kernel on window pairs; a nested bracket whose
     first argument leaves the window (a+b, ka+b) is the formula's.  So axiom
-    1 is read off the formula on the window (loop_witness): [x_i⊗t^a,
-    x_j⊗t^-a] = theta(a,-a) ([x_i,x_j] + f(x_i,x_j) a) is nonzero and in
-    the Cartan iff theta(a,-a) != 0, rows[i][j] (or at a != 0 gram[i][j])
-    is nonzero and every k of rows[i][j] is Cartan; at a != 0 the central
-    term can make a window witness with no base counterpart.
+    1 is read off the formula by the lemma of axiom1_pairs, once per base
+    root: key (root, a) has the pair theta(a, -a) and (strong if a = 0 else
+    weak); at a != 0 the central term can make a window witness with no
+    base counterpart.
 
     "windowed roots form a root supersystem" runs check_axioms on the base:
     for a window holding degree 0, the window system (window_root_system,
@@ -782,21 +785,20 @@ def verify_affinized(alg: AffinizedAlgebra, degrees, samples: int = 500,
     derive("window-block nondegeneracy (from the base)", ["theta(a, -a) != 0"],
            (["nondegeneracy"], at(zero, zero), 1))
 
-    # the nonzero window roots as loop keys, even vectors first as in the base search
-    nonzero = {(root, deg): [(b, deg) for b in sorted(datum.spaces[root],
-                                                      key=base.parity.__getitem__)]
-               for root, deg in spaces if (root, deg) != (datum.zero, zero)}
-    witness_records: dict = {}  # filled for every key, so the note counts them all
-    missing = list(witness_pairs(nonzero, lambda key: (tuple(-v for v in key[0]), gneg(key[1])),
-                                 lambda x, y: loop_witness(base, theta, x, y), witness_records))
+    # axiom 1 once per base root on unit vectors, even first; (strong, weak)[a != 0]
+    pairs = {root: axiom1_pairs(base, *([{b: 1} for b in sorted(datum.spaces.get(
+        r, ()), key=base.parity.__getitem__)] for r in (root, gneg(root)))) for root in datum.roots}
+    found = {(root, deg): theta[deg, gneg(deg)] and pairs[root][any(deg)]
+             for root, deg in spaces if (root, deg) != (datum.zero, zero)}
     rep.first_failure("axiom 1: witnesses at every nonzero window root", (
-        {"root": root, "degree": deg} for root, deg in missing))
+        {"root": root, "degree": deg} for (root, deg), pair in found.items() if not pair))
+    witness_records = {key: pair for key, pair in found.items() if pair}
     sample = sorted(witness_records.items(), key=lambda kv: str(kv[0]))[:3]
     rep.note("axiom 1 witness pairs", {
         "count": len(witness_records),
         "sample": [{"root": root, "degree": deg, "parity": base.parity[i],
                     "pair": [base.basis_labels[i], base.basis_labels[j]]}
-                   for (root, deg), ((i, _), (j, _)) in sample]})
+                   for (root, deg), ((i,), (j,)) in sample]})
     derive("axiom 1 witnesses match t_alpha + degree (from the base)", ["theta(a, -a) != 0"],
            (["witness brackets equal (x,y) t_alpha"], at(zero), t0))
     derive("axiom 2: windowed ad-nilpotency at real roots (from the base)", [],

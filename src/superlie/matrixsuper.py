@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from . import linalg, rootsys
 from .abelian import gadd, gneg
 from .affinize import (CENTRAL_CHECKS, AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       ThetaDenominatorMiss, d_term, derived, eigen_defect, kernel_part,
-                       kernel_values, loop_element, loop_identities, pair_table_failures,
-                       theta_premises, v_term)
+                       ThetaDenominatorMiss, axiom1_pairs, d_term, derived, eigen_defect,
+                       kernel_part, kernel_values, loop_element, loop_identities,
+                       pair_table_failures, theta_premises, v_term)
 from .algebra import LieSuperalgebra, verify_form, verify_superalgebra, weight_decomposition
 from .linalg import add_entry
 from .reports import Report
@@ -706,24 +706,6 @@ def in_fixed_cartan(tw: TwistedAlgebra, v: dict) -> bool:
     return v.keys() <= set(tw.aff.base.cartan) and linalg.mat_vec(tw.sh.columns, v) == v
 
 
-def opposite_class_pairs(tw: TwistedAlgebra, xs: list, ys: list) -> tuple:
-    """(strong, weak): whether some x̄ of xs and ȳ of ys, integer base
-    vectors, have B = sum x̄_b ȳ_b' rows[b][b'] in the fixed Cartan and
-    nonzero, resp. in the fixed Cartan with F = sum x̄_b ȳ_b' gram[b][b']
-    nonzero (the axiom 1 lemma of verify_twisted)."""
-    rows, gram, _ = tw.aff.base.integer_tables
-    weak = False
-    for x, y in itertools.product(xs, ys):
-        B = linalg.vsum((k, c * d * n) for b, c in x.items() for b2, d in y.items()
-                        for k, n in rows[b][b2])
-        if in_fixed_cartan(tw, B):
-            if B:
-                return True, True
-            weak = weak or bool(sum(c * d * gram[b][b2] for b, c in x.items()
-                                    for b2, d in y.items()))
-    return False, weak
-
-
 def twisted_weight_spaces(tw: TwistedAlgebra, tau_degrees, z_window) -> dict:
     """{(pi value, tau, i): basis of the (pi + tau + i delta) weight space}.
 
@@ -886,18 +868,14 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     theta(0, tau) [h, b] = p(h) b, on the base tables, at every b of its
     slice (mislabeled_slice).
 
-    Axiom 1: by the tables, [x̄⊗t^tau⊗t^i, ȳ⊗t^-tau⊗t^-i] = theta(tau, -tau)
-    (B⊗1 + F tau + i F c), B = sum x̄_b ȳ_b' [b, b'] and F = f(x̄, ȳ): it is
-    nonzero and in the Cartan (h^# ⊗ 1 ⊕ V ⊕ Fc) iff theta(tau, -tau) != 0,
-    B is in the Cartan with #B = B, and B != 0, or F != 0 and (tau, i) != 0.
-    The space of key (p, tau, i) is class _eigenclass(s(tau), i mod 4) at p,
-    both parities, that of its opposite class _eigenclass(s(tau), -i mod 4)
-    at -p, so opposite_class_pairs decides its pairs on the integer tables
-    once per (p, class, class): the tables certify that the kernel is this
-    formula, as for the loop witnesses of verify_affinized.  The (0, 0) space is class
-    0 at p = 0 plus V, V*, c and d, so it is the fixed Cartan plus c and d
-    iff its dimension is right and those base vectors are in the Cartan and
-    fixed by #.
+    Axiom 1, by the lemma of axiom1_pairs with fixed = in_fixed_cartan: key
+    (p, tau, i) has a witness iff theta(tau, -tau) != 0 and it has a strong
+    pair, or a weak one and (tau, i) != 0.  Its space is class
+    _eigenclass(s(tau), i mod 4) at p, both parities, that of its opposite
+    class _eigenclass(s(tau), -i mod 4) at -p, so axiom1_pairs runs once per
+    (p, class, class).  The (0, 0) space is class 0 at p = 0 plus V, V*, c
+    and d, so it is the fixed Cartan plus c and d iff its dimension is
+    right and those base vectors are in the Cartan and fixed by #.
 
     The Gram pairing: by the tables, (x⊗t^i, y⊗t^j) = delta_{i+j,0}
     theta(tau, -tau) f(x̄, ȳ) for x = x̄⊗t^tau, y = ȳ⊗t^-tau (else 0), V
@@ -1025,14 +1003,15 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
               and all(in_fixed_cartan(tw, v) for v in vectors.get((aff.datum.zero, 0), [])),
               {"dim": len(got), "expected": want_dim})
 
-    pairs: dict = {}  # (p, class at p, class at -p) -> opposite_class_pairs
+    pairs: dict = {}  # (p, class at p, class at -p) -> axiom1_pairs
+    fixed = functools.partial(in_fixed_cartan, tw)
 
     def witnessed(p, tau, i):
         s = sh.degree_sign(tau)
         kx, ky = _eigenclass(s, i % 4), _eigenclass(s, -i % 4)
         if (p, kx, ky) not in pairs:
-            pairs[p, kx, ky] = opposite_class_pairs(tw, vectors.get((p, kx), []),
-                                                    vectors.get((tuple(-a for a in p), ky), []))
+            pairs[p, kx, ky] = axiom1_pairs(aff.base, vectors.get((p, kx), []),
+                                            vectors.get((gneg(p), ky), []), fixed)
         strong, weak = pairs[p, kx, ky]
         return bool(theta[tau, gneg(tau)]) and (strong or weak and (any(tau) or i != 0))
     keys = sorted((key for key in spaces if key != zero_key), key=str)

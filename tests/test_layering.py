@@ -74,6 +74,19 @@ def test_verify_twisted_scans_no_window_for_axiom_2_or_the_root_axioms():
                          "graded_system", "kernel_form", "span_rank"}
 
 
+def test_one_axiom1_lemma_decides_the_base_loop_and_twisted_witnesses():
+    """axiom1_pairs is the one axiom 1 decision: the base, loop and twisted
+    searches each call it, and the searches it replaced are gone."""
+    for path, function in (("affinize.py", "axiom1_witnesses"),
+                           ("affinize.py", "verify_affinized"),
+                           ("matrixsuper.py", "verify_twisted")):
+        assert "axiom1_pairs" in calls_in(SRC / path, function), function
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"witness_pairs", "loop_witness", "opposite_class_pairs"}
+
+
 KERNEL_CALLS = {"kernel", "kernel_bracket", "bracket", "in_cartan", "sharp_scales",
                 "ad_nilpotent_on", "AffinizedAlgebra"}
 

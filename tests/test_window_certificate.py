@@ -75,8 +75,8 @@ from superlie import (AffinizedAlgebra, CocycleTorus, check_axioms, osp12_standa
 from superlie import fixtures, linalg, matrixsuper
 from superlie.abelian import gadd, gneg
 from superlie.affinize import (GradedLoopElement, ThetaDenominatorMiss, _cocycle_identity,
-                               _same_terms, _symmetric, affinized_roots, axiom1_witnesses,
-                               d_term, loop_term, pair_table_failures, v_term, witness_pairs)
+                               _same_terms, _symmetric, affinized_roots, axiom1_pairs,
+                               axiom1_witnesses, d_term, loop_term, pair_table_failures, v_term)
 from superlie.algebra import t_alpha_vector
 from superlie.matrixsuper import (PiForm, SharpOperator, SuperIndexSet, TwistedAlgebra,
                                   averaged_weight_slices, fixed_cartan_basis,
@@ -351,6 +351,20 @@ def ref_axiom2_check(L, datum):
     return rep.checks[0].as_dict()
 
 
+def witness_pairs(spaces, opposite, is_witness, found: dict):
+    """The keys of spaces without a witness, in order, filing found[key] =
+    the first (x, y) with x in spaces[key], y in spaces[opposite(key)] and
+    is_witness(x, y) for each other key reached: the element-bracket axiom 1
+    search that axiom1_pairs replaced."""
+    for key, basis in spaces.items():
+        ys = spaces.get(opposite(key), ())
+        pair = next(((x, y) for x in basis for y in ys if is_witness(x, y)), None)
+        if pair is None:
+            yield key
+        else:
+            found[key] = pair
+
+
 def bracket_witness(alg):
     """0 != [x, y] in the Cartan, read off the element bracket of alg."""
     return lambda x, y: bool((br := alg.bracket(x, y)) and loop_in_cartan(alg, br))
@@ -381,17 +395,9 @@ def ref_window_witnesses(alg, degrees):
     nonzero = {key: sorted(basis, key=lambda x: parity(alg, x)) for key, basis in spaces.items()
                if key != (alg.datum.zero, alg._zero)}
     records, labels, rep = {}, alg.base.basis_labels, Report(title="reference")
-    is_witness = bracket_witness(alg)
-
-    def missing():
-        for (root, deg), basis in nonzero.items():
-            ys = nonzero.get((tuple(-v for v in root), gneg(deg)), ())
-            pair = next(((x, y) for x in basis for y in ys if is_witness(x, y)), None)
-            if pair is None:
-                yield {"root": root, "degree": deg}
-            else:
-                records[(root, deg)] = pair
-    rep.first_failure(AXIOM1[0], list(missing()))  # every key, so the note counts them all
+    missing = list(witness_pairs(nonzero, lambda key: (gneg(key[0]), gneg(key[1])),
+                                 bracket_witness(alg), records))  # every key, for the count
+    rep.first_failure(AXIOM1[0], ({"root": root, "degree": deg} for root, deg in missing))
     rep.note(AXIOM1[1], {
         "count": len(records),
         "sample": [{"root": root, "degree": deg, "parity": parity(alg, x),
@@ -848,6 +854,18 @@ def fixture_bases():
             yield L, weight_decomposition(L)
 
 
+def test_axiom1_pairs_weak_is_the_first_weak_pair_before_the_strong_one():
+    """On osp12 (E+, E-, H, F+, F-), (H, H) brackets to 0 with f(H, H) != 0,
+    (H, E-) and (E+, H) leave the Cartan and [E+, E-] is a Cartan vector."""
+    L = osp12_standard()
+    h, e_plus, e_minus = ({L.basis_labels.index(b): 1} for b in ("H", "E+", "E-"))
+    xs, ys = [h, e_plus], [h, e_minus]
+    assert axiom1_pairs(L, xs, ys) == ((e_plus, e_minus), (h, h))
+    assert axiom1_pairs(L, xs[::-1], ys[::-1]) == ((e_plus, e_minus), (e_plus, e_minus))
+    assert axiom1_pairs(L, xs, ys, fixed=lambda B: not B) == (None, (h, h))
+    assert axiom1_pairs(L, xs, ys, fixed=lambda B: False) == (None, None)
+
+
 def test_axiom1_witnesses_read_off_the_tables_are_the_element_brackets():
     for L, datum in fixture_bases():
         assert axiom1_witnesses(L, datum) == ref_axiom1_witnesses(L, datum), L.basis_labels
@@ -1230,7 +1248,7 @@ AXIOM1_FAULTS = {
 def test_a_bracket_that_sharp_fixes_off_the_cartan_is_no_axiom1_witness():
     """The Cartan clause of the axiom 1 lemma alone: x̄ of class k at p and ȳ
     of class -k at q != -p bracket into the fixed vectors of # outside the
-    Cartan, and opposite_class_pairs must reject every such pair."""
+    Cartan, and axiom1_pairs with the fixed clause must reject every such pair."""
     from test_sharp_layer import sharp_apply
     tw = family_twisted(BC11)
     L, vectors = tw.aff.base, matrixsuper.class_vectors(tw)
@@ -1241,7 +1259,8 @@ def test_a_bracket_that_sharp_fixes_off_the_cartan_is_no_axiom1_witness():
     for x, y in pairs:
         B = GradedLoopElement(loop={(k, (0,)): c for k, c in L.bracket(x, y).items()})
         assert sharp_apply(tw.sh, B) == B and not loop_in_cartan(tw.aff, B)
-        assert matrixsuper.opposite_class_pairs(tw, [x], [y]) == (False, False)
+        assert axiom1_pairs(L, [x], [y], fixed=lambda B: matrixsuper.in_fixed_cartan(tw, B)) \
+            == (None, None)
 
 
 def planted_twisted_faults():
