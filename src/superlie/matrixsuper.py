@@ -505,6 +505,11 @@ class TwistedAlgebra:
         self.sh = sh
 
     @functools.cached_property
+    def order(self) -> int:
+        """#'s order (SharpOperator.order), computed on first use."""
+        return self.sh.order()
+
+    @functools.cached_property
     def defects(self) -> tuple:
         """sharp_defects of the base and #'s base matrix, computed on first use."""
         return sharp_defects(self.aff.base, self.sh.columns)
@@ -604,10 +609,9 @@ def twisted_affinize(aff: AffinizedAlgebra, sh: SharpOperator) -> TwistedAlgebra
     automorphism of the base (degree-level identities make that extend to
     the whole affinization).
     """
-    order = sh.order()
-    if order != 4:
-        raise ValueError(f"# has order {order or '>4'}, expected 4")
     tw = TwistedAlgebra(aff, sh)
+    if tw.order != 4:
+        raise ValueError(f"# has order {tw.order or '>4'}, expected 4")
     form_pairs, bracket_pairs = tw.defects
     if form_pairs:
         raise ValueError("# does not preserve the form")
@@ -912,8 +916,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
     dim, labels = aff.base.dim, aff.base.basis_labels
     theta = {(a, b): aff.torus.theta(a, b) for a, b in itertools.product(tau_degrees, repeat=2)}
 
-    order = sh.order()
-    rep.check("# has order 4", order == 4, {"order": order})
+    rep.check("# has order 4", tw.order == 4, {"order": tw.order})
 
     # # acts on b⊗t^tau as s(tau) (Mb)⊗t^tau, M = sh.columns, s a +-1 character
     # (s(a + b) = s(a) s(b), s(-a) = s(a)), so the window checks read the base

@@ -303,6 +303,19 @@ def test_twisted_rejects_scaled_automorphism(factor, message):
         twisted_affinize(aff, sh)
 
 
+def test_sharps_order_is_computed_once_per_twisted_algebra(monkeypatch):
+    """twisted_affinize and the "# has order 4" check of verify_twisted read
+    one TwistedAlgebra.order."""
+    calls = []
+    order = SharpOperator.order
+    monkeypatch.setattr(SharpOperator, "order", lambda sh: calls.append(sh) or order(sh))
+    aff = matrix_affinization(BC11, trivial_torus(1), field="Qi")
+    tw = twisted_affinize(aff, SharpOperator(BC11, aff))
+    rep = verify_twisted(tw, BC11, window_box(1, 0), 1)
+    assert rep.passed and len(calls) == 1
+    assert tw.order == 4 and len(calls) == 1
+
+
 def test_twisted_bracket_central_term():
     tw, aff, sh = build_twisted()
     spaces = twisted_weight_spaces(tw, [(0,)], range(-1, 2))
