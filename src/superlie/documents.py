@@ -71,6 +71,19 @@ def _indices(values, n: int, what: str) -> tuple[int, ...]:
     return out
 
 
+def _check_entries(entries, n: int, what: str, shape: str) -> None:
+    """Each entry has the shape ("[i, j, scalar]"), basis indices in range(n),
+    and indices that no other entry has."""
+    seen = set()
+    for entry in entries:
+        if len(entry) != shape.count(",") + 1:
+            raise DocumentError(f"{what} entry {entry!r} is not {shape}")
+        key = _indices(entry[:-1], n, what)
+        if key in seen:
+            raise DocumentError(f"repeated {what} entry at indices {list(key)}")
+        seen.add(key)
+
+
 def algebra_from_dict(doc: dict) -> LieSuperalgebra:
     try:
         if not isinstance(doc, dict):
@@ -82,14 +95,11 @@ def algebra_from_dict(doc: dict) -> LieSuperalgebra:
         parity = tuple(doc["parity"])
         if len(parity) != n or any(type(p) is not int or p not in (0, 1) for p in parity):
             raise DocumentError("parity must list 0/1 per basis element")
-        for entry in doc["structure"]:
-            if len(entry) != 4:
-                raise DocumentError(f"structure entry {entry!r} is not [i, j, k, scalar]")
-            _indices(entry[:3], n, "structure")
-        for entry in doc.get("gram") or ():
-            if len(entry) != 3:
-                raise DocumentError(f"gram entry {entry!r} is not [i, j, scalar]")
-            _indices(entry[:2], n, "gram")
+        field = doc.get("field", "Q")
+        if field not in ("Q", "Qi"):
+            raise DocumentError(f'field {field!r} is not "Q" or "Qi"')
+        _check_entries(doc["structure"], n, "structure", "[i, j, k, scalar]")
+        _check_entries(doc.get("gram") or (), n, "gram", "[i, j, scalar]")
         cartan = None
         if doc.get("cartan") is not None:
             cartan = _indices(doc["cartan"], n, "cartan")
@@ -118,7 +128,7 @@ def algebra_from_dict(doc: dict) -> LieSuperalgebra:
         return LieSuperalgebra(basis_labels=basis, parity=parity,
                                structure=structure, gram=gram,
                                cartan=cartan, weights=weights,
-                               field=str(doc.get("field", "Q")))
+                               field=field)
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -161,7 +171,7 @@ def load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError(f"cannot read document {path}: {exc}") from exc
 
 

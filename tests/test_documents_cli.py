@@ -227,6 +227,11 @@ def _one_element_doc(**overrides):
     ({"cartan": [True]}, "cartan index True is not an integer"),
     ({"gram": [[0, 0, "1/0"]]}, "zero denominator in '1/0'"),
     ({"structure": [[0, 0, 0, "1+2/0*i"]]}, "zero denominator in '2/0'"),
+    ({"field": "R"}, 'field \'R\' is not "Q" or "Qi"'),
+    ({"field": 3}, 'field 3 is not "Q" or "Qi"'),
+    ({"structure": [[0, 0, 0, "1"], [0, 0, 0, "5"]]},
+     "repeated structure entry at indices [0, 0, 0]"),
+    ({"gram": [[0, 0, "1"], [0, 0, "2"]]}, "repeated gram entry at indices [0, 0]"),
 ])
 def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
                                                    message):
@@ -238,6 +243,24 @@ def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+def test_an_algebra_document_without_a_field_is_over_q():
+    doc = _one_element_doc()
+    del doc["field"]
+    assert documents.algebra_from_dict(doc).field == "Q"
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_cli_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    message = f"input error: cannot read document {path}: 'utf-8' codec can't decode"
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(message)
+    assert main([command, str(path), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(message)
 
 
 def test_cli_verify_one_element_document_is_valid(tmp_path, capsys):
