@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 from . import linalg, rootsys
 from .abelian import gadd, gneg
-from .algebra import (LieSuperalgebra, RootDatum, t_alpha_vector, verify_form,
-                      verify_superalgebra)
+# the two axioms live in algebra; their names stay importable from here
+from .algebra import (LieSuperalgebra, RootDatum, axiom1_pairs, axiom1_witnesses, verify_eals,
+                      verify_form, verify_superalgebra)
 from .reports import FAIL, Report
 from .scalars import (Rat, common_denominator, integer_over, integers_over,
                       scalar_over, scalars_over, spow)
@@ -446,109 +447,6 @@ def window_root_system(alg: AffinizedAlgebra, degrees) -> rootsys.RootSupersyste
     base_coords, base_form = rootsys.weight_lattice(alg.datum)
     return rootsys.graded_system(((c, deg) for c in base_coords.values() for deg in degrees),
                                  base_form, degrees)
-
-
-# ---------------------------------------------------------------------------
-# the two axioms of the definition, decided on the integer tables: axiom 1
-# by one lemma for the base, loop and twisted algebras (axiom1_pairs), axiom
-# 2 for the base (the window verifiers derive it).
-
-
-def axiom1_pairs(base: LieSuperalgebra, xs, ys, fixed=None) -> tuple:
-    """(strong, weak): the first (x, y) of xs x ys, integer base vectors,
-    whose B = sum x_b y_b' rows[b][b'] is in the Cartan, passes fixed if
-    given, and is nonzero, resp. is nonzero or has F = sum x_b y_b'
-    gram[b][b'] != 0; None where there is none.
-
-    The axiom 1 lemma: by the loop formula [x⊗t^a, y⊗t^-a] = theta(a, -a)
-    (B⊗1 + F a) / D, in the Cartan h⊗1 ⊕ V ⊕ V*, and by the twisted one
-    [x⊗t^tau⊗t^i, y⊗t^-tau⊗t^-i] = theta(tau, -tau) (B⊗1 + F tau + i F c)
-    / D, in h^#⊗1 ⊕ V ⊕ Fc (fixed: #B = B).  So the bracket is nonzero and
-    in the Cartan iff theta != 0 and the pair is strong, or weak at a
-    nonzero degree; the base is the rank-0 loop algebra.  The pair tables
-    certify that the kernel is this formula on window pairs, so a verifier
-    decides axiom 1 once per weight (and class pair), not per window key.
-    """
-    rows, gram, _ = base.integer_tables
-    cartan, weak = set(base.cartan), None
-    for x, y in itertools.product(xs, ys):
-        B = linalg.vsum((k, c * d * n) for b, c in x.items() for b2, d in y.items()
-                        for k, n in rows[b][b2])
-        if B.keys() <= cartan and (fixed is None or fixed(B)):
-            if B:
-                return (x, y), weak or (x, y)
-            if weak is None and sum(c * d * gram[b][b2] for b, c in x.items()
-                                    for b2, d in y.items()):
-                weak = (x, y)
-    return None, weak
-
-
-def axiom1_witnesses(L: LieSuperalgebra, datum: RootDatum) -> dict:
-    """{(root, parity): (i, j)}, the first basis pair with 0 != [x_i, x_j] in
-    the Cartan per nonzero root and parity: the strong pair of axiom1_pairs
-    on the unit vectors of the root and its opposite; a missing key means
-    no witness exists."""
-    def units(root, par):
-        return [{b: 1} for b in datum.spaces.get(root, ()) if L.parity[b] == par]
-    strong = {(root, par): axiom1_pairs(L, units(root, par), units(gneg(root), par))[0]
-              for root, par in itertools.product(datum.roots, (0, 1)) if root != datum.zero}
-    return {key: (*pair[0], *pair[1]) for key, pair in strong.items() if pair}
-
-
-def verify_eals(L: LieSuperalgebra, datum: RootDatum) -> Report:
-    """The two extra axioms on top of a verified super-toral triple.
-
-    (1) every nonzero root alpha (per parity) has a weight-basis pair with
-        0 != [x_a, x_{-a}] in the Cartan, and every such witness satisfies
-        [x_a, x_{-a}] = (x_a, x_{-a}) t_a;
-    (2) for every real root and every weight basis vector x, ad_x is
-        nilpotent (exponent bounded by dim L).
-
-    Both read L's integer tables, rows[i][j] the terms (k, n) of D [x_i,
-    x_j]: axiom 1 by the lemma of axiom1_pairs (axiom1_witnesses), axiom 2 by
-    applying ad x_b to each basis vector y through rows[b][j], at most dim
-    times until the vector vanishes; the k-th iterate is D^k (ad x_b)^k y.
-    """
-    rep = Report(title="extended affine axioms")
-    witnesses = axiom1_witnesses(L, datum)
-    rep.first_failure("axiom 1: sl2-pair witnesses at every nonzero root", (
-        {"root": root, "parity": par}
-        for root in datum.roots if root != datum.zero for par in (0, 1)
-        if any(L.parity[i] == par for i in datum.spaces[root])
-        and (root, par) not in witnesses))
-
-    def witness_failures():
-        for (root, par), (i, j) in sorted(witnesses.items(), key=lambda kv: str(kv[0])):
-            br = L.bracket_basis(i, j)
-            pairing = L.form({i: Rat(1)}, {j: Rat(1)})
-            want = linalg.vscale(pairing, t_alpha_vector(datum, root))
-            if br != want:
-                yield {"root": root, "pair": (L.basis_labels[i], L.basis_labels[j]),
-                       "bracket": L.label_vector(br), "expected": L.label_vector(want)}
-    rep.first_failure("witness brackets equal (x,y) t_alpha", witness_failures())
-
-    rows = L.integer_tables[0]
-
-    def nilpotent(b):
-        for y in range(L.dim):
-            v = {y: 1}
-            for _ in range(L.dim):
-                v = linalg.vsum((k, n * c) for j, n in v.items() for k, c in rows[b][j])
-                if not v:
-                    break
-            if v:
-                return False
-        return True
-    rep.first_failure("axiom 2: ad-nilpotency at real roots", (
-        {"root": root, "vector": L.basis_labels[b]}
-        for root in datum.roots if datum.is_real(root) for b in datum.spaces[root]
-        if not nilpotent(b)))
-
-    rep.note("axiom 1 witnesses", {
-        str([str(x) for x in root]) + f" parity {par}":
-            (L.basis_labels[i], L.basis_labels[j])
-        for (root, par), (i, j) in witnesses.items()})
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,13 @@ import json
 import sys
 import time
 
-from . import affinize as affz
-from . import documents, fixtures, matrixsuper, rootsys
-from .affinize import verify_eals
-from .algebra import (NotAWeightBasisError, even_part, structural_root_checks,
+# rootsys, affinize and matrixsuper load only inside the subcommands that run them
+from . import documents, fixtures
+from .algebra import (NotAWeightBasisError, even_part, structural_root_checks, verify_eals,
                       verify_form, verify_superalgebra, weight_decomposition)
 from .osp12 import ModuleError, decompose
 from .reports import Report
 from .scalars import scalar_from_string
-from .matrixsuper import SuperIndexSet
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -33,8 +31,8 @@ def _load_algebra(path: str):
         name = path[len("builtin:"):] if path.startswith("builtin:") else path
         try:
             return fixtures.algebra_fixture(name)
-        except KeyError as exc:
-            raise documents.DocumentError(str(exc)) from exc
+        except KeyError as exc:  # str(KeyError) would quote the message
+            raise documents.DocumentError(exc.args[0]) from exc
     return documents.algebra_from_dict(documents.load(path))
 
 
@@ -72,6 +70,7 @@ def _emit(report: Report, fmt: str, started: float) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import rootsys
     started = time.monotonic()
     L = _load_algebra(args.path)
     combined = Report(title=f"verify {args.path}")
@@ -124,6 +123,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from . import rootsys
     started = time.monotonic()
     L = _load_algebra(args.path)
     if not verify_superalgebra(L).passed or L.gram is None:
@@ -145,8 +145,9 @@ def cmd_roots(args) -> int:
     return _emit(report, args.format, started)
 
 
-def _torus(args) -> affz.CocycleTorus:
+def _torus(args):
     """The trivial torus of rank --rank, or every q-matrix entry set to --q."""
+    from . import affinize as affz
     if args.q is None:
         return affz.trivial_torus(args.rank)
     q = tuple(tuple(args.q for _ in range(args.rank)) for _ in range(args.rank))
@@ -154,6 +155,7 @@ def _torus(args) -> affz.CocycleTorus:
 
 
 def cmd_affinize(args) -> int:
+    from . import affinize as affz
     started = time.monotonic()
     L = _load_algebra(args.base)
     datum = weight_decomposition(L)
@@ -176,8 +178,10 @@ def cmd_affinize(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from . import matrixsuper
+    from .affinize import window_box
     started = time.monotonic()
-    idx = SuperIndexSet(i_dot=args.i_dot, j_dot=args.j_dot,
+    idx = matrixsuper.SuperIndexSet(i_dot=args.i_dot, j_dot=args.j_dot,
                         with_zero_i=args.with_zero, barred=True)
     torus = _torus(args)
     try:
@@ -190,7 +194,7 @@ def cmd_twist(args) -> int:
         return _error(f"superlie twist: error: argument --star-signs: {exc}",
                       EXIT_INPUT, args.format)
     tw = matrixsuper.twisted_affinize(aff, sh)
-    taus = affz.window_box(args.rank, args.window)
+    taus = window_box(args.rank, args.window)
     report = matrixsuper.verify_twisted(tw, idx, taus, args.zwindow)
     if args.format == "text":
         sys.stdout.write(f"type: {idx.type_label()}\n")

@@ -5,7 +5,7 @@ round-trip bit for bit.  Two formats:
 
 superlie-algebra/1:
     field: "Q" | "Qi"
-    basis: [label, ...]
+    basis: [label, ...]                        # distinct strings
     parity: [0|1, ...]
     structure: [[i, j, k, scalar], ...]        # [b_i, b_j] components
     gram: [[i, j, scalar], ...] | null         # bilinear form entries
@@ -90,7 +90,11 @@ def algebra_from_dict(doc: dict) -> LieSuperalgebra:
             raise DocumentError("document is not a JSON object")
         if doc.get("format") != ALGEBRA_FORMAT:
             raise DocumentError(f"unknown format {doc.get('format')!r}")
-        basis = tuple(str(x) for x in doc["basis"])
+        basis = doc["basis"]
+        if type(basis) is not list or any(type(x) is not str for x in basis):
+            raise DocumentError("basis must be a list of string labels")
+        if len(set(basis)) < len(basis):
+            raise DocumentError(f"repeated basis label {max(basis, key=basis.count)!r}")
         n = len(basis)
         parity = tuple(doc["parity"])
         if len(parity) != n or any(type(p) is not int or p not in (0, 1) for p in parity):
@@ -125,7 +129,7 @@ def algebra_from_dict(doc: dict) -> LieSuperalgebra:
         if doc.get("weights") is not None:
             weights = {b: tuple(scalar_from_string(s) for s in row)
                        for b, row in enumerate(doc["weights"])}
-        return LieSuperalgebra(basis_labels=basis, parity=parity,
+        return LieSuperalgebra(basis_labels=tuple(basis), parity=parity,
                                structure=structure, gram=gram,
                                cartan=cartan, weights=weights,
                                field=field)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import LieSuperalgebra
-from .matrixsuper import plain_index_set, sl_superalgebra
+from .algebra import LieSuperalgebra, plain_index_set, sl_superalgebra
 from .osp12 import Osp12Module, direct_sum, irreducible_module, osp12_standard, scramble
 from .scalars import Rat
 

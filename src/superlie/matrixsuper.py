@@ -1,9 +1,8 @@
 """Matrix superalgebras over a cocycle torus and the twisted affinization.
 
-Index sets split into an even block I and an odd block J; each may carry a
-distinguished fixed index (0 resp. 0') and, in "barred" mode, a pairing
-t <-> t~ used by the transpose-like involutions.  The supertraceless
-matrices over the torus form the loop part of an affinization (reusing the
+The index sets and supertraceless matrices of algebra (their bar pairing
+t <-> t~ drives the transpose-like involutions here) over the torus form
+the loop part of an affinization (reusing the
 generic machinery: sl over the torus is sl over the base field tensored
 with the torus); the diamond transpose and the order-4 automorphism # act
 degree by degree, and the twisted algebra is rebuilt from the eigenspaces
@@ -27,121 +26,19 @@ import operator
 from dataclasses import dataclass, field
 
 from . import linalg, rootsys
-from .abelian import gadd, gneg
+from .abelian import gneg
 from .affinize import (CENTRAL_CHECKS, AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       ThetaDenominatorMiss, axiom1_pairs, d_term, derived, eigen_defect,
+                       ThetaDenominatorMiss, d_term, derived, eigen_defect,
                        kernel_part, kernel_values, loop_element, loop_identities,
                        pair_table_failures, theta_premises, v_term)
-from .algebra import LieSuperalgebra, verify_form, verify_superalgebra, weight_decomposition
-from .linalg import add_entry
+# the matrix model lives in algebra; its names stay importable from here
+from .algebra import (DegenerateFormError, FieldError, LieSuperalgebra, SuperIndexSet,
+                      _coordinates, _epsilons, axiom1_pairs, basis_matrices, matrix_structure,
+                      plain_index_set, sl_superalgebra, supertrace, tm_mul, tm_parity,
+                      tm_supercomm, verify_form, verify_superalgebra, weight_decomposition)
 from .reports import Report
 from .scalars import (IUNIT, Rat, common_denominator, integer_over, integers_over, scalar_over,
-                      scalars_over, super_sign)
-
-
-class DegenerateFormError(ValueError):
-    """|I| = |J| with both finite: the supertrace form is degenerate."""
-
-
-class FieldError(ValueError):
-    """The operation needs a fourth primitive root of unity (field Qi)."""
-
-
-# ---------------------------------------------------------------------------
-# index sets
-
-
-@dataclass(frozen=True)
-class SuperIndexSet:
-    """I (even) and J (odd) index blocks, optionally barred and with zeros."""
-
-    i_dot: int
-    j_dot: int
-    with_zero_i: bool = False
-    with_zero_j: bool = False
-    barred: bool = True
-
-    def __post_init__(self):
-        if self.i_dot < 1 or self.j_dot < 1:
-            raise ValueError("index sets need at least one dotted index each")
-
-    def i_indices(self) -> list[str]:
-        out = ["0"] if self.with_zero_i else []
-        out += [str(k) for k in range(1, self.i_dot + 1)]
-        if self.barred:
-            out += [f"{k}~" for k in range(1, self.i_dot + 1)]
-        return out
-
-    def j_indices(self) -> list[str]:
-        out = ["0'"] if self.with_zero_j else []
-        out += [f"{k}'" for k in range(1, self.j_dot + 1)]
-        if self.barred:
-            out += [f"{k}'~" for k in range(1, self.j_dot + 1)]
-        return out
-
-    def indices(self) -> list[str]:
-        return self.i_indices() + self.j_indices()
-
-    def parity(self, t: str) -> int:
-        return 1 if "'" in t else 0
-
-    def bar(self, t: str) -> str:
-        if not self.barred:
-            raise ValueError("index set carries no bar pairing")
-        if t in ("0", "0'"):
-            return t
-        return t[:-1] if t.endswith("~") else t + "~"
-
-    def has_zero(self) -> bool:
-        return self.with_zero_i or self.with_zero_j
-
-    def type_label(self) -> str:
-        """BC(|I.|,|J.|) with a fixed zero index, C(|I.|,|J.|) without."""
-        kind = "BC" if self.has_zero() else "C"
-        return f"{kind}({self.i_dot},{self.j_dot})"
-
-
-def plain_index_set(i_dot: int, j_dot: int) -> SuperIndexSet:
-    return SuperIndexSet(i_dot=i_dot, j_dot=j_dot, barred=False)
-
-
-# ---------------------------------------------------------------------------
-# matrices with torus-element entries: {(row, col, degree): scalar}
-
-
-def tm_mul(x: dict, y: dict) -> dict:
-    """The matrix product, entry degrees added (the untwisted torus)."""
-    out: dict = {}
-    ycols: dict = {}
-    for (r, c, deg), v in y.items():
-        ycols.setdefault(r, []).append((c, deg, v))
-    for (r, c, deg), v in x.items():
-        for (c2, deg2, v2) in ycols.get(c, ()):
-            add_entry(out, (r, c2, gadd(deg, deg2)), v * v2)
-    return out
-
-
-def tm_parity(x: dict, idx: SuperIndexSet):
-    seen = {(idx.parity(r) + idx.parity(c)) % 2 for (r, c, _) in x}
-    return seen.pop() if len(seen) == 1 else None
-
-
-def tm_supercomm(x: dict, y: dict, idx: SuperIndexSet) -> dict:
-    px, py = tm_parity(x, idx), tm_parity(y, idx)
-    if px is None or py is None:
-        raise ValueError("supercommutator needs parity-homogeneous matrices")
-    out = tm_mul(x, y)
-    linalg.vaxpy_inplace(out, -super_sign(px, py), tm_mul(y, x))
-    return out
-
-
-def supertrace(x: dict, idx: SuperIndexSet) -> dict:
-    """Signed diagonal sum; a torus element {degree: scalar}."""
-    out: dict = {}
-    for (r, c, deg), v in x.items():
-        if r == c:
-            add_entry(out, deg, -v if idx.parity(r) else v)
-    return out
+                      scalars_over)
 
 
 def _star_sign(signs, deg) -> int:
@@ -167,121 +64,12 @@ def sharp(x: dict, idx: SuperIndexSet, star_signs=None) -> dict:
             for (u, w, deg), v in diamond(x, idx, star_signs).items()}
 
 
-# ---------------------------------------------------------------------------
-# the supertraceless algebra over the base field
-
-
-def sl_superalgebra(idx: SuperIndexSet, field: str = "Q") -> LieSuperalgebra:
-    """Supertraceless matrices over the base field, with form, Cartan, weights.
-
-    Basis: off-diagonal matrix units in index order, then the supertraceless
-    consecutive-difference diagonal combinations (the Cartan).  The form is
-    the supertrace form (x, y) = str(xy).
-    """
-    order = idx.indices()
-    ni, nj = len(idx.i_indices()), len(idx.j_indices())
-    if ni == nj:
-        raise DegenerateFormError(
-            f"|I| = |J| = {ni}: the supertrace form is degenerate on sl")
-    mats = basis_matrices(idx)
-    cartan = tuple(range(len(order) * (len(order) - 1), len(mats)))
-    labels = [f"E[{r},{c}]" for m in mats[:cartan[0]] for (r, c, _) in m]
-    labels += [f"D[{t}|{u}]" for t, u in zip(order, order[1:])]
-    structure, gram = matrix_structure(mats, idx)
-
-    eps = _epsilons(idx, mats, cartan)
-    weights = {}
-    for b, m in enumerate(mats):
-        if b in cartan:
-            weights[b] = tuple(Rat(0) for _ in cartan)
-            continue
-        (r, c, _) = next(iter(m))
-        weights[b] = tuple(x - y for x, y in zip(eps[r], eps[c]))
-
-    return LieSuperalgebra(
-        basis_labels=tuple(labels),
-        parity=tuple(tm_parity(m, idx) for m in mats),
-        structure=structure,
-        gram=gram,
-        cartan=cartan,
-        weights=weights,
-        field=field,
-    )
-
-
-def matrix_structure(mats: list[dict], idx: SuperIndexSet) -> tuple:
-    """(structure, gram) of the superalgebra spanned by degree-0 matrices.
-
-    [a, b] is the supercommutator in coordinates over mats, and the form is
-    the supertrace form (a, b) = str(ab).  Raises AssertionError when a
-    supercommutator leaves the span.
-    """
-    coordinates = _coordinates(mats)
-    structure = {}
-    for (a, x), (b, y) in itertools.product(enumerate(mats), repeat=2):
-        sol = coordinates(tm_supercomm(x, y, idx))
-        if sol is None:
-            raise AssertionError("supercommutator left the span of the basis")
-        if sol:
-            structure[(a, b)] = sol
-    gram = tuple(tuple(supertrace(tm_mul(x, y), idx).get((), Rat(0)) for y in mats)
-                 for x in mats)
-    return structure, gram
-
-
-def _coordinates(mats: list[dict]):
-    """Coordinates over a basis of degree-0 matrices, factored once.
-
-    Returns a function taking a matrix to its coefficients over mats (a
-    sparse dict), or to None when it lies outside their span.  Entries at
-    positions where every basis matrix vanishes are not read.
-    """
-    pos: dict = {}
-    for b, m in enumerate(mats):
-        for (r, c, _), v in m.items():
-            pos.setdefault((r, c), {})[b] = v
-    keys = list(pos)
-    solve = linalg.solver(list(pos.values()), len(mats))
-
-    def coordinates(m: dict):
-        rhs = {}
-        for i, (r, c) in enumerate(keys):
-            val = m.get((r, c, ()))
-            if val:
-                rhs[i] = val
-        return solve(rhs)
-
-    return coordinates
-
-
-def _epsilons(idx: SuperIndexSet, mats: list[dict], cartan) -> dict:
-    """{t: eps_t}: the diagonal entries at index t of the Cartan basis matrices."""
-    diag = [{r: v for (r, _, _), v in mats[h].items()} for h in cartan]
-    return {t: tuple(d.get(t, Rat(0)) for d in diag) for t in idx.indices()}
-
-
 def matrix_affinization(idx: SuperIndexSet, torus: CocycleTorus,
                         field: str = "Q") -> AffinizedAlgebra:
     """sl over the torus plus V and the dual derivations, as an affinization."""
     base = sl_superalgebra(idx, field=field)
     datum = weight_decomposition(base)
     return AffinizedAlgebra(base, datum, torus)
-
-
-def basis_matrices(idx: SuperIndexSet) -> list[dict]:
-    """The degree-0 matrices realizing sl_superalgebra's basis, in order."""
-    order = idx.indices()
-    zero_deg = ()
-    mats = []
-    for r in order:
-        for c in order:
-            if r != c:
-                mats.append({(r, c, zero_deg): Rat(1)})
-    for k in range(len(order) - 1):
-        t, u = order[k], order[k + 1]
-        coeff = Rat(1) if idx.parity(t) == idx.parity(u) else Rat(-1)
-        mats.append({(t, t, zero_deg): Rat(1), (u, u, zero_deg): -coeff})
-    return mats
 
 
 # ---------------------------------------------------------------------------

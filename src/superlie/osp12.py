@@ -1,9 +1,9 @@
 """The 5-dimensional orthosymplectic superalgebra and its finite modules.
 
 The algebra is built from its defining 3x3 supermatrices (one even index,
-two odd) by the supermatrix builder of ``matrixsuper``, with the supertrace
-form.  Modules are given by the actions of the odd raising/lowering pair
-e, f and the Cartan element h; the even generators act as 2e^2 and 2f^2,
+two odd) by ``algebra.matrix_structure``, with the supertrace form.
+Modules are given by the actions of the odd raising/lowering pair e, f
+and the Cartan element h; the even generators act as 2e^2 and 2f^2,
 so three operator identities
 
     he - eh = 2e,   hf - fh = -2f,   ef + fe = h
@@ -23,8 +23,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import LieSuperalgebra
-from .matrixsuper import matrix_structure, plain_index_set
+from .algebra import LieSuperalgebra, matrix_structure, plain_index_set
 from .scalars import Rat, is_rat
 
 OSP_LABELS = ("E+", "E-", "H", "F+", "F-")

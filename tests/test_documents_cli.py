@@ -232,6 +232,10 @@ def _one_element_doc(**overrides):
     ({"structure": [[0, 0, 0, "1"], [0, 0, 0, "5"]]},
      "repeated structure entry at indices [0, 0, 0]"),
     ({"gram": [[0, 0, "1"], [0, 0, "2"]]}, "repeated gram entry at indices [0, 0]"),
+    ({"basis": "a"}, "basis must be a list of string labels"),
+    ({"basis": [1]}, "basis must be a list of string labels"),
+    ({"basis": ["a", "a"], "parity": [0, 0], "weights": [["0"], ["0"]]},
+     "repeated basis label 'a'"),
 ])
 def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
                                                    message):
@@ -425,3 +429,15 @@ def test_cli_verify_reports_an_asymmetric_cartan_form(tmp_path, capsys):
     failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
     assert "root supersystem of the weights" in failed
     assert "supersymmetry" in failed
+
+
+@pytest.mark.parametrize("command", [["verify", "builtin:nope"], ["roots", "builtin:nope"],
+                                     ["affinize", "--base", "builtin:nope"]])
+def test_cli_an_unknown_fixture_is_named_once_unquoted(capsys, command):
+    message = "input error: unknown algebra fixture 'nope'"
+    assert main(command) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert main([*command, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": message}
+    assert captured.err == message + "\n"
