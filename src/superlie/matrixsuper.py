@@ -1,12 +1,12 @@
 """Matrix superalgebras over a cocycle torus and the twisted affinization.
 
-The index sets and supertraceless matrices of algebra (their bar pairing
-t <-> t~ drives the transpose-like involutions here) over the torus form
-the loop part of an affinization (reusing the
-generic machinery: sl over the torus is sl over the base field tensored
-with the torus); the diamond transpose and the order-4 automorphism # act
-degree by degree, and the twisted algebra is rebuilt from the eigenspaces
-of # with a central element c and a degree derivation d.
+The supertraceless matrices of algebra's matrix model, over the torus,
+form the loop part of an affinization (reusing the generic machinery: sl
+over the torus is sl over the base field tensored with the torus); the
+diamond transpose and the order-4 automorphism #, through the bar pairing
+t <-> t~ of the index set, act degree by degree, and the twisted algebra
+is rebuilt from the eigenspaces of # with a central element c and a
+degree derivation d.
 
 The twisted bracket and form are
 
