@@ -115,14 +115,13 @@ def _holds_where_defined(test, torus: CocycleTorus, *degrees) -> bool:
         return True
 
 
-def verify_cocycle(torus: CocycleTorus, degrees, samples: int = 200,
-                   seed: int = 0) -> Report:
+def verify_cocycle(torus: CocycleTorus, degrees) -> Report:
     """Normalization, symmetry, and the cocycle identity on a window.
 
     A bimultiplicative theta is a cocycle by construction (a_i b_j +
     (a+b)_i c_j = b_i c_j + a_i (b+c)_j in each exponent) and symmetric iff
     its q matrix is; table mode checks every pair and triple the table
-    covers.  samples and seed change nothing; they are kept for callers.
+    covers.
     """
     rep = Report(title="commutative 2-cocycle")
     degrees = [tuple(d) for d in degrees]

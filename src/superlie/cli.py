@@ -95,9 +95,13 @@ def cmd_verify(args) -> int:
         combined.check("root supersystem of the weights", False, {"detail": str(exc)})
     else:
         combined.extend(rootsys.check_axioms(system))
-    even = even_part(L)
+    # even_part drops odd components of even brackets, so they are looked for first
+    labels = L.basis_labels
+    leak = next(({"pair": (labels[i], labels[j]), "component": labels[k]}
+                 for (i, j), c in L.structure.items() if L.parity[i] == L.parity[j] == 0
+                 for k, x in c.items() if x and L.parity[k]), None)
     combined.check("even part is a subalgebra",
-                   verify_superalgebra(even).passed, None)
+                   leak is None and verify_superalgebra(even_part(L)).passed, leak)
     return _emit(combined, args.format, started)
 
 
@@ -289,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=nonnegative_int, default=1)
     p.add_argument("--window", type=nonnegative_int, default=3)
     ignored = "ignored: every check is exact"
+    q_help = "the value of every q-matrix entry (default: the trivial torus)"
     p.add_argument("--samples", type=nonnegative_int, default=500, help=ignored)
     p.add_argument("--seed", type=int, default=0, help=ignored)
-    p.add_argument("--q", type=nonzero_scalar, default=None,
-                   help="off-diagonal cocycle value")
+    p.add_argument("--q", type=nonzero_scalar, default=None, help=q_help)
     common(p)
     p.set_defaults(func=cmd_affinize)
 
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zwindow", type=nonnegative_int, default=4, help="Z-grading radius")
     p.add_argument("--samples", type=nonnegative_int, default=500, help=ignored)
     p.add_argument("--seed", type=int, default=0, help=ignored)
-    p.add_argument("--q", type=nonzero_scalar, default=None)
+    p.add_argument("--q", type=nonzero_scalar, default=None, help=q_help)
     p.add_argument("--star-signs", type=unit_sign, nargs="*", default=None)
     common(p)
     p.set_defaults(func=cmd_twist)

@@ -60,6 +60,13 @@ def algebra_to_dict(L: LieSuperalgebra) -> dict:
     }
 
 
+def _list(value, what: str) -> list:
+    """value, which must be a JSON list (a string would be read per character)."""
+    if type(value) is not list:
+        raise DocumentError(f"{what} is not a JSON list: {value!r:.40}")
+    return value
+
+
 def _indices(values, n: int, what: str) -> tuple[int, ...]:
     """values as basis indices: JSON integers (no floats or booleans) in range(n)."""
     out = tuple(values)
@@ -75,8 +82,8 @@ def _check_entries(entries, n: int, what: str, shape: str) -> None:
     """Each entry has the shape ("[i, j, scalar]"), basis indices in range(n),
     and indices that no other entry has."""
     seen = set()
-    for entry in entries:
-        if len(entry) != shape.count(",") + 1:
+    for entry in _list(entries, what):
+        if type(entry) is not list or len(entry) != shape.count(",") + 1:
             raise DocumentError(f"{what} entry {entry!r} is not {shape}")
         key = _indices(entry[:-1], n, what)
         if key in seen:
@@ -96,22 +103,24 @@ def algebra_from_dict(doc: dict) -> LieSuperalgebra:
         if len(set(basis)) < len(basis):
             raise DocumentError(f"repeated basis label {max(basis, key=basis.count)!r}")
         n = len(basis)
-        parity = tuple(doc["parity"])
+        parity = tuple(_list(doc["parity"], "parity"))
         if len(parity) != n or any(type(p) is not int or p not in (0, 1) for p in parity):
             raise DocumentError("parity must list 0/1 per basis element")
         field = doc.get("field", "Q")
         if field not in ("Q", "Qi"):
             raise DocumentError(f'field {field!r} is not "Q" or "Qi"')
         _check_entries(doc["structure"], n, "structure", "[i, j, k, scalar]")
-        _check_entries(doc.get("gram") or (), n, "gram", "[i, j, scalar]")
+        if doc.get("gram") is not None:
+            _check_entries(doc["gram"], n, "gram", "[i, j, scalar]")
         cartan = None
         if doc.get("cartan") is not None:
-            cartan = _indices(doc["cartan"], n, "cartan")
+            cartan = _indices(_list(doc["cartan"], "cartan"), n, "cartan")
         if doc.get("weights") is not None:
-            rows = doc["weights"]
+            rows = _list(doc["weights"], "weights")
             if len(rows) != n:
                 raise DocumentError(f"weights has {len(rows)} rows for a basis of {n}")
             for b, row in enumerate(rows):
+                _list(row, f"weights row {b}")
                 if cartan is not None and len(row) != len(cartan):
                     raise DocumentError(f"weights row {b} has {len(row)} entries, "
                                         f"expected {len(cartan)}")
@@ -158,10 +167,11 @@ def module_from_dict(doc: dict) -> Osp12Module:
             raise DocumentError("document is not a JSON object")
         if doc.get("format") != MODULE_FORMAT:
             raise DocumentError(f"unknown format {doc.get('format')!r}")
-        parity = tuple(doc["parity"])
+        parity = tuple(_list(doc["parity"], "parity"))
         mats = {}
         for key in ("act_e", "act_f", "act_h"):
-            mats[key] = [[scalar_from_string(s) for s in row] for row in doc[key]]
+            mats[key] = [[scalar_from_string(s) for s in _list(row, f"{key} row {i}")]
+                         for i, row in enumerate(_list(doc[key], key))]
         # the constructor rejects non-0/1 parities, ragged or non-square
         # matrices and non-rational entries (ModuleError is a ValueError)
         return Osp12Module(parity, mats["act_e"], mats["act_f"], mats["act_h"])

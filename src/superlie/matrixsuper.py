@@ -231,7 +231,7 @@ def displayed_pi_families(idx: SuperIndexSet, aff: AffinizedAlgebra) -> set:
                                for a, b in itertools.permutations(idx.indices(), 2)}
 
 
-def fixed_cartan_basis(aff: AffinizedAlgebra, sigma: tuple) -> list[dict]:
+def fixed_cartan_basis(sigma: tuple) -> list[dict]:
     """Basis of the #-fixed part of the Cartan, in Cartan coordinates."""
     return _eigenvectors([{l: c for l, c in enumerate(r) if c} for r in sigma], Rat(1))
 
@@ -240,7 +240,7 @@ class PiForm:
     """The transferred form on averaged weights, via the fixed Cartan."""
 
     def __init__(self, aff: AffinizedAlgebra, sigma: tuple):
-        self.fixed = fixed_cartan_basis(aff, sigma)
+        self.fixed = fixed_cartan_basis(sigma)
         vecs = [{aff.base.cartan[l]: c for l, c in v.items()} for v in self.fixed]
         gram = [{b: f for b, w in enumerate(vecs) if (f := aff.base.form(v, w))} for v in vecs]
         self.solve = linalg.solver(gram, len(vecs))
@@ -768,7 +768,7 @@ def verify_twisted(tw: TwistedAlgebra, idx: SuperIndexSet, tau_degrees,
             rep.skip(name, {"reason": CARTAN_MOVED if leak else "# mixes averaged-weight slices"})
         rep.note("type label", {"label": idx.type_label()})
         return rep
-    sigma, fixed = tw.slices[0], fixed_cartan_basis(aff, tw.slices[0])
+    sigma, fixed = tw.slices[0], fixed_cartan_basis(tw.slices[0])
     premises.update({SPLIT: unsplit_slice(tw),
                      LABELED: mislabeled_slice(tw, tau_degrees, fixed, theta)})
 

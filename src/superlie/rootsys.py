@@ -33,7 +33,7 @@ class NonIntegralReflectionError(ValueError):
 
 
 class BrokenStringError(ValueError):
-    """A root string has a gap or exceeds the scan cap."""
+    """A root string has a gap, an unknown end or the wrong p - q."""
 
 
 class RatioViolationError(ValueError):
@@ -179,13 +179,12 @@ def reflect(system: RootSupersystem, alpha, beta):
 
 @dataclass(frozen=True)
 class StringScan:
-    """The k-interval {k : beta + k alpha in R} with boundary bookkeeping."""
+    """The run of k with beta + k alpha in R through k = 0, with its ends."""
 
     members: tuple            # sorted k values found
     p: int | None             # -min k when the negative end is confirmed
     q: int | None             # max k when the positive end is confirmed
     gap_at: int | None        # a missing k strictly inside the found range
-    capped: bool              # scan hit the safety cap before finding an end
 
 
 def _member_ks(system: RootSupersystem, alpha, beta) -> list[int]:
@@ -194,62 +193,37 @@ def _member_ks(system: RootSupersystem, alpha, beta) -> list[int]:
     return sorted(d // m for d in ds if not d % m)
 
 
-def _string_scan(system: RootSupersystem, alpha, beta, cap: int) -> StringScan:
+def _string_scan(system: RootSupersystem, alpha, beta) -> StringScan:
+    """The alpha-string through the root beta: on a fully known system every
+    member and the first missing k inside; otherwise the run through k = 0,
+    each end confirmed where membership is known one step past it."""
     ks = _member_ks(system, alpha, beta)
     if system.known is None:
-        # finite fully-known set: enumerate members exactly, gaps included
-        gap_at = None
-        for a, b in zip(ks, ks[1:]):
-            if b != a + 1:
-                gap_at = a + 1
-                break
-        return StringScan(members=tuple(ks), p=-ks[0], q=ks[-1],
-                          gap_at=gap_at, capped=False)
-    found = set(ks)
-    members = [0]
-    ends: dict[int, int | None] = {}
-    capped = False
-    for direction in (1, -1):
-        k = direction
-        end = None
-        while abs(k) <= cap:
-            if k in found:
-                members.append(k)
-                k += direction
-                continue
-            if system.is_known(tuple(b + k * a for a, b in zip(alpha, beta))):
-                end = k - direction
-            break
-        else:
-            capped = True
-        ends[direction] = end
-    members.sort()
-    gap_at = None
-    for a, b in zip(members, members[1:]):
-        if b != a + 1:
-            gap_at = a + 1
-            break
-    q = ends[1] if ends[1] is not None else None
-    p = -ends[-1] if ends[-1] is not None else None
-    return StringScan(members=tuple(members), p=p, q=q, gap_at=gap_at, capped=capped)
+        gap_at = next((a + 1 for a, b in zip(ks, ks[1:]) if b != a + 1), None)
+        return StringScan(members=tuple(ks), p=-ks[0], q=ks[-1], gap_at=gap_at)
+    found, lo, hi = set(ks), 0, 0
+    while hi + 1 in found:
+        hi += 1
+    while lo - 1 in found:
+        lo -= 1
+    q_known, p_known = (system.is_known(tuple(b + k * a for a, b in zip(alpha, beta)))
+                        for k in (hi + 1, lo - 1))
+    return StringScan(members=tuple(range(lo, hi + 1)), p=-lo if p_known else None,
+                      q=hi if q_known else None, gap_at=None)
 
 
 def root_string(system: RootSupersystem, alpha, beta):
     """(p, q, members) of the alpha-string through beta, checked exactly.
 
     The string must be a bounded integer interval containing 0 with
-    p - q = 2(beta,alpha)/(alpha,alpha); gaps and cap overruns raise.
+    p - q = 2(beta,alpha)/(alpha,alpha); gaps and unknown ends raise.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if not system.form.eval(alpha, alpha):
         raise NonRealRootError(f"root {alpha} is isotropic")
     if beta not in set(system.roots):
         raise ValueError(f"{beta} is not a root")
-    cap = 4 * max(1, len(system.roots))
-    scan = _string_scan(system, alpha, beta, cap)
-    if scan.capped:
-        raise BrokenStringError(
-            f"string of {beta} along {alpha} is unbounded within the scan cap {cap}")
+    scan = _string_scan(system, alpha, beta)
     if scan.gap_at is not None:
         raise BrokenStringError(
             f"string of {beta} along {alpha} has a gap at k = {scan.gap_at}")
@@ -328,17 +302,13 @@ def check_axioms(system: RootSupersystem) -> Report:
                     yield {"alpha": a, "beta": b, "value": str(Rat(t, na))}
     rep.first_failure("S3: integrality of 2(a,b)/(a,a)", s3_failures())
 
-    cap = 4 * max(1, len(system.roots))
-
     def s4_failures():
         nonlocal skipped
         for a in reals:
             na = table.norm[a]
             for b, t in zip(system.roots, table.twice[a]):
-                scan = _string_scan(system, a, b, cap)
-                if scan.capped:
-                    yield {"alpha": a, "beta": b, "reason": "cap exceeded", "cap": cap}
-                elif scan.gap_at is not None:
+                scan = _string_scan(system, a, b)
+                if scan.gap_at is not None:
                     yield {"alpha": a, "beta": b, "gap_at": scan.gap_at}
                 elif scan.p is None or scan.q is None:
                     skipped += 1
@@ -406,7 +376,7 @@ def class_window_failures(system: RootSupersystem, report: Report, classes: dict
     (b, h) + k(a, g) at a known degree is a root iff v + ku is in classes[b +
     ka]; so an instance over (a, u, b, v) fails iff the class rule fails it
     and some g, h of classes u, v know the degrees h + kg it reads (realized):
-    S2 reads -g (always known), S3 none, S4 (uncapped, with no gap) k in
+    S2 reads -g (always known), S3 none, S4 (with no gap) k in
     [-k-, k+] for the first k+, k- >= 1 off the class rule at b ± ka, v ± ku,
     S5 k = ±1, and the reflection by n = 2(a,b)/(a,a) k = -n.  The ratio
     k(a, g), k outside RATIOS, needs a known kg of a class in classes[ka];

@@ -45,9 +45,9 @@ def test_torus_mul_sign_cocycle():
 
 def test_verify_cocycle_trivial_and_sign():
     degrees = window_box(1, 3)
-    assert verify_cocycle(trivial_torus(1), degrees, samples=50).passed
+    assert verify_cocycle(trivial_torus(1), degrees).passed
     t = CocycleTorus(rank=2, qmatrix=((Rat(1), Rat(-1)), (Rat(-1), Rat(1))))
-    assert verify_cocycle(t, window_box(2, 2), samples=100).passed
+    assert verify_cocycle(t, window_box(2, 2)).passed
 
 
 def test_verify_cocycle_table_normalization_failure():

@@ -84,6 +84,23 @@ def test_cli_verify_reports_jacobi_witness(capsys):
     assert "Jacobi" in out or "anti" in out
 
 
+def test_cli_verify_fails_an_even_part_with_an_odd_component(tmp_path, capsys):
+    """[E+, E-] = F+ leaves the even part; even_part drops that component, so
+    the check looks for it first and reports it as bracket grading does."""
+    doc = documents.algebra_to_dict(fixtures.osp12_standard())
+    e, f = doc["basis"].index("E+"), doc["basis"].index("E-")
+    odd = doc["basis"].index("F+")
+    doc["structure"] += [[e, f, odd, "1"], [f, e, odd, "-1"]]
+    path = tmp_path / "leak.json"
+    documents.save(str(path), doc)
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    leak = {"component": "F+", "pair": ["E+", "E-"]}
+    assert checks["bracket grading"]["witness"] == leak
+    assert checks["even part is a subalgebra"] == {
+        "name": "even part is a subalgebra", "status": "fail", "witness": leak}
+
+
 def test_cli_decompose(capsys):
     assert main(["decompose", "builtin:V2plusV0"]) == 0
     out = capsys.readouterr().out
@@ -236,6 +253,13 @@ def _one_element_doc(**overrides):
     ({"basis": [1]}, "basis must be a list of string labels"),
     ({"basis": ["a", "a"], "parity": [0, 0], "weights": [["0"], ["0"]]},
      "repeated basis label 'a'"),
+    ({"weights": ["0"]}, "weights row 0 is not a JSON list: '0'"),
+    ({"weights": "0"}, "weights is not a JSON list: '0'"),
+    ({"structure": ""}, "structure is not a JSON list: ''"),
+    ({"structure": ["abcd"]}, "structure entry 'abcd' is not [i, j, k, scalar]"),
+    ({"gram": ""}, "gram is not a JSON list: ''"),
+    ({"cartan": ""}, "cartan is not a JSON list: ''"),
+    ({"parity": "0"}, "parity is not a JSON list: '0'"),
 ])
 def test_cli_verify_rejects_out_of_range_documents(tmp_path, capsys, overrides,
                                                    message):
@@ -288,6 +312,11 @@ def _module_doc(parity, act_e, act_f=None, act_h=None):
     (_module_doc([0, 1], [[0, 1], [0, 0]]), "not an exact scalar: 0"),
     ([0, 1], "document is not a JSON object"),
     (_module_doc([True, 0], [["0", "0"], ["0", "0"]]), "parity must list 0 or 1"),
+    (_module_doc([0], ["0"]), "act_e row 0 is not a JSON list: '0'"),
+    (_module_doc([0], [["0"]], act_f=["0"]), "act_f row 0 is not a JSON list: '0'"),
+    (_module_doc([0], [["0"]], act_h=["0"]), "act_h row 0 is not a JSON list: '0'"),
+    (_module_doc([0], "0"), "act_e is not a JSON list: '0'"),
+    (_module_doc("0", [["0"]]), "parity is not a JSON list: '0'"),
 ])
 def test_cli_decompose_rejects_malformed_module(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
@@ -332,12 +361,18 @@ CONTRACT = [
     (["verify", "builtin:osp12-broken"], 1),
     (["verify", "{parity_half}"], 2),
     (["verify", "{zero_denominator}"], 2),
+    (["verify", "{no_form}"], 0),
+    (["verify", "{no_weights}"], 0),
     (["decompose", "builtin:V2+V0"], 0),
     (["decompose", "builtin:V3"], 2),
     (["roots", "builtin:sl12"], 0),
     (["roots", "{missing}"], 2),
+    (["roots", "builtin:osp12-broken"], 1),
+    (["roots", "{cartan_weight}"], 1),
     (["affinize", "--rank", "1", "--window", "1", "--samples", "5"], 0),
     (["affinize", "--base", "{cartan_weight}"], 1),
+    (["affinize", "--base", "builtin:heisenberg", "--rank", "1", "--window", "1"], 1),
+    (["affinize", "--rank", "2", "--window", "1", "--q", "-1"], 0),
     (["affinize", "--q", "abc"], 2),
     (["affinize", "--q", "0"], 2),
     (["affinize", "--q", "1/0"], 2),
@@ -350,6 +385,7 @@ CONTRACT = [
     (["twist", "--with-zero", "--rank", "2", "--star-signs", "-1"], 2),
     (["twist", "--with-zero", "--star-signs", "1", "-1", "1"], 2),
     (["twist", "--q", "1/0"], 2),
+    (["twist", "--with-zero", "--rank", "1", "--window", "1", "--zwindow", "1", "--q", "2"], 0),
     (["bogus"], 2),
 ]
 
@@ -360,10 +396,13 @@ CONTRACT = [
 def test_cli_contract(tmp_path, capsys, args, code, fmt):
     paths = {"parity_half": tmp_path / "half.json", "missing": tmp_path / "missing.json",
              "cartan_weight": tmp_path / "weight.json",
-             "zero_denominator": tmp_path / "zero.json"}
+             "zero_denominator": tmp_path / "zero.json", "no_form": tmp_path / "noform.json",
+             "no_weights": tmp_path / "noweights.json"}
     documents.save(str(paths["parity_half"]), _one_element_doc(parity=[0.5]))
     documents.save(str(paths["cartan_weight"]), _one_element_doc(weights=[["1"]]))
     documents.save(str(paths["zero_denominator"]), _one_element_doc(gram=[[0, 0, "1/0"]]))
+    documents.save(str(paths["no_form"]), _one_element_doc(gram=None))
+    documents.save(str(paths["no_weights"]), _one_element_doc(cartan=None, weights=None))
     argv = [a.format(**paths) for a in args] + ["--format", fmt]
     try:
         got = main(argv)

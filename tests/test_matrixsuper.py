@@ -373,7 +373,7 @@ def test_twisted_zero_space_is_fixed_cartan_plus_c_d():
     sigma = sigma_cartan_matrix(aff, sh)
     spaces = twisted_weight_spaces(tw, window_box(1, 1), range(-2, 3))
     zero_key = (aff.datum.zero, (0,), 0)
-    dim_fixed = len(fixed_cartan_basis(aff, sigma))
+    dim_fixed = len(fixed_cartan_basis(sigma))
     assert len(spaces[zero_key]) == dim_fixed + 2 * aff.rank + 2
 
 
@@ -452,7 +452,7 @@ def test_bc11_averaged_weight_classes_hand_derived():
     pform = PiForm(aff, sigma)
     norms = Counter(str(pform.eval(p, p)) for p in classes)
     assert norms == {"0": 5, "2": 2, "-2": 2, "1/2": 2, "-1/2": 2}
-    assert len(fixed_cartan_basis(aff, sigma)) == 2
+    assert len(fixed_cartan_basis(sigma)) == 2
 
 
 def test_bc11_twisted_multiplicity_pattern():

@@ -223,7 +223,7 @@ def test_windowed_boundary_skips_and_failures():
     assert not check_axioms(s2).passed
 
     # a scan whose continuation exits the window has at least one open end
-    scan = _string_scan(s, (1, 1), (0, 0), cap=100)
+    scan = _string_scan(s, (1, 1), (0, 0))
     assert scan.gap_at is None and (scan.p is None or scan.q is None)
 
 

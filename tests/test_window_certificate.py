@@ -1110,7 +1110,7 @@ def ref_twisted_axiom1(tw, taus, z_radius):
     aff = tw.aff
     spaces = twisted_weight_spaces(tw, taus, range(-z_radius, z_radius + 1))
     zero_key = (aff.datum.zero, aff._zero, 0)
-    want_dim = len(fixed_cartan_basis(aff, sigma_cartan_matrix(aff, tw.sh))) + 2 * aff.rank + 2
+    want_dim = len(fixed_cartan_basis(sigma_cartan_matrix(aff, tw.sh))) + 2 * aff.rank + 2
     got = spaces.get(zero_key, [])
     rep = Report(title="reference")
     rep.check(TWISTED_AXIOM1[0],
@@ -1459,7 +1459,7 @@ def reference_label_failures(tw, taus, z_radius):
     spaces = twisted_weight_spaces(tw, taus, range(-z_radius, z_radius + 1))
     gens = [("h", vec, tw_loop(0, GradedLoopElement(
         loop={(aff.base.cartan[l], zero): vec[l] for l in sorted(vec)})))
-        for vec in fixed_cartan_basis(aff, sigma_cartan_matrix(aff, tw.sh))]
+        for vec in fixed_cartan_basis(sigma_cartan_matrix(aff, tw.sh))]
     gens += [(kind, k, tw_loop(0, term(k))) for k in range(aff.rank)
              for kind, term in (("v", v_term), ("dk", d_term))]
     gens += [("c", None, tw_c()), ("d", None, tw_d())]
