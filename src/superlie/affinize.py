@@ -229,7 +229,7 @@ def _vv_pairing(X: tuple, Y: tuple):
 
 
 class ThetaDenominatorMiss(Exception):
-    """A theta denominator that does not divide the L a kernel bracket runs at."""
+    """bracket_terms met a theta denominator that does not divide its L."""
 
 
 class AffinizedAlgebra:
@@ -292,18 +292,9 @@ class AffinizedAlgebra:
         return loop_element(Z, sx * sy * s)
 
     def kernel_bracket(self, X: tuple, Y: tuple) -> tuple:
-        """(Z, s) with [X, Y] = Z / s, for kernel elements X and Y.
-
-        Most tori take integer values, so the terms are first scaled to L = 1
-        and only on a miss to the lcm of theta's denominators.
-        """
-        try:
-            return self._kernel_bracket(X, Y, 1)
-        except ThetaDenominatorMiss:
-            return self._kernel_bracket(X, Y, self.theta_lcm({d for _, d in X[0]},
-                                                             {d for _, d in Y[0]}))
-
-    def _kernel_bracket(self, X: tuple, Y: tuple, L) -> tuple:
+        """(Z, s) with [X, Y] = Z / s, for kernel elements X and Y, the terms
+        scaled to the lcm of theta's denominators on their degrees."""
+        L = self.theta_lcm({d for _, d in X[0]}, {d for _, d in Y[0]})
         loop, v = [], []
         self.bracket_terms(X, Y, L, loop, v)
         return ((linalg.vsum(loop), linalg.vsum(v) if v else {}, {}),

@@ -140,7 +140,7 @@ class RootDatum:
     def is_real(self, a) -> bool:
         return bool(self.root_form(a, a))
 
-    @property
+    @cached_property
     def zero(self):
         return tuple(Rat(0) for _ in self.cartan)
 

@@ -69,32 +69,37 @@ def _emit(report: Report, fmt: str, started: float) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_verify(args) -> int:
+def _form_and_root_checks(L, report: Report) -> None:
+    """The form, weight and root checks, up to the first input L lacks."""
     from . import rootsys
+    if L.gram is None:
+        report.skip("bilinear form", {"reason": "no form in document"})
+        return
+    report.extend(verify_form(L))
+    if L.cartan is None or L.weights is None:
+        report.skip("weight decomposition", {"reason": "no Cartan/weights"})
+        return
+    try:
+        datum = weight_decomposition(L)
+    except (NotAWeightBasisError, ValueError) as exc:
+        report.check("weight decomposition", False, {"detail": str(exc)})
+        return
+    report.extend(verify_eals(L, datum))
+    report.extend(structural_root_checks(L, datum))
+    try:
+        system = rootsys.from_root_datum(datum)
+    except ValueError as exc:  # say, a Cartan form that is not symmetric
+        report.check("root supersystem of the weights", False, {"detail": str(exc)})
+    else:
+        report.extend(rootsys.check_axioms(system))
+
+
+def cmd_verify(args) -> int:
     started = time.monotonic()
     L = _load_algebra(args.path)
     combined = Report(title=f"verify {args.path}")
     combined.extend(verify_superalgebra(L))
-    if L.gram is None:
-        combined.skip("bilinear form", {"reason": "no form in document"})
-        return _emit(combined, args.format, started)
-    combined.extend(verify_form(L))
-    if L.cartan is None or L.weights is None:
-        combined.skip("weight decomposition", {"reason": "no Cartan/weights"})
-        return _emit(combined, args.format, started)
-    try:
-        datum = weight_decomposition(L)
-    except (NotAWeightBasisError, ValueError) as exc:
-        combined.check("weight decomposition", False, {"detail": str(exc)})
-        return _emit(combined, args.format, started)
-    combined.extend(verify_eals(L, datum))
-    combined.extend(structural_root_checks(L, datum))
-    try:
-        system = rootsys.from_root_datum(datum)
-    except ValueError as exc:  # say, a Cartan form that is not symmetric
-        combined.check("root supersystem of the weights", False, {"detail": str(exc)})
-    else:
-        combined.extend(rootsys.check_axioms(system))
+    _form_and_root_checks(L, combined)
     # even_part drops odd components of even brackets, so they are looked for first
     labels = L.basis_labels
     leak = next(({"pair": (labels[i], labels[j]), "component": labels[k]}

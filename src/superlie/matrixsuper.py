@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import linalg, rootsys
 from .abelian import gneg
 from .affinize import (CENTRAL_CHECKS, AffinizedAlgebra, CocycleTorus, GradedLoopElement,
-                       ThetaDenominatorMiss, d_term, derived, eigen_defect,
+                       d_term, derived, eigen_defect,
                        kernel_part, kernel_values, loop_element, loop_identities,
                        pair_table_failures, theta_premises, v_term)
 # the matrix model lives in algebra; its names stay importable from here
@@ -341,13 +341,11 @@ class TwistedAlgebra:
 
         Parts i and j bracket into part i + j by the affinized bracket, and
         for i = -j != 0 their pairing times i goes to c; d scales part j by j.
+        The terms are scaled to the lcm of theta's denominators on the degrees.
         """
-        try:
-            return self._kernel_bracket(X, Y, 1)
-        except ThetaDenominatorMiss:
-            return self._kernel_bracket(X, Y, self.aff.theta_lcm(
-                {d for part in X[0].values() for _, d in part[0]},
-                {d for part in Y[0].values() for _, d in part[0]}))
+        return self._kernel_bracket(X, Y, self.aff.theta_lcm(
+            {d for part in X[0].values() for _, d in part[0]},
+            {d for part in Y[0].values() for _, d in part[0]}))
 
     def _kernel_bracket(self, X: tuple, Y: tuple, L) -> tuple:
         aff = self.aff

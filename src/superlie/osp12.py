@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .algebra import LieSuperalgebra, matrix_structure, plain_index_set
@@ -200,20 +201,14 @@ class Osp12Module:
         self.act_e = _columns(act_e, self.dim, "act_e")
         self.act_f = _columns(act_f, self.dim, "act_f")
         self.act_h = _columns(act_h, self.dim, "act_h")
-        self._act_ee = None
-        self._act_ff = None
 
-    @property
+    @cached_property
     def act_ee(self) -> Columns:
-        if self._act_ee is None:
-            self._act_ee = _twice_square(self.act_e)
-        return self._act_ee
+        return _twice_square(self.act_e)
 
-    @property
+    @cached_property
     def act_ff(self) -> Columns:
-        if self._act_ff is None:
-            self._act_ff = _twice_square(self.act_f)
-        return self._act_ff
+        return _twice_square(self.act_f)
 
     def action(self, label: str) -> Columns:
         return {"E+": self.act_ee, "E-": self.act_ff, "H": self.act_h,
@@ -361,13 +356,13 @@ def h_spectrum(m: Osp12Module) -> list:
     return out
 
 
-def _chain(m: Osp12Module, start: dict, cap: int) -> list[dict]:
-    """start, f.start, f^2.start, ... until zero; error past the cap."""
+def _chain(m: Osp12Module, start: dict) -> list[dict]:
+    """start, f.start, f^2.start, ... until zero; error past 2 dim + 2 vectors."""
     out = []
     v = start
     while v:
         out.append(v)
-        if len(out) > cap:
+        if len(out) > 2 * m.dim + 2:
             raise ModuleError("lowering chain did not terminate within the dimension cap")
         v = linalg.mat_vec(m.act_f, v)
     return out
@@ -394,14 +389,13 @@ def generated_g0_submodule(m: Osp12Module, u: dict, lam_u) -> list[dict]:
     if linalg.mat_vec(m.act_ee, u):
         raise ModuleError("u is not annihilated by the even raising operator")
 
-    cap = 2 * m.dim + 2
     eu = linalg.mat_vec(m.act_e, u)
     z = linalg.vsub(linalg.mat_vec(m.act_f, eu), linalg.vscale(lam_u + 2, u))
     vectors = []
     if eu:
-        vectors.extend(_chain(m, eu, cap)[0::2])
+        vectors.extend(_chain(m, eu)[0::2])
     if z:
-        vectors.extend(_chain(m, z, cap)[1::2])
+        vectors.extend(_chain(m, z)[1::2])
 
     span = linalg.Echelon()
     for v in vectors:
@@ -519,14 +513,13 @@ def decompose(m: Osp12Module, certify: bool = True) -> list[tuple[int, list[dict
     """
     require_representation(m)
     candidates: list[tuple[int, list[dict]]] = []
-    cap = 2 * m.dim + 2
     for lam, w in _half_h_tops(m):
         y = linalg.mat_vec(m.act_e, w)
         if y:
-            candidates.append((2 * lam + 2, _chain(m, y, cap)))
+            candidates.append((2 * lam + 2, _chain(m, y)))
         z = linalg.vsub(linalg.mat_vec(m.act_f, y), linalg.vscale(2 * lam + 2, w))
         if z:
-            candidates.append((2 * lam, _chain(m, z, cap)))
+            candidates.append((2 * lam, _chain(m, z)))
     for v in _trivial_odd_lines(m):
         x = linalg.vsub(linalg.mat_vec(m.act_f, linalg.mat_vec(m.act_e, v)),
                         linalg.vscale(2, v))

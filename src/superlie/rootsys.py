@@ -65,6 +65,11 @@ class RootSupersystem:
         """The roots grouped by the integer lines through them, built on use."""
         return LineIndex(self.roots)
 
+    @cached_property
+    def table(self) -> "PairingTable":
+        """The integer pairings of the roots, built on use."""
+        return PairingTable(self)
+
     def cartan_int(self, a, b):
         """2(b,a)/(a,a) for real a; raises for isotropic a."""
         na = self.form.eval(a, a)
@@ -110,7 +115,7 @@ def _dot(a, b):
 
 
 class PairingTable:
-    """Integer pairings of one system, built once and shared by the axioms.
+    """Integer pairings of one system, built once as RootSupersystem.table.
 
     With D the lcm of the Gram denominators, pair(a, b) = D (a, b) is the
     dot product of D.gram.a (cached per root) with b.  For each real root a,
@@ -267,32 +272,29 @@ def check_axioms(system: RootSupersystem) -> Report:
     rep.note("S1: ambient group is the Z-span of the roots",
              {"lattice_basis": [list(r) for r in system.span_basis]})
 
-    skipped = 0  # instances of the axiom at hand left undecided by the boundary
-
-    def check_skipping(name, skip_name, failures):
-        """first_failure over failures(); the instances it skips before its
-        first failure are reported as one skip entry with their count."""
-        nonlocal skipped
-        skipped = 0
-        rep.first_failure(name, failures())
+    def first_known_failure(name, skip_name, instances):
+        """Fail name at the first witness dict instances yields; the Nones
+        before it (instances outside the known region) are reported as one
+        skip entry with their count."""
+        skipped, bad = 0, None
+        for bad in instances:
+            if bad is not None:
+                break
+            skipped += 1
+        rep.check(name, bad is None, bad)
         if skipped:
             rep.skip(skip_name, {"count": skipped})
 
     def s2_failures():
-        nonlocal skipped
         for r in system.roots:
             neg = gneg(r)
-            if neg in rootset:
-                continue
-            if system.is_known(neg):
-                yield {"root": r}
-            else:
-                skipped += 1
-    check_skipping("S2: symmetry R = -R",
-                   "S2: instances outside the known region", s2_failures)
+            if neg not in rootset:
+                yield {"root": r} if system.is_known(neg) else None
+    first_known_failure("S2: symmetry R = -R",
+                        "S2: instances outside the known region", s2_failures())
 
     reals = sorted(system.real_roots)
-    table = PairingTable(system)
+    table = system.table
 
     def s3_failures():
         for a in reals:
@@ -303,7 +305,6 @@ def check_axioms(system: RootSupersystem) -> Report:
     rep.first_failure("S3: integrality of 2(a,b)/(a,a)", s3_failures())
 
     def s4_failures():
-        nonlocal skipped
         for a in reals:
             na = table.norm[a]
             for b, t in zip(system.roots, table.twice[a]):
@@ -311,30 +312,26 @@ def check_axioms(system: RootSupersystem) -> Report:
                 if scan.gap_at is not None:
                     yield {"alpha": a, "beta": b, "gap_at": scan.gap_at}
                 elif scan.p is None or scan.q is None:
-                    skipped += 1
+                    yield None
                 elif t != (scan.p - scan.q) * na:
                     yield {"alpha": a, "beta": b, "p": scan.p, "q": scan.q,
                            "cartan": str(Rat(t, na))}
-    check_skipping("S4: root strings are bounded intervals with p-q = 2(b,a)/(a,a)",
-                   "S4: strings leaving the known region", s4_failures)
+    first_known_failure("S4: root strings are bounded intervals with p-q = 2(b,a)/(a,a)",
+                        "S4: strings leaving the known region", s4_failures())
 
     imaginary = sorted(system.nonsingular_roots | ({zero} if zero in rootset else set()))
 
     def s5_failures():
-        nonlocal skipped
         for a in imaginary:
             for b in system.roots:
                 if not table.pair(a, b):
                     continue
                 plus, minus = gadd(b, a), gadd(b, gneg(a))
-                if plus in rootset or minus in rootset:
-                    continue
-                if system.is_known(plus) and system.is_known(minus):
-                    yield {"alpha": a, "beta": b}
-                else:
-                    skipped += 1
-    check_skipping("S5: isotropic connectivity",
-                   "S5: instances outside the known region", s5_failures)
+                if plus not in rootset and minus not in rootset:
+                    known = system.is_known(plus) and system.is_known(minus)
+                    yield {"alpha": a, "beta": b} if known else None
+    first_known_failure("S5: isotropic connectivity",
+                        "S5: instances outside the known region", s5_failures())
 
     def ratio_failures():
         for a in reals:
@@ -345,7 +342,6 @@ def check_axioms(system: RootSupersystem) -> Report:
     rep.first_failure("ratio restriction at real roots", ratio_failures())
 
     def reflection_failures():
-        nonlocal skipped
         for a in reals:
             na = table.norm[a]
             for b, t in zip(system.roots, table.twice[a]):
@@ -353,14 +349,10 @@ def check_axioms(system: RootSupersystem) -> Report:
                     continue  # already reported under S3
                 n = t // na
                 r = tuple(y - n * x for x, y in zip(a, b))
-                if r in rootset:
-                    continue
-                if system.is_known(r):
-                    yield {"alpha": a, "beta": b, "image": r}
-                else:
-                    skipped += 1
-    check_skipping("reflections preserve the root set",
-                   "reflections landing outside the known region", reflection_failures)
+                if r not in rootset:
+                    yield {"alpha": a, "beta": b, "image": r} if system.is_known(r) else None
+    first_known_failure("reflections preserve the root set",
+                        "reflections landing outside the known region", reflection_failures())
     return rep
 
 
@@ -381,7 +373,7 @@ def class_window_failures(system: RootSupersystem, report: Report, classes: dict
     S5 k = ±1, and the reflection by n = 2(a,b)/(a,a) k = -n.  The ratio
     k(a, g), k outside RATIOS, needs a known kg of a class in classes[ka];
     report has every such k."""
-    table, known, byclass = PairingTable(system), set(window), {}
+    table, known, byclass = system.table, set(window), {}
     for g in window:
         byclass.setdefault(phi(g) % 4, []).append(g)
     failed = {c.name for c in report.failures()}

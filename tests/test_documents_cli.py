@@ -84,21 +84,42 @@ def test_cli_verify_reports_jacobi_witness(capsys):
     assert "Jacobi" in out or "anti" in out
 
 
-def test_cli_verify_fails_an_even_part_with_an_odd_component(tmp_path, capsys):
-    """[E+, E-] = F+ leaves the even part; even_part drops that component, so
-    the check looks for it first and reports it as bracket grading does."""
+def _verify_checks(tmp_path, capsys, doc, code) -> dict:
+    """verify's JSON checks on doc, by name; verify must exit with code."""
+    path = tmp_path / "doc.json"
+    documents.save(str(path), doc)
+    assert main(["verify", str(path), "--format", "json"]) == code
+    return {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+def _osp12_doc_without(*fields) -> dict:
     doc = documents.algebra_to_dict(fixtures.osp12_standard())
+    return {k: v for k, v in doc.items() if k not in fields}
+
+
+@pytest.mark.parametrize("dropped", [(), ("gram", "cartan", "weights")],
+                         ids=["with form and weights", "without form"])
+def test_cli_verify_fails_an_even_part_with_an_odd_component(dropped, tmp_path, capsys):
+    """[E+, E-] = F+ leaves the even part; even_part drops that component, so
+    the check looks for it first and reports it as bracket grading does.  It
+    needs no form, Cartan or weights, so it runs on a document without them."""
+    doc = _osp12_doc_without(*dropped)
     e, f = doc["basis"].index("E+"), doc["basis"].index("E-")
     odd = doc["basis"].index("F+")
     doc["structure"] += [[e, f, odd, "1"], [f, e, odd, "-1"]]
-    path = tmp_path / "leak.json"
-    documents.save(str(path), doc)
-    assert main(["verify", str(path), "--format", "json"]) == 1
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    checks = _verify_checks(tmp_path, capsys, doc, 1)
     leak = {"component": "F+", "pair": ["E+", "E-"]}
     assert checks["bracket grading"]["witness"] == leak
     assert checks["even part is a subalgebra"] == {
         "name": "even part is a subalgebra", "status": "fail", "witness": leak}
+
+
+@pytest.mark.parametrize("dropped", [("gram", "cartan", "weights"), ("cartan", "weights")],
+                         ids=["without form", "without weights"])
+def test_cli_verify_passes_the_even_part_of_a_document_without(dropped, tmp_path, capsys):
+    checks = _verify_checks(tmp_path, capsys, _osp12_doc_without(*dropped), 0)
+    assert checks["even part is a subalgebra"] == {
+        "name": "even part is a subalgebra", "status": "pass"}
 
 
 def test_cli_decompose(capsys):

@@ -282,6 +282,52 @@ def test_the_vstar_action_reads_a_loop_key_as_the_factored_rows_need():
     assert not _loaded(function, "_")
 
 
+def _holders(predicate) -> set:
+    """file:qualified name (Class.method, outer.inner) of the innermost def
+    or class around each node of src/superlie that satisfies predicate."""
+    out = set()
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if predicate(child):
+                out.add(f"{path.name}:{owner}")
+            inner = (f"{owner}.{child.name}".lstrip(".")
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner)
+            visit(child, path, inner)
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return out
+
+
+def test_check_axioms_shares_no_skip_counter():
+    """The boundary searches of check_axioms yield None for an instance
+    outside the known region: no search counts its skips through an outer
+    variable."""
+    tree = ast.parse((SRC / "rootsys.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Nonlocal)]
+    assert "check_skipping" not in {n.name for n in ast.walk(tree)
+                                    if isinstance(n, ast.FunctionDef)}
+
+
+def test_one_pairing_table_per_root_system():
+    """PairingTable is built only by the lazy RootSupersystem.table, so the
+    axioms and the class-window rule of one system read one table."""
+    assert _holders(lambda n: isinstance(n, ast.Call) and getattr(
+        n.func, "id", getattr(n.func, "attr", None)) == "PairingTable") == {
+        "rootsys.py:RootSupersystem.table"}
+
+
+def test_a_theta_denominator_miss_is_a_signal_of_the_pair_table_alone():
+    """Only bracket_terms raises ThetaDenominatorMiss, and only the pair
+    table catches it: kernel_bracket scales to theta's denominators at once."""
+    def names_miss(expr):
+        return expr is not None and "ThetaDenominatorMiss" in ast.unparse(expr)
+    assert _holders(lambda n: isinstance(n, ast.Raise) and names_miss(n.exc)) == {
+        "affinize.py:AffinizedAlgebra.bracket_terms"}
+    assert _holders(lambda n: isinstance(n, ast.ExceptHandler) and names_miss(n.type)) == {
+        "affinize.py:pair_table_failures.agrees"}
+
+
 def test_linalg_has_one_row_reduction():
     """_eliminate is called only inside Echelon, solver and nullspace build
     an Echelon, and linalg imports no sdiv: no second row reduction."""
